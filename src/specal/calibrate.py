@@ -3,9 +3,15 @@
 All solvers work on the Gram form of the stacked system.  Because the
 design is a Kronecker product of a small concentration block with the
 basis design, the normal equations split into per-eigenvector blocks of
-basis dimension; fits, GCV traces and leave-one-out refits all reuse that
-structure.  Explicit matrix inversion is never used, only Cholesky
-factorizations of the (penalized) Gram blocks.
+basis dimension.  One factorization pass, ``_FactoredSystem.solve``,
+eigendecomposes the concentration Gram, Cholesky-factors each penalized
+block once and returns the coefficients plus, when GCV or diagnostics ask
+for it, the smoother trace from the same factors.  OLS, penalized fits,
+GCV scores, lambda selection and leave-one-out refits (Gram downdates)
+all go through it, and ``_gcv`` holds the one GCV formula.  GLS fits and
+their leave-one-out refits share one whitened assembly,
+``_WhitenedSystem``.  Explicit matrix inversion is never used, only
+Cholesky factorizations of the (penalized) Gram blocks.
 """
 
 from __future__ import annotations
@@ -95,7 +101,6 @@ class _FactoredSystem:
 
     def __init__(self, design: AggregatedDesign):
         self.design = design
-        self.b = design.b
         self.C = design.b.T @ design.b
         self.conc_aug = design.conc_aug
         self.M = design.conc_aug.T @ design.conc_aug
@@ -111,8 +116,14 @@ class _FactoredSystem:
         return m, f
 
     def solve(self, lam: float = 0.0, penalty: np.ndarray | None = None,
-              m: np.ndarray | None = None, f: np.ndarray | None = None) -> np.ndarray:
-        """Coefficient matrix minimizing the (penalized) stacked objective."""
+              m: np.ndarray | None = None, f: np.ndarray | None = None,
+              trace: bool = False) -> tuple[np.ndarray, float | None]:
+        """Coefficients minimizing the (penalized) stacked objective.
+
+        Each block ``d_j C + lam R`` is Cholesky-factored once; with
+        ``trace`` the smoother trace comes from the same factors, otherwise
+        it is returned as None.
+        """
         m = self.M if m is None else m
         f = self.F if f is None else f
         evals, q = np.linalg.eigh(m)
@@ -122,8 +133,10 @@ class _FactoredSystem:
             )
         f_rot = q.T @ f
         theta_rot = np.empty_like(f_rot)
+        total = 0.0
         for j, d in enumerate(evals):
-            block = d * self.C
+            scaled = d * self.C
+            block = scaled
             if lam > 0 and penalty is not None:
                 block = block + lam * penalty
             try:
@@ -134,48 +147,35 @@ class _FactoredSystem:
                     "many basis functions (try a penalty or fewer knots)"
                 ) from None
             theta_rot[j] = sla.cho_solve(chol, f_rot[j], check_finite=False)
-        return q @ theta_rot
+            if trace:
+                total += np.trace(sla.cho_solve(chol, scaled, check_finite=False))
+        return q @ theta_rot, (float(total) if trace else None)
 
-    def hat_trace(self, lam: float, penalty: np.ndarray | None) -> float:
-        """Trace of the smoother matrix at penalty level ``lam``."""
-        evals, _ = np.linalg.eigh(self.M)
-        if evals[0] <= 1e-12 * max(evals[-1], 1.0):
-            raise SingularDesignError(
-                "concentration block is rank deficient after augmentation"
-            )
-        total = 0.0
-        for d in evals:
-            block = d * self.C
-            if lam > 0 and penalty is not None:
-                block = block + lam * penalty
-            try:
-                chol = sla.cho_factor(block, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                raise SingularDesignError(
-                    "basis block is singular at this penalty level"
-                ) from None
-            total += np.trace(sla.cho_solve(chol, d * self.C, check_finite=False))
-        return float(total)
-
-    def residual_sums(self, coef: np.ndarray) -> tuple[float, float]:
-        """(data RSS, constraint RSS) for a coefficient matrix."""
+    def residual_sums(self, coef: np.ndarray) -> float:
+        """Data plus constraint residual sum of squares of a coefficient matrix."""
         design = self.design
-        w = design.spectra.absorbance
-        fitted = (design.conc_aug[:-1] @ coef) @ design.b.T
-        data = float(np.sum((w - fitted) ** 2))
+        data = _data_rss(design.spectra.absorbance, design.conc_aug[:-1], coef,
+                         design.b)
         constraint_curve = (design.conc_aug[-1] @ coef) @ design.b.T
-        return data, float(np.sum(constraint_curve ** 2))
+        return data + float(np.sum(constraint_curve ** 2))
 
 
-def _diagnostics(system: _FactoredSystem, coef: np.ndarray, lam: float,
-                 penalty: np.ndarray | None, hat_trace: float | None) -> FitDiagnostics:
-    data_rss, constraint_rss = system.residual_sums(coef)
-    rss = data_rss + constraint_rss
-    design = system.design
-    constraint_curve = coef[1:].sum(axis=0) @ design.b.T
-    trace = hat_trace if hat_trace is not None else system.hat_trace(lam, penalty)
+def _data_rss(w: np.ndarray, rows: np.ndarray, coef: np.ndarray,
+              b: np.ndarray) -> float:
+    return float(np.sum((w - (rows @ coef) @ b.T) ** 2))
+
+
+def _gcv(system: _FactoredSystem, coef: np.ndarray,
+         trace: float) -> tuple[float, float, float | None]:
+    """(RSS, hat trace, GCV score); the score is None once the trace reaches n."""
+    rss = system.residual_sums(coef)
     n = system.num_rows
-    gcv = n * rss / (n - trace) ** 2 if trace < n else None
+    return rss, trace, (n * rss / (n - trace) ** 2 if trace < n else None)
+
+
+def _diagnostics(coef: np.ndarray, b: np.ndarray, rss: float, trace: float,
+                 gcv: float | None = None) -> FitDiagnostics:
+    constraint_curve = coef[1:].sum(axis=0) @ b.T
     return FitDiagnostics(
         rss=rss,
         hat_trace=trace,
@@ -192,11 +192,11 @@ def fit_ols(design: AggregatedDesign, diagnostics: bool = True) -> CalibrationMo
             "basis block of the design is rank deficient: the wavelength grid "
             "cannot support this many basis functions"
         )
-    coef = system.solve()
+    coef, _ = system.solve()
     diag = None
     if diagnostics:
-        diag = _diagnostics(system, coef, 0.0, None,
-                            hat_trace=float(design.num_coefficients))
+        diag = _diagnostics(coef, design.b,
+                            *_gcv(system, coef, float(design.num_coefficients)))
     return CalibrationModel(
         basis=design.basis,
         coefficients=coef,
@@ -221,8 +221,10 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
     r = penalty.entries
     if r.shape != (design.num_basis, design.num_basis):
         raise ShapeError("penalty dimension does not match basis dimension")
-    coef = system.solve(lam=lam, penalty=r)
-    diag = _diagnostics(system, coef, lam, r, hat_trace=None) if diagnostics else None
+    coef, trace = system.solve(lam=lam, penalty=r, trace=diagnostics)
+    diag = None
+    if diagnostics:
+        diag = _diagnostics(coef, design.b, *_gcv(system, coef, trace))
     return CalibrationModel(
         basis=design.basis,
         coefficients=coef,
@@ -239,17 +241,14 @@ def gcv_score(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float) -> f
     if lam < 0:
         raise InvalidParameterError(f"smoothing parameter must be >= 0, got {lam}")
     system = _FactoredSystem(design)
-    r = penalty.entries
-    coef = system.solve(lam=lam, penalty=r)
-    data_rss, constraint_rss = system.residual_sums(coef)
-    rss = data_rss + constraint_rss
-    trace = system.hat_trace(lam, r)
-    n = system.num_rows
-    if trace >= n:
+    coef, trace = system.solve(lam=lam, penalty=penalty.entries, trace=True)
+    _, _, score = _gcv(system, coef, trace)
+    if score is None:
         raise DegenerateGcvError(
-            f"smoother trace {trace:.3f} reaches the number of rows {n}"
+            f"smoother trace {trace:.3f} reaches the number of rows "
+            f"{system.num_rows}"
         )
-    return float(n * rss / (n - trace) ** 2)
+    return float(score)
 
 
 def select_lambda(design: AggregatedDesign, penalty: PenaltyMatrix,
@@ -263,16 +262,11 @@ def select_lambda(design: AggregatedDesign, penalty: PenaltyMatrix,
     grid = np.sort(grid)
     system = _FactoredSystem(design)
     r = penalty.entries
-    n = system.num_rows
     best_lam, best_score = None, np.inf
     for lam in grid:
-        coef = system.solve(lam=float(lam), penalty=r)
-        data_rss, constraint_rss = system.residual_sums(coef)
-        trace = system.hat_trace(float(lam), r)
-        if trace >= n:
-            continue
-        score = n * (data_rss + constraint_rss) / (n - trace) ** 2
-        if score <= best_score:
+        coef, trace = system.solve(lam=float(lam), penalty=r, trace=True)
+        _, _, score = _gcv(system, coef, trace)
+        if score is not None and score <= best_score:
             best_lam, best_score = float(lam), score
     if best_lam is None:
         raise DegenerateGcvError("no grid point produced a valid GCV score")
@@ -290,7 +284,7 @@ def loo_coefficients(design: AggregatedDesign, penalty: PenaltyMatrix | None = N
     r = penalty.entries if penalty is not None else None
     for i in range(design.num_samples):
         m, f = system.downdated(i)
-        yield i, system.solve(lam=lam, penalty=r, m=m, f=f)
+        yield i, system.solve(lam=lam, penalty=r, m=m, f=f)[0]
 
 
 def empirical_covariogram(residuals: np.ndarray, grid: np.ndarray
@@ -305,16 +299,14 @@ def empirical_covariogram(residuals: np.ndarray, grid: np.ndarray
     grid = np.asarray(grid, dtype=float)
     if residuals.shape[1] != grid.size:
         raise ShapeError("residual columns must match the grid length")
-    t = grid.size
     dist = np.abs(grid[:, None] - grid[None, :])
     rounded = np.round(dist, 9)
     lags, inverse = np.unique(rounded.ravel(), return_inverse=True)
     counts = np.bincount(inverse, minlength=lags.size).astype(float)
-    products = residuals[:, :, None] * residuals[:, None, :]
-    flat = products.reshape(residuals.shape[0], t * t)
     sums = np.zeros((residuals.shape[0], lags.size))
-    for i in range(residuals.shape[0]):
-        sums[i] = np.bincount(inverse, weights=flat[i], minlength=lags.size)
+    for i, r in enumerate(residuals):
+        sums[i] = np.bincount(inverse, weights=np.outer(r, r).ravel(),
+                              minlength=lags.size)
     return lags, sums / counts, counts
 
 
@@ -396,46 +388,65 @@ def _whitening_factor(cov_matrix: np.ndarray, jitter_scale: float) -> np.ndarray
         ) from None
 
 
-def _gls_pieces(spectra: SpectraSet, concentrations: ConcentrationMatrix,
-                b: np.ndarray, cov: CovarianceModel):
-    """Per-sample whitened Gram blocks and right-hand sides."""
-    y = concentrations.values
-    grid = spectra.grid
-    w = spectra.absorbance
-    jitter_scale = float(np.mean(cov.sigma2))
-    rows = np.column_stack([np.ones(y.shape[0]), y])
-    grams = []
-    rhs = []
-    for i in range(y.shape[0]):
-        sigma = cov.sample_covariance(grid, y[i])
-        chol = _whitening_factor(sigma, jitter_scale)
-        zb = sla.solve_triangular(chol, b, lower=True, check_finite=False)
-        zw = sla.solve_triangular(chol, w[i], lower=True, check_finite=False)
-        grams.append(np.kron(np.outer(rows[i], rows[i]), zb.T @ zb))
-        rhs.append(np.kron(rows[i], zb.T @ zw))
-    return rows, grams, rhs
+class _WhitenedSystem:
+    """Whitened GLS normal equations, kept per sample and in total.
 
+    Holds each sample's Gram block and right-hand side, their sums and,
+    with ``augment``, the sum-to-zero constraint Gram (identity noise
+    weight) added to the total.  Fold downdates subtract one sample's
+    pieces, the GLS counterpart of :meth:`_FactoredSystem.downdated`.
+    """
 
-def _gls_solve(gram: np.ndarray, rhs: np.ndarray, num_basis: int) -> np.ndarray:
-    evals = np.linalg.eigvalsh(gram)
-    if evals[0] <= 1e-12 * max(evals[-1], 1.0):
-        raise SingularDesignError(
-            "whitened system is singular; closed concentration rows need the "
-            "augmented constraint block (augment=True)"
-        )
-    try:
-        chol = sla.cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError("whitened system is not positive definite") from None
-    beta = sla.cho_solve(chol, rhs, check_finite=False)
-    return beta.reshape(-1, num_basis)
+    def __init__(self, spectra: SpectraSet, concentrations: ConcentrationMatrix,
+                 kv: KnotVector, cov: CovarianceModel, augment: bool,
+                 constraint_weight: float):
+        if concentrations.num_analytes != cov.num_analytes:
+            raise ShapeError("covariance model analyte count does not match Y")
+        b = design_matrix(kv, spectra.grid)
+        y = concentrations.values
+        w = spectra.absorbance
+        jitter_scale = float(np.mean(cov.sigma2))
+        rows = np.column_stack([np.ones(y.shape[0]), y])
+        self.grams = []
+        self.rhs_parts = []
+        for i in range(y.shape[0]):
+            sigma = cov.sample_covariance(spectra.grid, y[i])
+            chol = _whitening_factor(sigma, jitter_scale)
+            zb = sla.solve_triangular(chol, b, lower=True, check_finite=False)
+            zw = sla.solve_triangular(chol, w[i], lower=True, check_finite=False)
+            self.grams.append(np.kron(np.outer(rows[i], rows[i]), zb.T @ zb))
+            self.rhs_parts.append(np.kron(rows[i], zb.T @ zw))
+        self.gram = np.sum(self.grams, axis=0)
+        self.rhs = np.sum(self.rhs_parts, axis=0)
+        if augment:
+            e = np.zeros(concentrations.num_analytes + 1)
+            e[1:] = np.sqrt(constraint_weight)
+            self.gram = self.gram + np.kron(np.outer(e, e), b.T @ b)
+        self.b = b
+        self.rows = rows
+        self.num_basis = kv.num_basis
 
+    def downdated(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.gram - self.grams[i], self.rhs - self.rhs_parts[i]
 
-def _constraint_block(b: np.ndarray, num_analytes: int,
-                      constraint_weight: float) -> tuple[np.ndarray, np.ndarray]:
-    e = np.zeros(num_analytes + 1)
-    e[1:] = np.sqrt(constraint_weight)
-    return np.kron(np.outer(e, e), b.T @ b), np.zeros((num_analytes + 1) * b.shape[1])
+    def solve(self, gram: np.ndarray | None = None,
+              rhs: np.ndarray | None = None) -> np.ndarray:
+        gram = self.gram if gram is None else gram
+        rhs = self.rhs if rhs is None else rhs
+        evals = np.linalg.eigvalsh(gram)
+        if evals[0] <= 1e-12 * max(evals[-1], 1.0):
+            raise SingularDesignError(
+                "whitened system is singular; closed concentration rows need "
+                "the augmented constraint block (augment=True)"
+            )
+        try:
+            chol = sla.cho_factor(gram, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise SingularDesignError(
+                "whitened system is not positive definite"
+            ) from None
+        beta = sla.cho_solve(chol, rhs, check_finite=False)
+        return beta.reshape(-1, self.num_basis)
 
 
 def fit_gls(spectra: SpectraSet, concentrations: ConcentrationMatrix,
@@ -448,31 +459,13 @@ def fit_gls(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     ``augment=True`` appends the sum-to-zero block with identity noise
     weight, which is required when the concentration rows are closed.
     """
-    if concentrations.num_analytes != cov.num_analytes:
-        raise ShapeError("covariance model analyte count does not match Y")
-    b = design_matrix(kv, spectra.grid)
-    _, grams, rhs_parts = _gls_pieces(spectra, concentrations, b, cov)
-    gram = np.sum(grams, axis=0)
-    rhs = np.sum(rhs_parts, axis=0)
-    if augment:
-        extra_gram, _ = _constraint_block(b, concentrations.num_analytes,
-                                          constraint_weight)
-        gram = gram + extra_gram
-    coef = _gls_solve(gram, rhs, kv.num_basis)
+    system = _WhitenedSystem(spectra, concentrations, kv, cov, augment,
+                             constraint_weight)
+    coef = system.solve()
     diag = None
     if diagnostics:
-        w = spectra.absorbance
-        rows = np.column_stack(
-            [np.ones(concentrations.num_samples), concentrations.values]
-        )
-        fitted = (rows @ coef) @ b.T
-        constraint_curve = coef[1:].sum(axis=0) @ b.T
-        diag = FitDiagnostics(
-            rss=float(np.sum((w - fitted) ** 2)),
-            hat_trace=float(coef.size),
-            constraint_max_abs=float(np.max(np.abs(constraint_curve))),
-            gcv=None,
-        )
+        rss = _data_rss(spectra.absorbance, system.rows, coef, system.b)
+        diag = _diagnostics(coef, system.b, rss, float(coef.size))
     return CalibrationModel(
         basis=kv,
         coefficients=coef,
@@ -489,13 +482,7 @@ def gls_loo_coefficients(spectra: SpectraSet, concentrations: ConcentrationMatri
                          constraint_weight: float = 1.0
                          ) -> Iterator[tuple[int, np.ndarray]]:
     """Leave-one-out GLS refits sharing the per-sample whitened blocks."""
-    b = design_matrix(kv, spectra.grid)
-    _, grams, rhs_parts = _gls_pieces(spectra, concentrations, b, cov)
-    gram = np.sum(grams, axis=0)
-    rhs = np.sum(rhs_parts, axis=0)
-    if augment:
-        extra_gram, _ = _constraint_block(b, concentrations.num_analytes,
-                                          constraint_weight)
-        gram = gram + extra_gram
+    system = _WhitenedSystem(spectra, concentrations, kv, cov, augment,
+                             constraint_weight)
     for i in range(concentrations.num_samples):
-        yield i, _gls_solve(gram - grams[i], rhs - rhs_parts[i], kv.num_basis)
+        yield i, system.solve(*system.downdated(i))

@@ -16,7 +16,7 @@ import numpy as np
 from . import io
 from .baselines import MultivariateModel
 from .errors import AlignmentError, InvalidParameterError, SpecalError
-from .methods import STUDY_METHODS, FitSpec, make_strategy
+from .methods import STUDY_METHODS, FitSpec, make_strategy, resolve_sum_to
 from .model import CalibrationModel, ConcentrationMatrix, SpectraSet
 from .predict import jackknife_sd, prediction_report, sep
 from .simulate import (
@@ -168,12 +168,6 @@ def _spec_from_model(model, args) -> FitSpec:
     raise InvalidParameterError("unsupported model type")
 
 
-def _auto_sum_to(model: CalibrationModel) -> float | None:
-    # Closed calibration samples leave the analyte curves summing to
-    # (near) zero, so the matching prediction needs the sum pinned.
-    return 1.0 if model.closed_calibration else None
-
-
 def _cmd_predict(args) -> int:
     model = io.load_model(args.model)
     spectra = io.load_spectra(args.spectra, transpose=args.transpose,
@@ -215,9 +209,7 @@ def _cmd_predict(args) -> int:
             analytes=analytes,
         )
     else:
-        sum_to = _parse_sum_to(args.sum_to)
-        if sum_to == "auto":
-            sum_to = _auto_sum_to(model)
+        sum_to = resolve_sum_to(_parse_sum_to(args.sum_to), model)
         report = prediction_report(model, spectra, s, c=args.c, sum_to=sum_to)
     io.save_predictions(report, ids, args.out)
     return 0

@@ -17,6 +17,7 @@ import numpy as np
 from . import baselines
 from .basis import knots_from_grid, make_knots, penalty_matrix
 from .calibrate import (
+    CovarianceModel,
     fit_covariance,
     fit_gls,
     fit_ols,
@@ -67,6 +68,16 @@ class FitSpec:
         if method not in FUNCTIONAL_METHODS + MULTIVARIATE_METHODS:
             raise InvalidParameterError(f"unknown method '{self.method}'")
         object.__setattr__(self, "method", method)
+
+
+def resolve_sum_to(sum_to: float | str | None,
+                   fitted: CalibrationModel) -> float | None:
+    """Resolve an "auto" closure: pin predicted sums to one exactly when the
+    calibration rows were closed, which leaves the analyte curves summing
+    to (near) zero."""
+    if sum_to == "auto":
+        return 1.0 if fitted.closed_calibration else None
+    return sum_to
 
 
 def _subset(spectra: SpectraSet, concentrations: ConcentrationMatrix,
@@ -127,19 +138,25 @@ class FunctionalStrategy(Strategy):
             return rows_are_closed(concentrations.values)
         return bool(self.spec.gls_augment)
 
+    def _pilot_covariance(self, spectra: SpectraSet,
+                          concentrations: ConcentrationMatrix,
+                          kv) -> CovarianceModel:
+        """Noise covariance fitted to the residuals of a pilot OLS fit."""
+        design = assemble_design(spectra, concentrations, kv,
+                                 self.spec.constraint_weight)
+        pilot = fit_ols(design, diagnostics=False)
+        resid = spectra.absorbance - (
+            (design.conc_aug[:-1] @ pilot.coefficients) @ design.b.T
+        )
+        return fit_covariance(resid, concentrations, spectra.grid,
+                              phi_grid=self.spec.phi_grid)
+
     def fit(self, spectra: SpectraSet,
             concentrations: ConcentrationMatrix) -> CalibrationModel:
         spec = self.spec
         kv = self._knots(spectra)
         if spec.method == "gls-k":
-            design = assemble_design(spectra, concentrations, kv,
-                                     spec.constraint_weight)
-            pilot = fit_ols(design, diagnostics=False)
-            resid = spectra.absorbance - (
-                (design.conc_aug[:-1] @ pilot.coefficients) @ design.b.T
-            )
-            cov = fit_covariance(resid, concentrations, spectra.grid,
-                                 phi_grid=spec.phi_grid)
+            cov = self._pilot_covariance(spectra, concentrations, kv)
             return fit_gls(spectra, concentrations, kv, cov,
                            augment=self._resolve_augment(concentrations),
                            constraint_weight=spec.constraint_weight)
@@ -153,73 +170,54 @@ class FunctionalStrategy(Strategy):
 
     def predict_fitted(self, fitted: CalibrationModel,
                        spectra: SpectraSet) -> np.ndarray:
-        sum_to = self.spec.sum_to
-        if sum_to == "auto":
-            sum_to = 1.0 if fitted.closed_calibration else None
-        return predict_concentrations(fitted, spectra, sum_to=sum_to)
+        return predict_concentrations(
+            fitted, spectra, sum_to=resolve_sum_to(self.spec.sum_to, fitted)
+        )
 
     def jackknife_fits(self, spectra: SpectraSet,
                        concentrations: ConcentrationMatrix) -> Iterator:
         spec = self.spec
         kv = self._knots(spectra)
-        if spec.method == "ols-k":
-            design = assemble_design(spectra, concentrations, kv,
-                                     spec.constraint_weight)
-            yield from self._wrap_folds(
-                loo_coefficients(design), kv, concentrations, "OLS-K", 0.0
+        if spec.method == "gls-k":
+            if spec.covariance_per_fold:
+                yield from super().jackknife_fits(spectra, concentrations)
+                return
+            cov = self._pilot_covariance(spectra, concentrations, kv)
+            folds = gls_loo_coefficients(
+                spectra, concentrations, kv, cov,
+                augment=self._resolve_augment(concentrations),
+                constraint_weight=spec.constraint_weight,
             )
+            yield from self._wrap_folds(folds, kv, concentrations, "GLS-K", 0.0)
             return
-        if spec.method == "ols-ss":
-            design = assemble_design(spectra, concentrations, kv,
-                                     spec.constraint_weight)
+        design = assemble_design(spectra, concentrations, kv,
+                                 spec.constraint_weight)
+        if spec.method == "ols-k":
+            folds, lam = loo_coefficients(design), 0.0
+        else:
             pen = penalty_matrix(kv)
             if spec.reselect_lambda:
                 # Reference path: every fold reselects its own lambda.
                 yield from super().jackknife_fits(spectra, concentrations)
                 return
             lam = self._resolve_lambda(design, pen)
-            yield from self._wrap_folds(
-                loo_coefficients(design, pen, lam), kv, concentrations,
-                "OLS-SS", lam,
-            )
-            return
-        # gls-k
-        if spec.covariance_per_fold:
-            yield from super().jackknife_fits(spectra, concentrations)
-            return
-        design = assemble_design(spectra, concentrations, kv,
-                                 spec.constraint_weight)
-        pilot = fit_ols(design, diagnostics=False)
-        resid = spectra.absorbance - (
-            (design.conc_aug[:-1] @ pilot.coefficients) @ design.b.T
-        )
-        cov = fit_covariance(resid, concentrations, spectra.grid,
-                             phi_grid=spec.phi_grid)
-        folds = gls_loo_coefficients(
-            spectra, concentrations, kv, cov,
-            augment=self._resolve_augment(concentrations),
-            constraint_weight=spec.constraint_weight,
-        )
-        yield from self._wrap_folds(folds, kv, concentrations, "GLS-K", 0.0)
+            folds = loo_coefficients(design, pen, lam)
+        yield from self._wrap_folds(folds, kv, concentrations,
+                                    spec.method.upper(), lam)
 
     def _wrap_folds(self, folds, kv, concentrations, method, lam):
         analytes = concentrations.analyte_names()
         closed = rows_are_closed(concentrations.values)
-        expected = 0  # downdate generators yield folds in index order
-        while True:
-            try:
-                i, coef = next(folds)
-            except StopIteration:
-                return
-            except SpecalError as exc:
-                raise FoldFailureError(
-                    f"refit failed on fold {expected}: {exc}"
-                ) from exc
-            expected = i + 1
-            yield i, CalibrationModel(
-                basis=kv, coefficients=coef, method=method, lam=lam,
-                analytes=analytes, closed_calibration=closed,
-            )
+        done = 0  # downdate generators yield folds in index order
+        try:
+            for i, coef in folds:
+                yield i, CalibrationModel(
+                    basis=kv, coefficients=coef, method=method, lam=lam,
+                    analytes=analytes, closed_calibration=closed,
+                )
+                done = i + 1
+        except SpecalError as exc:
+            raise FoldFailureError(f"refit failed on fold {done}: {exc}") from exc
 
 
 class MultivariateStrategy(Strategy):

@@ -234,6 +234,16 @@ def prediction_spectra(truth: SimTruth, y_star: np.ndarray, *path: int) -> Spect
     return SpectraSet(grid=grid, absorbance=absorbance, role="prediction")
 
 
+def _ordered_map(func, arg_tuples: list[tuple], jobs: int) -> list:
+    """``[func(*args) for args in arg_tuples]``, on ``jobs`` worker processes
+    when ``jobs > 1``; results keep the input order either way."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(func, *args) for args in arg_tuples]
+            return [f.result() for f in futures]
+    return [func(*args) for args in arg_tuples]
+
+
 def _resolve_methods(methods: Iterable[str] | Mapping[str, FitSpec]
                      ) -> dict[str, FitSpec]:
     if isinstance(methods, Mapping):
@@ -317,18 +327,10 @@ def run_jackknife_study(cfg: SimConfig, methods: Iterable[str] | Mapping[str, Fi
     if replicates < 1:
         raise InvalidParameterError("need at least one replicate")
     resolved = _resolve_methods(methods)
-    results: list[dict[str, np.ndarray | None]] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_jackknife_replicate, cfg, resolved, rep)
-                for rep in range(replicates)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _jackknife_replicate(cfg, resolved, rep) for rep in range(replicates)
-        ]
+    results = _ordered_map(
+        _jackknife_replicate,
+        [(cfg, resolved, rep) for rep in range(replicates)], jobs,
+    )
     spreads: dict[str, np.ndarray] = {}
     failures: dict[str, int] = {}
     for name in resolved:
@@ -420,19 +422,11 @@ def run_bias_variance_study(cfg: SimConfig,
     if y_star.shape[1] != cfg.num_analytes:
         raise ShapeError("prediction design columns must match analyte count")
     resolved = _resolve_methods(methods)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_bias_variance_set, cfg, resolved, y_star,
-                            prediction_reps, g)
-                for g in range(learning_sets)
-            ]
-            all_preds = [f.result() for f in futures]
-    else:
-        all_preds = [
-            _bias_variance_set(cfg, resolved, y_star, prediction_reps, g)
-            for g in range(learning_sets)
-        ]
+    all_preds = _ordered_map(
+        _bias_variance_set,
+        [(cfg, resolved, y_star, prediction_reps, g)
+         for g in range(learning_sets)], jobs,
+    )
     m = cfg.num_analytes
     squared_bias = {name: np.zeros(m) for name in resolved}
     variability = {name: np.zeros(m) for name in resolved}

@@ -258,6 +258,27 @@ class TestGcv:
         assert np.isfinite(lam_coarse) and lam_coarse > 0
         assert 0.5 <= rss_coarse / rss_fine <= 2.0
 
+    def test_fit_diagnostics_gcv_equals_gcv_score(self):
+        # Fits, scores and lambda selection share one GCV evaluation, so the
+        # fit's recorded score and gcv_score agree exactly.
+        from specal.basis import knots_from_grid
+
+        rng = np.random.default_rng(31)
+        designs = [small_design(rng, num_samples=4)]
+        grid_t = np.linspace(0.0, 1.0, 25)
+        kv = knots_from_grid(grid_t)
+        y = rng.uniform(0.2, 0.8, (6, 2))
+        w = 1.0 + y @ np.vstack([np.sin(2 * np.pi * grid_t), grid_t ** 2]) \
+            + 0.2 * rng.standard_normal((6, 25))
+        designs.append((assemble_design(SpectraSet(grid=grid_t, absorbance=w),
+                                        ConcentrationMatrix(values=y), kv), kv))
+        for design, kv in designs:
+            pen = penalty_matrix(kv)
+            for lam in (0.7, 1e3):
+                gcv = fit_penalized(design, pen, lam).diagnostics.gcv
+                assert gcv is not None
+                assert gcv == gcv_score(design, pen, lam)
+
     def test_empty_or_invalid_grid(self):
         rng = np.random.default_rng(15)
         design, kv = small_design(rng)
@@ -331,6 +352,28 @@ class TestCovariance:
         empirical = covs[:, keep].mean(axis=0)
         rel = np.linalg.norm(fitted - empirical) / np.linalg.norm(empirical)
         assert rel < 0.3
+
+    def test_covariogram_matches_pairwise_oracle(self):
+        # Non-uniform grid with a lag (0.2) shared by two site pairs; every
+        # ordered pair, the zero lag included, is counted once.
+        rng = np.random.default_rng(23)
+        grid = np.array([0.0, 0.3, 0.5, 1.1, 1.3, 2.0])
+        resid = rng.standard_normal((3, grid.size))
+        lags, covs, counts = empirical_covariogram(resid, grid)
+        pairs, sums = {}, {}
+        for n in range(grid.size):
+            for k in range(grid.size):
+                lag = round(abs(grid[n] - grid[k]), 9)
+                pairs[lag] = pairs.get(lag, 0) + 1
+                sums[lag] = sums.get(lag, 0.0) + resid[:, n] * resid[:, k]
+        expected = sorted(pairs)
+        assert pairs[0.2] == 4
+        npt.assert_allclose(lags, expected, rtol=0, atol=1e-12)
+        npt.assert_array_equal(counts, [pairs[lag] for lag in expected])
+        npt.assert_allclose(
+            covs, np.column_stack([sums[lag] / pairs[lag] for lag in expected]),
+            rtol=1e-12, atol=1e-15,
+        )
 
     def test_zero_residuals_degenerate(self):
         with pytest.raises(DegenerateCovarianceError):

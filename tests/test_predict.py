@@ -185,7 +185,9 @@ class TestJackknife:
 
     def test_fold_failure_is_reported(self):
         # Three samples with two identical concentration rows: dropping the
-        # distinct one leaves a rank-deficient fold.
+        # distinct one (fold 2) leaves a rank-deficient fold.  The pinned sum
+        # keeps folds 0 and 1 predictable: their two-sample fits leave the
+        # analyte curves summing to zero.
         rng = np.random.default_rng(15)
         grid = np.linspace(0.0, 1.0, 20)
         kv_dim = 4
@@ -195,6 +197,9 @@ class TestJackknife:
         conc = ConcentrationMatrix(values=y)
         with pytest.raises(FoldFailureError):
             jackknife_sd(spectra, conc, FitSpec(method="ols-k", num_basis=kv_dim))
+        with pytest.raises(FoldFailureError, match="refit failed on fold 2"):
+            jackknife_sd(spectra, conc,
+                         FitSpec(method="ols-k", num_basis=kv_dim, sum_to=1.0))
 
     def test_simulation_protocol_bands(self):
         spec = FitSpec(method="ols-k", num_basis=14)
