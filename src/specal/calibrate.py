@@ -2,16 +2,18 @@
 
 All solvers work on the Gram form of the stacked system.  Because the
 design is a Kronecker product of a small concentration block with the
-basis design, the normal equations split into per-eigenvector blocks of
-basis dimension.  One factorization pass, ``_FactoredSystem.solve``,
-eigendecomposes the concentration Gram, Cholesky-factors each penalized
-block once and returns the coefficients plus, when GCV or diagnostics ask
-for it, the smoother trace from the same factors.  OLS, penalized fits,
-GCV scores, lambda selection and leave-one-out refits (Gram downdates)
-all go through it, and ``_gcv`` holds the one GCV formula.  GLS fits and
-their leave-one-out refits share one whitened assembly,
+basis design, the normal equations split into per-eigenvector blocks
+``d_j C + lam R`` of basis dimension.  ``_FactoredSystem`` factors the
+basis pair once per design (the Demmler-Reinsch basis, in which the basis
+Gram ``C`` and the penalty ``R`` are both diagonal), so each block is
+diagonal for every ``lam`` and every fold.  Its ``solve`` costs two small
+matrix products after an eigendecomposition of the concentration Gram,
+and the smoother trace is a sum of ratios.  OLS (``R = 0``), penalized
+fits, GCV scores, lambda selection and leave-one-out refits (Gram
+downdates) all go through it, and ``_gcv`` holds the one GCV formula.
+GLS fits and their leave-one-out refits share one whitened assembly,
 ``_WhitenedSystem``.  Explicit matrix inversion is never used, only
-Cholesky factorizations of the (penalized) Gram blocks.
+Cholesky factorizations and symmetric eigendecompositions.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ from .model import (
     CalibrationModel,
     ConcentrationMatrix,
     SpectraSet,
-    rows_are_closed,
+    closure_total,
 )
 
 DEFAULT_PHI_GRID = np.logspace(-4, 1, 50)
 DEFAULT_LAMBDA_GRID = np.logspace(-4, 8, 25)
+_SINGULAR_BASIS = ("basis block is singular; the grid cannot resolve this many "
+                   "basis functions (try a penalty or fewer knots)")
 
 
 @dataclass(frozen=True)
@@ -90,18 +94,78 @@ class CovarianceModel:
             cov += (y * y) * s2 * np.exp(-ph * dist)
         return cov
 
+    def sample_covariances(self, grid: np.ndarray,
+                           y: np.ndarray) -> Iterator[np.ndarray]:
+        """:meth:`sample_covariance` of each row of ``y``, bit for bit.
+
+        The decays are evaluated once per distinct site distance and each
+        sample mixes them in the same operation order; its matrix is then
+        gathered through one shared lag index.  No per-sample distance
+        matrix or exponential is formed and no T-by-T decay matrix is held.
+        """
+        grid = np.asarray(grid, dtype=float)
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        if y.shape[1] != self.num_analytes:
+            raise ShapeError("concentration row length does not match analytes")
+        dist = np.abs(grid[:, None] - grid[None, :])
+        lags = np.unique(dist)
+        index = np.searchsorted(lags, dist)
+        del dist
+        decays = np.exp(-self.phi[:, None] * lags)       # (m, lags)
+        for row in y:
+            mixed = np.zeros_like(lags)
+            for weight, decay in zip((row * row) * self.sigma2, decays):
+                mixed += weight * decay
+            yield mixed[index]
+
+
+def _demmler_reinsch(b: np.ndarray, r: np.ndarray | None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simultaneous diagonalization of ``C = B'B`` and the penalty ``R``.
+
+    Returns ``(U, mu, rho)`` with ``U'(C + R)U = I``, ``U'CU = diag(mu)``
+    (ascending) and ``U'RU = diag(rho)``; ``R = None`` stands for zero.
+    ``C + R = L L'`` is Cholesky-factored and ``L^-1 C L^-T``
+    eigendecomposed; ``C`` is released first, so at most four K-by-K arrays
+    are live at once.  ``rho`` comes from ``U'RU`` itself, which keeps small
+    penalty eigenvalues accurate where ``1 - mu`` would cancel.  Both lie in
+    [0, 1]; values at rounding level (1e-12) are exact zeros, directions
+    that ``C`` or ``R`` does not see.  ``C + R`` is positive definite even
+    when ``C`` is singular (more basis functions than grid sites), so only
+    an unresolvable pair fails here.
+    """
+    c = b.T @ b
+    try:
+        chol = sla.cholesky(c if r is None else c + r, lower=True,
+                            check_finite=False)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError(_SINGULAR_BASIS) from None
+    half = sla.solve_triangular(chol, c, lower=True, check_finite=False)
+    del c
+    sym = sla.solve_triangular(chol, half.T, lower=True, check_finite=False)
+    del half
+    mu, v = sla.eigh(sym, overwrite_a=True, check_finite=False, driver="evd")
+    del sym
+    u = sla.solve_triangular(chol, v, lower=True, trans="T", overwrite_b=True,
+                             check_finite=False)
+    rho = np.zeros_like(mu) if r is None else np.einsum("ki,ki->i", u, r @ u)
+    mu[mu <= 1e-12] = 0.0
+    rho[rho <= 1e-12] = 0.0
+    return u, mu, rho
+
 
 class _FactoredSystem:
-    """Gram-side view of an aggregated design.
+    """Gram-side view of an aggregated design in the Demmler-Reinsch basis.
 
-    Holds ``C = B'B``, the small concentration Gram ``M`` and the
-    right-hand-side matrix ``F`` (one row per coefficient block).  Fold
-    downdates replace ``M`` and ``F`` only; the basis Gram never changes.
+    Holds the basis factorization of :func:`_demmler_reinsch`, the small
+    concentration Gram ``M`` and the right-hand-side matrix ``F`` (one row
+    per coefficient block).  Fold downdates replace ``M`` and ``F`` only;
+    the basis factorization never changes.
     """
 
-    def __init__(self, design: AggregatedDesign):
+    def __init__(self, design: AggregatedDesign, penalty: np.ndarray | None = None):
         self.design = design
-        self.C = design.b.T @ design.b
+        self.u, self.mu, self.rho = _demmler_reinsch(design.b, penalty)
         self.conc_aug = design.conc_aug
         self.M = design.conc_aug.T @ design.conc_aug
         w = design.spectra.absorbance
@@ -115,14 +179,19 @@ class _FactoredSystem:
         f = self.F - np.outer(a, self.bw[:, i])
         return m, f
 
-    def solve(self, lam: float = 0.0, penalty: np.ndarray | None = None,
-              m: np.ndarray | None = None, f: np.ndarray | None = None,
+    def solve(self, lam: float = 0.0, m: np.ndarray | None = None,
+              f: np.ndarray | None = None,
               trace: bool = False) -> tuple[np.ndarray, float | None]:
         """Coefficients minimizing the (penalized) stacked objective.
 
-        Each block ``d_j C + lam R`` is Cholesky-factored once; with
-        ``trace`` the smoother trace comes from the same factors, otherwise
-        it is returned as None.
+        With ``M = Q diag(d) Q'`` the block of eigenvector ``j`` is
+        ``d_j diag(mu) + lam diag(rho)`` in the basis ``U``, so the
+        coefficients are ``Q ((Q'F U) / (d_j mu_k + lam rho_k)) U'`` and,
+        with ``trace``, the smoother trace is the sum of
+        ``d_j mu_k / (d_j mu_k + lam rho_k)``; otherwise it is None.  For
+        ``lam > 0`` every denominator is at least ``min(d_j, lam)``,
+        since ``mu_k + rho_k = 1``; at ``lam = 0`` a zero ``mu_k`` (a basis
+        the grid cannot resolve) raises.
         """
         m = self.M if m is None else m
         f = self.F if f is None else f
@@ -131,25 +200,12 @@ class _FactoredSystem:
             raise SingularDesignError(
                 "concentration block is rank deficient after augmentation"
             )
-        f_rot = q.T @ f
-        theta_rot = np.empty_like(f_rot)
-        total = 0.0
-        for j, d in enumerate(evals):
-            scaled = d * self.C
-            block = scaled
-            if lam > 0 and penalty is not None:
-                block = block + lam * penalty
-            try:
-                chol = sla.cho_factor(block, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                raise SingularDesignError(
-                    "basis block is singular; the grid cannot resolve this "
-                    "many basis functions (try a penalty or fewer knots)"
-                ) from None
-            theta_rot[j] = sla.cho_solve(chol, f_rot[j], check_finite=False)
-            if trace:
-                total += np.trace(sla.cho_solve(chol, scaled, check_finite=False))
-        return q @ theta_rot, (float(total) if trace else None)
+        if lam <= 0 and self.mu[0] == 0.0:
+            raise SingularDesignError(_SINGULAR_BASIS)
+        scaled = np.outer(evals, self.mu)
+        denom = scaled + lam * self.rho
+        coef = (q @ (((q.T @ f) @ self.u) / denom)) @ self.u.T
+        return coef, (float(np.sum(scaled / denom)) if trace else None)
 
     def residual_sums(self, coef: np.ndarray) -> float:
         """Data plus constraint residual sum of squares of a coefficient matrix."""
@@ -186,12 +242,12 @@ def _diagnostics(coef: np.ndarray, b: np.ndarray, rss: float, trace: float,
 
 def fit_ols(design: AggregatedDesign, diagnostics: bool = True) -> CalibrationModel:
     """Ordinary least squares on the augmented system (correlation ignored)."""
-    system = _FactoredSystem(design)
     if np.linalg.matrix_rank(design.b) < design.num_basis:
         raise SingularDesignError(
             "basis block of the design is rank deficient: the wavelength grid "
             "cannot support this many basis functions"
         )
+    system = _FactoredSystem(design)
     coef, _ = system.solve()
     diag = None
     if diagnostics:
@@ -204,7 +260,7 @@ def fit_ols(design: AggregatedDesign, diagnostics: bool = True) -> CalibrationMo
         lam=0.0,
         analytes=design.concentrations.analyte_names(),
         diagnostics=diag,
-        closed_calibration=rows_are_closed(design.concentrations.values),
+        closed_total=closure_total(design.concentrations.values),
     )
 
 
@@ -217,11 +273,11 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
     """
     if lam < 0:
         raise InvalidParameterError(f"smoothing parameter must be >= 0, got {lam}")
-    system = _FactoredSystem(design)
     r = penalty.entries
     if r.shape != (design.num_basis, design.num_basis):
         raise ShapeError("penalty dimension does not match basis dimension")
-    coef, trace = system.solve(lam=lam, penalty=r, trace=diagnostics)
+    system = _FactoredSystem(design, r)
+    coef, trace = system.solve(lam=lam, trace=diagnostics)
     diag = None
     if diagnostics:
         diag = _diagnostics(coef, design.b, *_gcv(system, coef, trace))
@@ -232,7 +288,7 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
         lam=float(lam),
         analytes=design.concentrations.analyte_names(),
         diagnostics=diag,
-        closed_calibration=rows_are_closed(design.concentrations.values),
+        closed_total=closure_total(design.concentrations.values),
     )
 
 
@@ -240,8 +296,8 @@ def gcv_score(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float) -> f
     """Generalized cross-validation score ``n RSS / (n - tr H)^2``."""
     if lam < 0:
         raise InvalidParameterError(f"smoothing parameter must be >= 0, got {lam}")
-    system = _FactoredSystem(design)
-    coef, trace = system.solve(lam=lam, penalty=penalty.entries, trace=True)
+    system = _FactoredSystem(design, penalty.entries)
+    coef, trace = system.solve(lam=lam, trace=True)
     _, _, score = _gcv(system, coef, trace)
     if score is None:
         raise DegenerateGcvError(
@@ -260,11 +316,10 @@ def select_lambda(design: AggregatedDesign, penalty: PenaltyMatrix,
     if np.any(grid <= 0):
         raise InvalidParameterError("lambda grid entries must be positive")
     grid = np.sort(grid)
-    system = _FactoredSystem(design)
-    r = penalty.entries
+    system = _FactoredSystem(design, penalty.entries)
     best_lam, best_score = None, np.inf
     for lam in grid:
-        coef, trace = system.solve(lam=float(lam), penalty=r, trace=True)
+        coef, trace = system.solve(lam=float(lam), trace=True)
         _, _, score = _gcv(system, coef, trace)
         if score is not None and score <= best_score:
             best_lam, best_score = float(lam), score
@@ -280,11 +335,10 @@ def loo_coefficients(design: AggregatedDesign, penalty: PenaltyMatrix | None = N
     Yields ``(sample_index, coefficients)`` exactly matching a refit on the
     dataset with that sample removed.
     """
-    system = _FactoredSystem(design)
-    r = penalty.entries if penalty is not None else None
+    system = _FactoredSystem(design, None if penalty is None else penalty.entries)
     for i in range(design.num_samples):
         m, f = system.downdated(i)
-        yield i, system.solve(lam=lam, penalty=r, m=m, f=f)[0]
+        yield i, system.solve(lam=lam, m=m, f=f)[0]
 
 
 def empirical_covariogram(residuals: np.ndarray, grid: np.ndarray
@@ -409,8 +463,7 @@ class _WhitenedSystem:
         rows = np.column_stack([np.ones(y.shape[0]), y])
         self.grams = []
         self.rhs_parts = []
-        for i in range(y.shape[0]):
-            sigma = cov.sample_covariance(spectra.grid, y[i])
+        for i, sigma in enumerate(cov.sample_covariances(spectra.grid, y)):
             chol = _whitening_factor(sigma, jitter_scale)
             zb = sla.solve_triangular(chol, b, lower=True, check_finite=False)
             zw = sla.solve_triangular(chol, w[i], lower=True, check_finite=False)
@@ -473,7 +526,7 @@ def fit_gls(spectra: SpectraSet, concentrations: ConcentrationMatrix,
         lam=0.0,
         analytes=concentrations.analyte_names(),
         diagnostics=diag,
-        closed_calibration=rows_are_closed(concentrations.values),
+        closed_total=closure_total(concentrations.values),
     )
 
 

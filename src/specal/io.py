@@ -218,7 +218,8 @@ def save_model(model, path) -> None:
             "coefficients": [[float(v) for v in row] for row in model.coefficients],
             "lambda": float(model.lam),
             "analytes": list(model.analytes),
-            "closed_calibration": bool(model.closed_calibration),
+            "closed_calibration": model.closed_calibration,
+            "closed_total": model.closed_total,
         }
         if model.diagnostics is not None:
             diag = model.diagnostics
@@ -269,7 +270,8 @@ def load_model(path):
             lam=payload["lambda"],
             analytes=tuple(payload["analytes"]),
             diagnostics=diagnostics,
-            closed_calibration=bool(payload.get("closed_calibration", False)),
+            closed_total=payload.get(
+                "closed_total", 1.0 if payload.get("closed_calibration") else None),
         )
     if kind == "multivariate":
         return MultivariateModel(

@@ -32,7 +32,7 @@ from .model import (
     ConcentrationMatrix,
     SpectraSet,
     assemble_design,
-    rows_are_closed,
+    closure_total,
 )
 from .predict import predict_concentrations
 
@@ -46,8 +46,8 @@ class FitSpec:
 
     ``sum_to`` and ``gls_augment`` default to "auto": closure and the GLS
     constraint block switch on exactly when the calibration concentrations
-    are closed (rows summing to one), where the plain estimators are not
-    identifiable.
+    are closed (every row summing to one total, such as 1 or 100), where
+    the plain estimators are not identifiable.
     """
 
     method: str = "ols-k"
@@ -72,11 +72,11 @@ class FitSpec:
 
 def resolve_sum_to(sum_to: float | str | None,
                    fitted: CalibrationModel) -> float | None:
-    """Resolve an "auto" closure: pin predicted sums to one exactly when the
-    calibration rows were closed, which leaves the analyte curves summing
-    to (near) zero."""
+    """Resolve an "auto" closure: pin predicted sums to the calibration row
+    total exactly when the calibration rows were closed, which leaves the
+    analyte curves summing to (near) zero."""
     if sum_to == "auto":
-        return 1.0 if fitted.closed_calibration else None
+        return fitted.closed_total
     return sum_to
 
 
@@ -135,7 +135,7 @@ class FunctionalStrategy(Strategy):
 
     def _resolve_augment(self, concentrations: ConcentrationMatrix) -> bool:
         if self.spec.gls_augment == "auto":
-            return rows_are_closed(concentrations.values)
+            return closure_total(concentrations.values) is not None
         return bool(self.spec.gls_augment)
 
     def _pilot_covariance(self, spectra: SpectraSet,
@@ -207,13 +207,13 @@ class FunctionalStrategy(Strategy):
 
     def _wrap_folds(self, folds, kv, concentrations, method, lam):
         analytes = concentrations.analyte_names()
-        closed = rows_are_closed(concentrations.values)
+        closed_total = closure_total(concentrations.values)
         done = 0  # downdate generators yield folds in index order
         try:
             for i, coef in folds:
                 yield i, CalibrationModel(
                     basis=kv, coefficients=coef, method=method, lam=lam,
-                    analytes=analytes, closed_calibration=closed,
+                    analytes=analytes, closed_total=closed_total,
                 )
                 done = i + 1
         except SpecalError as exc:

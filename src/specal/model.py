@@ -21,10 +21,22 @@ ROLE_CALIBRATION = "calibration"
 ROLE_PREDICTION = "prediction"
 
 
-def rows_are_closed(values, atol: float = 1e-9) -> bool:
-    """True when every concentration row sums to one (closed samples)."""
-    sums = np.asarray(values, dtype=float).sum(axis=1)
-    return bool(np.allclose(sums, 1.0, atol=atol))
+def closure_total(values, rtol: float = 1e-9) -> float | None:
+    """The total every concentration row sums to (closed samples), or None.
+
+    Rows are closed when all their sums agree with the median sum to
+    ``rtol``: 1 for fractions, 100 for percent.  The total is the median
+    rounded to 12 significant digits, so sums that miss a round total only
+    by rounding report it exactly.  Rows without analytes are never closed.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape[1] == 0:
+        return None
+    sums = values.sum(axis=1)
+    total = float(np.median(sums))
+    if not np.allclose(sums, total, rtol=rtol, atol=0.0):
+        return None
+    return float(f"{total:.12g}")
 
 
 def _frozen_array(values, dtype=float, ndim=None, name="array") -> np.ndarray:
@@ -113,9 +125,10 @@ class ConcentrationMatrix:
 class CalibrationModel:
     """Fitted coefficient matrix: row 0 is the baseline, rows 1..m analytes.
 
-    ``closed_calibration`` records whether the calibration concentrations
-    summed to one; predictions from such a model need the matching sum
-    closure because the fitted analyte curves sum to (near) zero.
+    ``closed_total`` records the total every calibration concentration row
+    summed to (None for open rows); predictions from such a model need the
+    matching sum closure because the fitted analyte curves sum to (near)
+    zero.
     """
 
     basis: KnotVector
@@ -124,7 +137,7 @@ class CalibrationModel:
     lam: float = 0.0
     analytes: tuple[str, ...] = ()
     diagnostics: "FitDiagnostics | None" = None
-    closed_calibration: bool = False
+    closed_total: float | None = None
 
     def __post_init__(self) -> None:
         coef = _frozen_array(self.coefficients, ndim=2, name="coefficients")
@@ -148,6 +161,10 @@ class CalibrationModel:
     @property
     def num_analytes(self) -> int:
         return self.coefficients.shape[0] - 1
+
+    @property
+    def closed_calibration(self) -> bool:
+        return self.closed_total is not None
 
     def curve_values(self, grid: np.ndarray) -> np.ndarray:
         """(m+1, T) matrix of baseline and analyte curves on ``grid``."""

@@ -300,6 +300,50 @@ class TestGcv:
             gcv_score(design, penalty_matrix(kv), 1e-12)
 
 
+class TestDemmlerReinsch:
+    """Dense oracles for the one-factorization solver.
+
+    ``knots_from_grid`` puts K = T + 2 basis functions on T sites, so the
+    basis Gram is singular and only the penalty makes the system solvable.
+    The 10 nm grid keeps the dense oracle itself accurate to about 1e-10
+    over the whole lambda range.
+    """
+
+    def make(self):
+        from specal.basis import knots_from_grid
+
+        rng = np.random.default_rng(40)
+        grid_t = 350.0 + 10.0 * np.arange(15)
+        kv = knots_from_grid(grid_t)
+        t = (grid_t - grid_t[0]) / (grid_t[-1] - grid_t[0])
+        y = rng.uniform(0.2, 0.8, (6, 2))
+        w = 1.0 + y @ np.vstack([np.sin(2 * np.pi * t), t ** 2]) \
+            + 0.1 * rng.standard_normal((6, 15))
+        design = assemble_design(SpectraSet(grid=grid_t, absorbance=w),
+                                 ConcentrationMatrix(values=y), kv)
+        return design, penalty_matrix(kv)
+
+    def test_matches_dense_penalized_system(self):
+        design, pen = self.make()
+        x, w = design.x_plus, design.w_plus
+        assert np.linalg.matrix_rank(design.b.T @ design.b) < design.num_basis
+        for lam in (1e-4, 1.0, 1e8):
+            gram = x.T @ x + lam * np.kron(np.eye(3), pen.entries)
+            theta = np.linalg.solve(gram, x.T @ w)
+            model = fit_penalized(design, pen, lam)
+            npt.assert_allclose(model.coefficients.ravel(), theta, rtol=0,
+                                atol=1e-8 * np.abs(theta).max())
+            hat = np.trace(x @ np.linalg.solve(gram, x.T))
+            assert model.diagnostics.hat_trace == pytest.approx(hat, rel=1e-9)
+
+    def test_lambda_zero_on_singular_gram_raises(self):
+        design, pen = self.make()
+        with pytest.raises(SingularDesignError):
+            fit_penalized(design, pen, 0.0)
+        with pytest.raises(SingularDesignError):
+            dict(loo_coefficients(design, pen, 0.0))
+
+
 class TestLooRefits:
     def test_fast_path_matches_naive(self):
         rng = np.random.default_rng(16)
@@ -457,6 +501,20 @@ class TestGls:
             gls_err += np.sum((gls_coef - coef) ** 2)
             ols_err += np.sum((ols_coef - coef) ** 2)
         assert gls_err <= ols_err
+
+    def test_shared_lag_covariances_equal_per_sample(self):
+        # The GLS assembly's shared-lag covariances are the per-sample
+        # formula bit for bit, on a grid with repeated and unique lags.
+        rng = np.random.default_rng(28)
+        grid = np.concatenate([np.linspace(0.0, 5.0, 11),
+                               np.sort(rng.uniform(5.1, 10.0, 9))])
+        y = rng.uniform(0.0, 2.0, (5, 3))
+        cov = CovarianceModel(sigma2=np.array([0.5, 2.0, 0.01]),
+                              phi=np.array([0.3, 1.0, 7.0]))
+        shared = list(cov.sample_covariances(grid, y))
+        assert len(shared) == 5
+        for row, sigma in zip(y, shared):
+            npt.assert_array_equal(sigma, cov.sample_covariance(grid, row))
 
     def test_loo_fast_path_matches_naive(self):
         spectra, conc, kv, _, _ = self.make(26)

@@ -149,6 +149,21 @@ class TestModelIo:
             atol=1e-12,
         )
 
+    def test_closed_total_stored_and_legacy_flag_read(self, dataset, tmp_path):
+        spectra, conc, truth, _, _ = dataset
+        model = fit_ols(assemble_design(spectra, conc, truth.basis))
+        path = tmp_path / "model.json"
+        io.save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["closed_total"] == 1.0
+        assert payload["closed_calibration"] is True
+        for flag, total in ((True, 1.0), (False, None)):
+            # Files written before closed_total existed carry only the flag.
+            legacy = {k: v for k, v in payload.items() if k != "closed_total"}
+            legacy["closed_calibration"] = flag
+            path.write_text(json.dumps(legacy))
+            assert io.load_model(path).closed_total == total
+
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"schema": 99, "kind": "functional"}))
@@ -251,6 +266,34 @@ class TestCli:
             sum_to=1.0,
         )
         npt.assert_allclose(written, expected, atol=1e-15)
+
+    def test_percent_unit_twin(self, dataset, tmp_path):
+        # Rows summing to 100 are closed just like fractions: the model
+        # stores the total, predict pins sums to it and the jackknife folds
+        # predict instead of failing as degenerate.
+        spectra, conc, _, spath, cpath = dataset
+        percent = tmp_path / "percent.csv"
+        io.save_concentrations(
+            ConcentrationMatrix(values=100.0 * conc.values,
+                                sample_ids=conc.sample_ids, analytes=conc.analytes),
+            percent)
+        outputs = {}
+        for key, concentrations in (("frac", cpath), ("pct", percent)):
+            model, spread, pred = (tmp_path / f"{key}{suffix}"
+                                   for suffix in (".json", "_s.csv", "_pred.csv"))
+            cal = ["--spectra", str(spath), "--concentrations", str(concentrations),
+                   "--method", "ols-k"]
+            assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
+            assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+            assert main(["predict", "--model", str(model), "--spectra", str(spath),
+                         "--s-file", str(spread), "--out", str(pred)]) == 0
+            outputs[key] = (json.loads(model.read_text())["closed_total"],
+                            io.load_spread(spread)[1],
+                            io.load_value_table(pred, columns=("a", "b", "c"))[2])
+        assert outputs["frac"][0] == 1.0 and outputs["pct"][0] == 100.0
+        npt.assert_allclose(outputs["pct"][2], 100.0 * outputs["frac"][2], rtol=1e-10)
+        npt.assert_allclose(outputs["pct"][2].sum(axis=1), 100.0, rtol=1e-12)
+        npt.assert_allclose(outputs["pct"][1], 100.0 * outputs["frac"][1], rtol=1e-8)
 
     def test_predict_with_jackknife_flag(self, dataset, tmp_path):
         _, _, _, spath, cpath = dataset

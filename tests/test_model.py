@@ -10,6 +10,7 @@ from specal.model import (
     ConcentrationMatrix,
     SpectraSet,
     assemble_design,
+    closure_total,
     constraint_residual,
     eval_model,
     stack_samples,
@@ -121,6 +122,21 @@ class TestAssembleDesign:
         spectra, conc, kv, _ = make_dataset(rng, closed=True)
         design = assemble_design(spectra, conc, kv)
         assert np.linalg.matrix_rank(design.conc_aug) == conc.num_analytes + 1
+
+    def test_closure_total_detects_any_constant_row_sum(self):
+        # Fractions and their percent twin share one closure rule; sums
+        # that miss the round total only by rounding report it exactly.
+        rng = np.random.default_rng(5)
+        y = rng.dirichlet(np.ones(3), 12)
+        assert closure_total(y) == 1.0
+        assert closure_total(100.0 * y) == 100.0
+        assert closure_total(0.35 * y) == 0.35
+        assert closure_total(y * (1.0 + 1e-12)) == 1.0
+        shifted = y.copy()
+        shifted[0] *= 1.0 + 1e-6
+        assert closure_total(shifted) is None
+        assert closure_total(rng.uniform(0.1, 2.0, (6, 2))) is None
+        assert closure_total(np.zeros((4, 0))) is None
 
     def test_sample_count_mismatch(self):
         rng = np.random.default_rng(4)
