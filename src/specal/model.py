@@ -21,22 +21,23 @@ ROLE_CALIBRATION = "calibration"
 ROLE_PREDICTION = "prediction"
 
 
-def closure_total(values, rtol: float = 1e-9) -> float | None:
+def closure_total(values) -> float | None:
     """The total every concentration row sums to (closed samples), or None.
 
-    Rows are closed when all their sums agree with the median sum to
-    ``rtol``: 1 for fractions, 100 for percent.  The total is the median
-    rounded to 12 significant digits, so sums that miss a round total only
-    by rounding report it exactly.  Rows without analytes are never closed.
+    The total is the median row sum rounded to 5 significant digits: 1 for
+    fractions, 100 for percent, also when the reference values were rounded
+    before they were written.  Rows are closed when every sum lies within
+    rtol 1e-5 (plus atol 1e-9 of the total) of it, the tolerance a row sum
+    of 1 has always been held to.  Rows without analytes are never closed.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[1] == 0:
         return None
     sums = values.sum(axis=1)
-    total = float(np.median(sums))
-    if not np.allclose(sums, total, rtol=rtol, atol=0.0):
+    total = float(f"{np.median(sums):.5g}")
+    if not np.allclose(sums, total, rtol=1e-5, atol=1e-9 * abs(total)):
         return None
-    return float(f"{total:.12g}")
+    return total
 
 
 def _frozen_array(values, dtype=float, ndim=None, name="array") -> np.ndarray:

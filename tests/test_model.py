@@ -132,9 +132,16 @@ class TestAssembleDesign:
         assert closure_total(100.0 * y) == 100.0
         assert closure_total(0.35 * y) == 0.35
         assert closure_total(y * (1.0 + 1e-12)) == 1.0
+        assert closure_total(np.round(y, 6)) == 1.0
+        assert closure_total(np.round(100.0 * y, 4)) == 100.0
         shifted = y.copy()
         shifted[0] *= 1.0 + 1e-6
+        assert closure_total(shifted) == 1.0
+        assert closure_total(100.0 * shifted) == 100.0
+        shifted = y.copy()
+        shifted[0] *= 1.0 + 1e-4
         assert closure_total(shifted) is None
+        assert closure_total(100.0 * shifted) is None
         assert closure_total(rng.uniform(0.1, 2.0, (6, 2))) is None
         assert closure_total(np.zeros((4, 0))) is None
 
