@@ -1,28 +1,36 @@
-"""Classical multivariate calibration baselines: MLR, PCR, NIPALS PLS2.
+"""Classical multivariate calibration baselines: MLR, PCR, kernel PLS2.
 
 All three regress mean-centered concentrations on mean-centered spectra
 treated as unordered wavelength variables.  With more wavelengths than
 samples the MLR solution is the minimum-norm one, so PCR and PLS with a
 full set of components reproduce its training predictions.
+
+Every fit starts from one :class:`Decomposition`: the centered data and
+the thin SVD of the centered spectra.  MLR, PCR and PLS all read their
+coefficients off it, so a leave-one-out fold decomposes its spectra once
+for every baseline.  PLS2 is the kernel algorithm of Dayal & MacGregor
+(1997, J. Chemometrics 11:73-85), run in the principal-axis basis where
+the spectra's cross-product matrix is diagonal; it reaches the fixed
+point of NIPALS without iterating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import (
     ConvergenceError,
     DegenerateSpectraError,
+    FoldFailureError,
     GridMismatchError,
     InvalidParameterError,
     InvalidComponentsError,
     ShapeError,
+    SpecalError,
 )
-
-NIPALS_MAX_ITER = 500
-NIPALS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,47 @@ class MultivariateModel:
         return self.coefficients.shape[0]
 
 
-def _centered(w: np.ndarray, y: np.ndarray):
+@dataclass(frozen=True)
+class Decomposition:
+    """Calibration means and the thin SVD ``u diag(s) vt`` of the centered
+    spectra.
+
+    ``rank`` counts the singular values above ``s[0] max(shape) eps``, the
+    cutoff of ``numpy.linalg.lstsq(rcond=None)``.  ``uy`` holds the
+    centered concentrations in the principal basis, ``u'Y`` over those
+    ``rank`` directions.
+    """
+
+    w_mean: np.ndarray
+    y_mean: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+    rank: int
+    uy: np.ndarray
+
+    def model(self, method: str, principal_coef: np.ndarray,
+              components: int | None = None,
+              scores: np.ndarray | None = None) -> MultivariateModel:
+        """Model whose coefficients are ``principal_coef`` (one row per
+        leading principal direction) mapped back to wavelengths."""
+        coef = self.vt[:principal_coef.shape[0]].T @ principal_coef
+        explained = None
+        if components is not None:
+            var = self.s[:self.rank] ** 2
+            explained = float(np.sum(var[:components]) / np.sum(var))
+        return MultivariateModel(
+            method=method,
+            intercept=self.y_mean - self.w_mean @ coef,
+            coefficients=coef,
+            components=components,
+            variance_fraction=explained,
+            scores=scores,
+        )
+
+
+def decompose(w: np.ndarray, y: np.ndarray) -> Decomposition:
+    """Center spectra and concentrations and decompose the spectra."""
     w = np.atleast_2d(np.asarray(w, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if w.shape[0] != y.shape[0]:
@@ -65,28 +113,30 @@ def _centered(w: np.ndarray, y: np.ndarray):
     wc = w - w_mean
     if not np.any(wc):
         raise DegenerateSpectraError("spectra are constant across samples")
-    return wc, y - y_mean, w_mean, y_mean
-
-
-def fit_mlr(w: np.ndarray, y: np.ndarray) -> MultivariateModel:
-    """Multiple linear regression, minimum-norm when rank deficient."""
-    wc, yc, w_mean, y_mean = _centered(w, y)
-    coef, *_ = np.linalg.lstsq(wc, yc, rcond=None)
-    return MultivariateModel(
-        method="MLR",
-        intercept=y_mean - w_mean @ coef,
-        coefficients=coef,
-    )
-
-
-def _pca(wc: np.ndarray):
     u, s, vt = np.linalg.svd(wc, full_matrices=False)
-    tol = s[0] * max(wc.shape) * np.finfo(float).eps if s.size else 0.0
-    rank = int(np.sum(s > tol))
-    return u, s, vt, rank
+    rank = int(np.sum(s > s[0] * max(wc.shape) * np.finfo(float).eps))
+    return Decomposition(w_mean=w_mean, y_mean=y_mean, u=u, s=s, vt=vt,
+                         rank=rank, uy=u[:, :rank].T @ (y - y_mean))
 
 
-def _component_count(s: np.ndarray, rank: int, components: int | None,
+def fold_decompositions(w: np.ndarray, y: np.ndarray
+                        ) -> Iterator[tuple[int, Decomposition]]:
+    """Decompositions of the data without each sample in turn.
+
+    Built one fold at a time, so only one is alive while the baselines of
+    its fold are refitted.
+    """
+    n = w.shape[0]
+    for i in range(n):
+        keep = np.arange(n) != i
+        try:
+            dec = decompose(w[keep], y[keep])
+        except SpecalError as exc:
+            raise FoldFailureError(f"refit failed on fold {i}: {exc}") from exc
+        yield i, dec
+
+
+def _component_count(dec: Decomposition, components: int | None,
                      variance_fraction: float | None) -> int:
     if (components is None) == (variance_fraction is None):
         raise InvalidParameterError(
@@ -94,106 +144,94 @@ def _component_count(s: np.ndarray, rank: int, components: int | None,
             "variance fraction"
         )
     if components is not None:
-        if not 1 <= components <= rank:
+        if not 1 <= components <= dec.rank:
             raise InvalidComponentsError(
-                f"component count {components} outside [1, rank={rank}]"
+                f"component count {components} outside [1, rank={dec.rank}]"
             )
         return components
     if not 0 < variance_fraction < 1:
         raise InvalidParameterError("variance fraction must lie in (0, 1)")
-    var = s[:rank] ** 2
+    var = dec.s[:dec.rank] ** 2
     cumulative = np.cumsum(var) / var.sum()
     return int(np.searchsorted(cumulative, variance_fraction - 1e-12) + 1)
+
+
+def mlr_from(dec: Decomposition) -> MultivariateModel:
+    """Minimum-norm least squares: regression on every principal direction."""
+    return dec.model("MLR", dec.uy / dec.s[:dec.rank, None])
+
+
+def pcr_from(dec: Decomposition, components: int | None = None,
+             variance_fraction: float | None = None) -> MultivariateModel:
+    """Regression on the top ``p`` principal directions of the spectra."""
+    p = _component_count(dec, components, variance_fraction)
+    s = dec.s[:p]
+    return dec.model("PCR", dec.uy[:p] / s[:, None], components=p,
+                     scores=dec.u[:, :p] * s)
+
+
+def pls_from(dec: Decomposition, components: int | None = None,
+             variance_fraction: float | None = None) -> MultivariateModel:
+    """Kernel PLS2 (Dayal & MacGregor 1997) in the principal-axis basis.
+
+    With ``X = U_r S V_r'`` the cross products are ``X'X = diag(s^2)`` and
+    ``X'Y = S U_r'Y`` there.  Each weight ``w`` is the leading left
+    singular vector of the deflated ``X'Y`` (the NIPALS fixed point),
+    ``r = w - R P'w`` its rotation onto the undeflated spectra, and only
+    ``X'Y`` is deflated.  Scores are ``X R``.  The variance-fraction
+    selector counts components exactly as PCR does, so the two methods
+    stay comparable when run side by side.
+    """
+    p = _component_count(dec, components, variance_fraction)
+    rank = dec.rank
+    s = dec.s[:rank]
+    s_sq = s * s
+    xy = s[:, None] * dec.uy
+    m = xy.shape[1]
+    rotation = np.zeros((rank, p))
+    loadings = np.zeros((rank, p))
+    y_loadings = np.zeros((m, p))
+    x_norm_sq = float(np.sum(s_sq))  # squared norm of the deflated spectra
+    for a in range(p):
+        cross_scale = np.linalg.norm(xy)
+        if cross_scale < 1e-14 * max(np.sqrt(max(x_norm_sq, 0.0)), 1.0):
+            raise ConvergenceError(
+                f"PLS weight vector vanished on component {a + 1}"
+            )
+        if m == 1:
+            w_vec = xy[:, 0] / cross_scale
+        else:
+            w_vec = np.linalg.svd(xy, full_matrices=False)[0][:, 0]
+        r_vec = w_vec - rotation[:, :a] @ (loadings[:, :a].T @ w_vec)
+        xx_r = s_sq * r_vec
+        t_norm_sq = r_vec @ xx_r
+        p_vec = xx_r / t_norm_sq
+        c_vec = xy.T @ r_vec / t_norm_sq
+        xy = xy - t_norm_sq * np.outer(p_vec, c_vec)
+        x_norm_sq -= t_norm_sq * (p_vec @ p_vec)
+        rotation[:, a] = r_vec
+        loadings[:, a] = p_vec
+        y_loadings[:, a] = c_vec
+    scores = (dec.u[:, :rank] * s) @ rotation
+    return dec.model("PLS", rotation @ y_loadings.T, components=p,
+                     scores=scores)
+
+
+def fit_mlr(w: np.ndarray, y: np.ndarray) -> MultivariateModel:
+    """Multiple linear regression, minimum-norm when rank deficient."""
+    return mlr_from(decompose(w, y))
 
 
 def fit_pcr(w: np.ndarray, y: np.ndarray, components: int | None = None,
             variance_fraction: float | None = None) -> MultivariateModel:
     """Principal components regression on the top directions of the spectra."""
-    wc, yc, w_mean, y_mean = _centered(w, y)
-    u, s, vt, rank = _pca(wc)
-    p = _component_count(s, rank, components, variance_fraction)
-    coef = vt[:p].T @ ((u[:, :p].T @ yc) / s[:p, None])
-    explained = float(np.sum(s[:p] ** 2) / np.sum(s[:rank] ** 2))
-    return MultivariateModel(
-        method="PCR",
-        intercept=y_mean - w_mean @ coef,
-        coefficients=coef,
-        components=p,
-        variance_fraction=explained,
-        scores=u[:, :p] * s[:p],
-    )
+    return pcr_from(decompose(w, y), components, variance_fraction)
 
 
 def fit_pls(w: np.ndarray, y: np.ndarray, components: int | None = None,
             variance_fraction: float | None = None) -> MultivariateModel:
-    """NIPALS PLS2 with deflation of both blocks.
-
-    The variance-fraction selector counts components exactly as PCR does
-    (from the principal value spectrum of the centered data), so the two
-    methods stay comparable when run side by side.
-    """
-    wc, yc, w_mean, y_mean = _centered(w, y)
-    _, s, _, rank = _pca(wc)
-    p = _component_count(s, rank, components, variance_fraction)
-    e, f = wc.copy(), yc.copy()
-    weights = np.zeros((wc.shape[1], p))
-    loadings = np.zeros((wc.shape[1], p))
-    y_loadings = np.zeros((yc.shape[1], p))
-    scores = np.zeros((wc.shape[0], p))
-    for a in range(p):
-        cross = f.T @ e
-        cross_scale = np.linalg.norm(cross)
-        if cross_scale < 1e-14 * max(np.linalg.norm(e), 1.0):
-            raise ConvergenceError(
-                f"NIPALS weight vector vanished on component {a + 1}"
-            )
-        # The iteration's fixed point is the dominant right singular
-        # direction of the cross block; seeding there avoids the slow
-        # power-iteration phase when noise directions are nearly tied.
-        w_vec = np.linalg.svd(cross, full_matrices=False)[2][0]
-        for _ in range(NIPALS_MAX_ITER):
-            t_vec = e @ w_vec
-            c_vec = f.T @ t_vec / (t_vec @ t_vec)
-            if yc.shape[1] == 1:
-                break
-            u_vec = f @ c_vec / (c_vec @ c_vec)
-            w_new = e.T @ u_vec
-            norm = np.linalg.norm(w_new)
-            if norm == 0:
-                raise ConvergenceError(
-                    f"NIPALS weight vector vanished on component {a + 1}"
-                )
-            w_new /= norm
-            if np.linalg.norm(w_new - w_vec) < NIPALS_TOL:
-                w_vec = w_new
-                break
-            w_vec = w_new
-        else:
-            raise ConvergenceError(
-                f"NIPALS did not converge within {NIPALS_MAX_ITER} iterations "
-                f"on component {a + 1}"
-            )
-        t_vec = e @ w_vec
-        t_norm_sq = t_vec @ t_vec
-        p_vec = e.T @ t_vec / t_norm_sq
-        c_vec = f.T @ t_vec / t_norm_sq
-        e = e - np.outer(t_vec, p_vec)
-        f = f - np.outer(t_vec, c_vec)
-        weights[:, a] = w_vec
-        loadings[:, a] = p_vec
-        y_loadings[:, a] = c_vec
-        scores[:, a] = t_vec
-    rotation = weights @ np.linalg.solve(loadings.T @ weights, np.eye(p))
-    coef = rotation @ y_loadings.T
-    explained = float(np.sum(s[:p] ** 2) / np.sum(s[:rank] ** 2))
-    return MultivariateModel(
-        method="PLS",
-        intercept=y_mean - w_mean @ coef,
-        coefficients=coef,
-        components=p,
-        variance_fraction=explained,
-        scores=scores,
-    )
+    """Kernel PLS2 on the centered spectra; see :func:`pls_from`."""
+    return pls_from(decompose(w, y), components, variance_fraction)
 
 
 def predict_multivariate(model: MultivariateModel, w_new: np.ndarray) -> np.ndarray:

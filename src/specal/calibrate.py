@@ -164,13 +164,16 @@ class _FactoredSystem:
     """
 
     def __init__(self, design: AggregatedDesign, penalty: np.ndarray | None = None):
-        self.design = design
+        # Only the design's arrays are kept: the design caches this system
+        # (see _factored), and a reference back would make a cycle.
+        self.b = design.b
+        self.w = design.spectra.absorbance
+        self.penalty = penalty
         self.u, self.mu, self.rho = _demmler_reinsch(design.b, penalty)
         self.conc_aug = design.conc_aug
         self.M = design.conc_aug.T @ design.conc_aug
-        w = design.spectra.absorbance
-        self.bw = design.b.T @ w.T                      # (K, I): B'W_i columns
-        self.F = (design.conc_aug[:-1].T @ w) @ design.b  # (m+1, K)
+        self.bw = design.b.T @ self.w.T                      # (K, I): B'W_i columns
+        self.F = (design.conc_aug[:-1].T @ self.w) @ design.b  # (m+1, K)
         self.num_rows = design.num_rows
 
     def downdated(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -209,11 +212,23 @@ class _FactoredSystem:
 
     def residual_sums(self, coef: np.ndarray) -> float:
         """Data plus constraint residual sum of squares of a coefficient matrix."""
-        design = self.design
-        data = _data_rss(design.spectra.absorbance, design.conc_aug[:-1], coef,
-                         design.b)
-        constraint_curve = (design.conc_aug[-1] @ coef) @ design.b.T
+        data = _data_rss(self.w, self.conc_aug[:-1], coef, self.b)
+        constraint_curve = (self.conc_aug[-1] @ coef) @ self.b.T
         return data + float(np.sum(constraint_curve ** 2))
+
+
+def _factored(design: AggregatedDesign, penalty: np.ndarray | None) -> _FactoredSystem:
+    """The design's factored system for ``penalty``, built once per pair.
+
+    The design keeps the latest system, so a GCV search followed by the
+    fit or the leave-one-out folds at the chosen lambda factors once.
+    Penalty entries are read-only, so the same array is the same penalty.
+    """
+    system = design.__dict__.get("_factored")
+    if system is None or system.penalty is not penalty:
+        system = _FactoredSystem(design, penalty)
+        object.__setattr__(design, "_factored", system)
+    return system
 
 
 def _data_rss(w: np.ndarray, rows: np.ndarray, coef: np.ndarray,
@@ -247,7 +262,7 @@ def fit_ols(design: AggregatedDesign, diagnostics: bool = True) -> CalibrationMo
             "basis block of the design is rank deficient: the wavelength grid "
             "cannot support this many basis functions"
         )
-    system = _FactoredSystem(design)
+    system = _factored(design, None)
     coef, _ = system.solve()
     diag = None
     if diagnostics:
@@ -276,7 +291,7 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
     r = penalty.entries
     if r.shape != (design.num_basis, design.num_basis):
         raise ShapeError("penalty dimension does not match basis dimension")
-    system = _FactoredSystem(design, r)
+    system = _factored(design, r)
     coef, trace = system.solve(lam=lam, trace=diagnostics)
     diag = None
     if diagnostics:
@@ -296,7 +311,7 @@ def gcv_score(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float) -> f
     """Generalized cross-validation score ``n RSS / (n - tr H)^2``."""
     if lam < 0:
         raise InvalidParameterError(f"smoothing parameter must be >= 0, got {lam}")
-    system = _FactoredSystem(design, penalty.entries)
+    system = _factored(design, penalty.entries)
     coef, trace = system.solve(lam=lam, trace=True)
     _, _, score = _gcv(system, coef, trace)
     if score is None:
@@ -316,7 +331,7 @@ def select_lambda(design: AggregatedDesign, penalty: PenaltyMatrix,
     if np.any(grid <= 0):
         raise InvalidParameterError("lambda grid entries must be positive")
     grid = np.sort(grid)
-    system = _FactoredSystem(design, penalty.entries)
+    system = _factored(design, penalty.entries)
     best_lam, best_score = None, np.inf
     for lam in grid:
         coef, trace = system.solve(lam=float(lam), trace=True)
@@ -335,7 +350,7 @@ def loo_coefficients(design: AggregatedDesign, penalty: PenaltyMatrix | None = N
     Yields ``(sample_index, coefficients)`` exactly matching a refit on the
     dataset with that sample removed.
     """
-    system = _FactoredSystem(design, None if penalty is None else penalty.entries)
+    system = _factored(design, None if penalty is None else penalty.entries)
     for i in range(design.num_samples):
         m, f = system.downdated(i)
         yield i, system.solve(lam=lam, m=m, f=f)[0]

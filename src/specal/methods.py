@@ -221,19 +221,25 @@ class FunctionalStrategy(Strategy):
 
 
 class MultivariateStrategy(Strategy):
-    """Classical chemometric baselines on the raw wavelength matrix."""
+    """Classical chemometric baselines on the raw wavelength matrix.
+
+    A fit reads its coefficients off one decomposition of the centered
+    calibration data (:func:`baselines.decompose`), so the jackknife can
+    refit several baselines from one decomposition of each fold.
+    """
 
     def fit(self, spectra: SpectraSet,
             concentrations: ConcentrationMatrix) -> baselines.MultivariateModel:
+        return self.fit_decomposition(
+            baselines.decompose(spectra.absorbance, concentrations.values))
+
+    def fit_decomposition(self, dec: baselines.Decomposition
+                          ) -> baselines.MultivariateModel:
         spec = self.spec
-        w, y = spectra.absorbance, concentrations.values
         if spec.method == "mlr":
-            return baselines.fit_mlr(w, y)
-        if spec.method == "pcr":
-            return baselines.fit_pcr(w, y, components=spec.components,
-                                     variance_fraction=spec.variance_fraction)
-        return baselines.fit_pls(w, y, components=spec.components,
-                                 variance_fraction=spec.variance_fraction)
+            return baselines.mlr_from(dec)
+        fitter = baselines.pcr_from if spec.method == "pcr" else baselines.pls_from
+        return fitter(dec, spec.components, spec.variance_fraction)
 
     def predict_fitted(self, fitted: baselines.MultivariateModel,
                        spectra: SpectraSet) -> np.ndarray:

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import fold_decompositions
 from .errors import (
     DegenerateAnalytesError,
     FoldFailureError,
     InsufficientSamplesError,
     InvalidParameterError,
     ShapeError,
+    SpecalError,
 )
 from .model import CalibrationModel, ConcentrationMatrix, SpectraSet
 
@@ -127,6 +129,100 @@ def confidence_intervals(y_hat: np.ndarray, s: np.ndarray, c: float = 1.96) -> n
     return np.stack([y_hat - half, y_hat + half], axis=-1)
 
 
+class _HeldOutErrors:
+    """Running sum of one predictor's squared held-out errors.
+
+    ``error`` holds the failure that stopped the predictor, if any.
+    """
+
+    def __init__(self, strategy, spectra: SpectraSet,
+                 concentrations: ConcentrationMatrix):
+        self.strategy = strategy
+        self.spectra = spectra
+        self.y = concentrations.values
+        self.sq_sum = np.zeros(concentrations.num_analytes)
+        self.error: SpecalError | None = None
+
+    def add(self, i: int, fitted) -> None:
+        """Predict held-out sample ``i`` from ``fitted``, the fold-``i`` model."""
+        held_out = SpectraSet(
+            grid=self.spectra.grid,
+            absorbance=self.spectra.absorbance[i:i + 1],
+            role="prediction",
+        )
+        try:
+            y_hat = self.strategy.predict_fitted(fitted, held_out)
+        except Exception as exc:  # noqa: BLE001 - rewrapped with fold context
+            raise FoldFailureError(f"prediction failed on fold {i}: {exc}") from exc
+        self.sq_sum += (self.y[i] - y_hat[0]) ** 2
+
+    def spread(self) -> np.ndarray | SpecalError:
+        if self.error is not None:
+            return self.error
+        return np.sqrt(self.sq_sum / self.spectra.num_samples)
+
+
+def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
+                      fit_configs) -> list[np.ndarray | SpecalError]:
+    """Leave-one-out spreads of several predictors on one calibration set.
+
+    Entry ``k`` is the spread :func:`jackknife_sd` gives ``fit_configs[k]``,
+    or the error that stopped that configuration; a failing configuration
+    leaves the others running.  Functional methods run their own
+    leave-one-out paths one after another.  The multivariate baselines share
+    one pass over the folds, which decomposes each fold's data once for all
+    of them.
+    """
+    from .methods import MultivariateStrategy, resolve_strategy
+
+    strategies = [resolve_strategy(config) for config in fit_configs]
+    if spectra.num_samples != concentrations.num_samples:
+        return [ShapeError("spectra and concentrations disagree on sample "
+                           "count")] * len(strategies)
+    if spectra.num_samples < 3:
+        return [InvalidParameterError("jackknife needs at least three "
+                                      "samples")] * len(strategies)
+    sums = [_HeldOutErrors(s, spectra, concentrations) for s in strategies]
+    shared = []
+    for acc in sums:
+        if isinstance(acc.strategy, MultivariateStrategy):
+            shared.append(acc)
+            continue
+        try:
+            for i, fitted in acc.strategy.jackknife_fits(spectra, concentrations):
+                acc.add(i, fitted)
+        except SpecalError as exc:
+            acc.error = exc
+    if shared:
+        _shared_fold_pass(shared, fold_decompositions(spectra.absorbance,
+                                                      concentrations.values))
+    return [acc.spread() for acc in sums]
+
+
+def _shared_fold_pass(sums: list[_HeldOutErrors], folds) -> None:
+    """Refit every baseline in ``sums`` from each fold's one decomposition."""
+    try:
+        for i, dec in folds:
+            live = [acc for acc in sums if acc.error is None]
+            if not live:
+                return
+            for acc in live:
+                try:
+                    fitted = acc.strategy.fit_decomposition(dec)
+                except SpecalError as exc:
+                    acc.error = FoldFailureError(f"refit failed on fold {i}: {exc}")
+                    acc.error.__cause__ = exc
+                    continue
+                try:
+                    acc.add(i, fitted)
+                except SpecalError as exc:
+                    acc.error = exc
+    except SpecalError as exc:
+        for acc in sums:
+            if acc.error is None:
+                acc.error = exc
+
+
 def jackknife_sd(spectra: SpectraSet, concentrations: ConcentrationMatrix,
                  fit_config) -> np.ndarray:
     """Leave-one-out spread of the concentration predictor.
@@ -135,27 +231,10 @@ def jackknife_sd(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     method and tuning as ``fit_config``), the held-out sample predicted,
     and the squared errors averaged with 1/I normalization.
     """
-    if spectra.num_samples != concentrations.num_samples:
-        raise ShapeError("spectra and concentrations disagree on sample count")
-    if spectra.num_samples < 3:
-        raise InvalidParameterError("jackknife needs at least three samples")
-    from .methods import resolve_strategy
-
-    strategy = resolve_strategy(fit_config)
-    y = concentrations.values
-    sq_sum = np.zeros(concentrations.num_analytes)
-    for i, fitted in strategy.jackknife_fits(spectra, concentrations):
-        held_out = SpectraSet(
-            grid=spectra.grid,
-            absorbance=spectra.absorbance[i:i + 1],
-            role="prediction",
-        )
-        try:
-            y_hat = strategy.predict_fitted(fitted, held_out)
-        except Exception as exc:  # noqa: BLE001 - rewrapped with fold context
-            raise FoldFailureError(f"prediction failed on fold {i}: {exc}") from exc
-        sq_sum += (y[i] - y_hat[0]) ** 2
-    return np.sqrt(sq_sum / spectra.num_samples)
+    spread, = jackknife_spreads(spectra, concentrations, [fit_config])
+    if isinstance(spread, SpecalError):
+        raise spread
+    return spread
 
 
 def sep(y_true: np.ndarray, y_hat: np.ndarray) -> SepReport:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .methods import STUDY_METHODS, FitSpec, make_strategy
 from .model import ConcentrationMatrix, SpectraSet
-from .predict import jackknife_sd
+from .predict import jackknife_spreads
 
 WEAK_PHI = 0.5
 STRONG_PHI = 0.002
@@ -307,13 +307,9 @@ class JackknifeStudyResult:
 def _jackknife_replicate(cfg: SimConfig, methods: dict[str, FitSpec],
                          replicate: int) -> dict[str, np.ndarray | None]:
     spectra, conc, _ = generate_dataset(cfg, noise_stream=replicate)
-    out: dict[str, np.ndarray | None] = {}
-    for name, spec in methods.items():
-        try:
-            out[name] = jackknife_sd(spectra, conc, spec)
-        except SpecalError:
-            out[name] = None
-    return out
+    spreads = jackknife_spreads(spectra, conc, list(methods.values()))
+    return {name: (None if isinstance(spread, SpecalError) else spread)
+            for name, spread in zip(methods, spreads)}
 
 
 def run_jackknife_study(cfg: SimConfig, methods: Iterable[str] | Mapping[str, FitSpec],

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specal.baselines import (
     fit_mlr,
@@ -9,14 +10,81 @@ from specal.baselines import (
     predict_multivariate,
 )
 from specal.errors import (
+    ConvergenceError,
     DegenerateSpectraError,
+    FoldFailureError,
     GridMismatchError,
     InvalidComponentsError,
     InvalidParameterError,
 )
-from specal.methods import FitSpec
-from specal.predict import jackknife_sd
-from specal.simulate import SimConfig, generate_dataset, WEAK_PHI
+from specal.methods import STUDY_METHODS, FitSpec, Strategy, make_strategy
+from specal.model import ConcentrationMatrix, SpectraSet
+from specal.predict import jackknife_sd, jackknife_spreads
+from specal.simulate import (
+    STRONG_PHI,
+    SimConfig,
+    generate_dataset,
+    run_jackknife_study,
+    WEAK_PHI,
+)
+
+BASELINES = ("MLR", "PCR-o", "PCR-p", "PLS-o", "PLS-p")
+
+
+def nipals_pls2(w, y, p, max_iter=500, tol=1e-10):
+    """Reference NIPALS PLS2 with deflation of both blocks.
+
+    Returns the coefficients and the scores.  Each weight is seeded at the
+    dominant right singular vector of the deflated cross block ``F'E``,
+    the fixed point of the iteration, and refined until it moves by less
+    than ``tol``.
+    """
+    e = w - w.mean(axis=0)
+    f = y - y.mean(axis=0)
+    weights = np.zeros((e.shape[1], p))
+    loadings = np.zeros((e.shape[1], p))
+    y_loadings = np.zeros((f.shape[1], p))
+    scores = np.zeros((e.shape[0], p))
+    for a in range(p):
+        w_vec = np.linalg.svd(f.T @ e, full_matrices=False)[2][0]
+        for _ in range(max_iter):
+            t_vec = e @ w_vec
+            c_vec = f.T @ t_vec / (t_vec @ t_vec)
+            if f.shape[1] == 1:
+                break
+            w_new = e.T @ (f @ c_vec / (c_vec @ c_vec))
+            w_new /= np.linalg.norm(w_new)
+            converged = np.linalg.norm(w_new - w_vec) < tol
+            w_vec = w_new
+            if converged:
+                break
+        else:
+            raise AssertionError(f"NIPALS did not converge on component {a + 1}")
+        t_vec = e @ w_vec
+        t_norm_sq = t_vec @ t_vec
+        p_vec = e.T @ t_vec / t_norm_sq
+        c_vec = f.T @ t_vec / t_norm_sq
+        e = e - np.outer(t_vec, p_vec)
+        f = f - np.outer(t_vec, c_vec)
+        weights[:, a] = w_vec
+        loadings[:, a] = p_vec
+        y_loadings[:, a] = c_vec
+        scores[:, a] = t_vec
+    rotation = weights @ np.linalg.solve(loadings.T @ weights, np.eye(p))
+    return rotation @ y_loadings.T, scores
+
+
+def naive_jackknife_sd(spectra, conc, spec):
+    """Leave-one-out spread from the reference refit path (``fit`` per fold)."""
+    strategy = make_strategy(spec)
+    y = conc.values
+    sq_sum = np.zeros(conc.num_analytes)
+    for i, fitted in Strategy.jackknife_fits(strategy, spectra, conc):
+        held_out = SpectraSet(grid=spectra.grid,
+                              absorbance=spectra.absorbance[i:i + 1],
+                              role="prediction")
+        sq_sum += (y[i] - strategy.predict_fitted(fitted, held_out)[0]) ** 2
+    return np.sqrt(sq_sum / spectra.num_samples)
 
 
 def linear_data(rng, num_samples, num_wavelengths, num_analytes=2, noise=0.0):
@@ -186,3 +254,138 @@ class TestJackknifeHarnessAgnostic:
             s = jackknife_sd(spectra, conc, spec)
             assert s.shape == (3,)
             assert np.all(s > 0) and np.all(np.isfinite(s))
+
+
+class TestKernelPlsMatchesNipals:
+    @pytest.mark.parametrize("shape", [(30, 8), (9, 20)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("num_analytes", [1, 3])
+    def test_every_component_count(self, shape, num_analytes):
+        rng = np.random.default_rng(16 + num_analytes)
+        w = rng.standard_normal(shape) + 3.0
+        y = rng.uniform(0, 1, (shape[0], num_analytes))
+        rank = np.linalg.matrix_rank(w - w.mean(axis=0))
+        assert rank == min(shape[0] - 1, shape[1])
+        for p in range(1, rank + 1):
+            coef, scores = nipals_pls2(w, y, p)
+            model = fit_pls(w, y, components=p)
+            npt.assert_allclose(model.coefficients, coef, rtol=0,
+                                atol=1e-10 * np.abs(coef).max())
+            # Score columns are defined up to sign.
+            signs = np.sign(np.sum(model.scores * scores, axis=0))
+            npt.assert_allclose(model.scores * signs, scores, rtol=0,
+                                atol=1e-10 * np.abs(scores).max())
+
+    def test_vanishing_weight_raises(self):
+        rng = np.random.default_rng(20)
+        w = rng.standard_normal((10, 6))
+        with pytest.raises(ConvergenceError, match="component 1"):
+            fit_pls(w, np.full((10, 2), 0.3), components=2)
+        # A response along one principal direction is used up by the
+        # first component, leaving nothing for the second.
+        wc = w - w.mean(axis=0)
+        v = np.linalg.svd(wc)[2][0]
+        y = (wc @ v)[:, None]
+        assert fit_pls(w, y, components=1).components == 1
+        with pytest.raises(ConvergenceError, match="component 2"):
+            fit_pls(w, y, components=2)
+
+
+class TestSharedFoldPass:
+    @pytest.mark.parametrize("num_samples", [20, 100], ids=["wide", "tall"])
+    def test_matches_naive_refits(self, num_samples):
+        cfg = SimConfig(seed=21, num_samples=num_samples, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        specs = [STUDY_METHODS[name] for name in BASELINES]
+        shared = jackknife_spreads(spectra, conc, specs)
+        # Both paths run the same fitters on the same fold data.
+        for spec, spread in zip(specs, shared):
+            npt.assert_array_equal(spread, naive_jackknife_sd(spectra, conc, spec))
+
+    def test_failing_baseline_fails_alone(self):
+        # Each fold of 20 samples keeps 19, whose centered spectra have
+        # rank 18, so 19 principal components cannot be fitted.
+        cfg = SimConfig(seed=22, num_samples=20, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        too_many = FitSpec(method="pcr", components=19)
+        specs = [STUDY_METHODS[name] for name in BASELINES]
+        results = jackknife_spreads(spectra, conc, [specs[0], too_many, *specs[1:]])
+        assert isinstance(results[1], FoldFailureError)
+        assert isinstance(results[1].__cause__, InvalidComponentsError)
+        for spec, spread in zip(specs, results[:1] + results[2:]):
+            npt.assert_array_equal(spread, jackknife_sd(spectra, conc, spec))
+        with pytest.raises(FoldFailureError, match="refit failed on fold 0"):
+            jackknife_sd(spectra, conc, too_many)
+
+    def test_study_counts_only_the_failing_method(self):
+        cfg = SimConfig(seed=22, num_samples=20, phi=STRONG_PHI)
+        methods = {"OLS-K": STUDY_METHODS["OLS-K"], "MLR": STUDY_METHODS["MLR"],
+                   "PCR-19": FitSpec(method="pcr", components=19)}
+        result = run_jackknife_study(cfg, methods, replicates=2)
+        assert result.failures == {"OLS-K": 0, "MLR": 0, "PCR-19": 2}
+        spectra, conc, _ = generate_dataset(cfg, noise_stream=1)
+        npt.assert_array_equal(result.spreads["MLR"][1],
+                               jackknife_sd(spectra, conc, methods["MLR"]))
+
+
+BASELINE_SPECS = [FitSpec(method="mlr"), FitSpec(method="pcr", components=2),
+                  FitSpec(method="pcr", variance_fraction=0.8),
+                  FitSpec(method="pls", components=3),
+                  FitSpec(method="pls", variance_fraction=0.8)]
+
+
+def random_calibration(seed, num_samples, num_wavelengths, num_analytes):
+    rng = np.random.default_rng(seed)
+    grid = np.arange(num_wavelengths, dtype=float)
+    w = rng.standard_normal((num_samples, num_wavelengths)) + 2.0
+    y = rng.uniform(0, 1, (num_samples, num_analytes))
+    return SpectraSet(grid=grid, absorbance=w), ConcentrationMatrix(values=y)
+
+
+class TestBaselineProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(6, 24), st.integers(4, 30),
+           st.integers(1, 3))
+    def test_predictions_ignore_row_order(self, seed, num_samples,
+                                          num_wavelengths, num_analytes):
+        spectra, conc = random_calibration(seed, num_samples, num_wavelengths,
+                                           num_analytes)
+        order = np.random.default_rng(seed + 1).permutation(num_samples)
+        shuffled = (SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[order]),
+                    ConcentrationMatrix(values=conc.values[order]))
+        for spec in BASELINE_SPECS:
+            strategy = make_strategy(spec)
+            want = strategy.predict_fitted(strategy.fit(spectra, conc), spectra)
+            got = strategy.predict_fitted(strategy.fit(*shuffled), spectra)
+            npt.assert_allclose(got, want, rtol=1e-10,
+                                atol=1e-10 * np.abs(want).max())
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(6, 24), st.integers(4, 30),
+           st.floats(1e-3, 1e3))
+    def test_scaling_concentrations_scales_outputs(self, seed, num_samples,
+                                                   num_wavelengths, scale):
+        spectra, conc = random_calibration(seed, num_samples, num_wavelengths, 2)
+        scaled = ConcentrationMatrix(values=scale * conc.values)
+        for spec in BASELINE_SPECS:
+            strategy = make_strategy(spec)
+            want = scale * strategy.predict_fitted(strategy.fit(spectra, conc), spectra)
+            got = strategy.predict_fitted(strategy.fit(spectra, scaled), spectra)
+            npt.assert_allclose(got, want, rtol=1e-10,
+                                atol=1e-10 * np.abs(want).max())
+        base = jackknife_spreads(spectra, conc, BASELINE_SPECS)
+        for want, got in zip(base, jackknife_spreads(spectra, scaled, BASELINE_SPECS)):
+            npt.assert_allclose(got, scale * want, rtol=1e-10)
+
+
+def test_constant_fold_fails_every_baseline():
+    # Without sample 0 the remaining spectra are identical, so fold 0 has
+    # nothing to decompose; every baseline reports that fold.
+    w = np.vstack([np.arange(6.0), np.ones((4, 6))])
+    w[1:, 0] = 0.0
+    spectra = SpectraSet(grid=np.arange(6.0), absorbance=w)
+    conc = ConcentrationMatrix(values=np.linspace(0.1, 0.5, 5)[:, None])
+    specs = [STUDY_METHODS[name] for name in ("MLR", "PCR-p", "PLS-o")]
+    for error in jackknife_spreads(spectra, conc, specs):
+        assert isinstance(error, FoldFailureError)
+        assert "refit failed on fold 0" in str(error)
+        assert isinstance(error.__cause__, DegenerateSpectraError)

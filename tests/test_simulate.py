@@ -264,3 +264,36 @@ class TestStrategyFastPaths:
                 fast_fits[i].coefficients, naive.coefficients,
                 atol=1e-8 * max(1.0, np.abs(naive.coefficients).max()),
             )
+
+    def test_gcv_fit_and_folds_factor_once(self, monkeypatch):
+        # select_lambda and the fit (or the folds) at the chosen lambda
+        # share one factorization of the design, with unchanged results.
+        from specal import calibrate
+        from specal.basis import knots_from_grid, penalty_matrix
+
+        cfg = SimConfig(seed=9, num_samples=8, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        kv = knots_from_grid(spectra.grid)
+        pen = penalty_matrix(kv)
+        lam = calibrate.select_lambda(assemble_design(spectra, conc, kv), pen)
+        want = calibrate.fit_penalized(assemble_design(spectra, conc, kv), pen, lam)
+        want_folds = dict(calibrate.loo_coefficients(
+            assemble_design(spectra, conc, kv), pen, lam))
+
+        calls = []
+        original = calibrate._demmler_reinsch
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(calibrate, "_demmler_reinsch", counting)
+        strategy = make_strategy(FitSpec(method="ols-ss"))
+        got = strategy.fit(spectra, conc)
+        assert len(calls) == 1
+        npt.assert_array_equal(got.coefficients, want.coefficients)
+        assert got.lam == lam
+        folds = dict(strategy.jackknife_fits(spectra, conc))
+        assert len(calls) == 2
+        for i, fitted in folds.items():
+            npt.assert_array_equal(fitted.coefficients, want_folds[i])
