@@ -14,11 +14,17 @@ import sys
 import numpy as np
 
 from . import io
-from .baselines import MultivariateModel
+from .baselines import MultivariateModel, predict_multivariate
 from .errors import AlignmentError, InvalidParameterError, SpecalError
 from .methods import STUDY_METHODS, FitSpec, make_strategy, resolve_sum_to
 from .model import CalibrationModel, ConcentrationMatrix, SpectraSet
-from .predict import jackknife_sd, prediction_report, sep
+from .predict import (
+    PredictionReport,
+    confidence_intervals,
+    jackknife_sd,
+    prediction_report,
+    sep,
+)
 from .simulate import (
     SCENARIO_PHI,
     AnalyteCurveSpec,
@@ -47,20 +53,23 @@ def _parse_lambda(text: str) -> float | None:
         raise InvalidParameterError(
             f"--lambda must be a number or 'gcv', got {text!r}"
         ) from None
-    if value < 0:
-        raise InvalidParameterError("--lambda must be nonnegative")
+    if not 0 <= value < np.inf:
+        raise InvalidParameterError("--lambda must be finite and nonnegative")
     return value
 
 
 def _parse_lambda_grid(text: str | None) -> np.ndarray | None:
     if text is None:
         return None
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise InvalidParameterError("--lambda-grid expects MIN:MAX:COUNT")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if lo <= 0 or hi <= lo or count < 1:
-        raise InvalidParameterError("--lambda-grid bounds must be 0 < MIN < MAX")
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise InvalidParameterError(
+            f"--lambda-grid expects MIN:MAX:COUNT, got {text!r}") from None
+    if not 0 < lo < hi < np.inf or count < 1:
+        raise InvalidParameterError(
+            "--lambda-grid bounds must be finite with 0 < MIN < MAX")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
@@ -70,7 +79,14 @@ def _parse_sum_to(text: str) -> float | str | None:
         return "auto"
     if lowered == "none":
         return None
-    return float(text)
+    try:
+        value = float(text)
+        if np.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise InvalidParameterError(
+        f"--sum-to must be 'auto', 'none' or a finite number, got {text!r}")
 
 
 def _add_fit_options(parser: argparse.ArgumentParser, methods: tuple[str, ...]) -> None:
@@ -168,13 +184,22 @@ def _spec_from_model(model, args) -> FitSpec:
     raise InvalidParameterError("unsupported model type")
 
 
+def _match_analytes(model, names: tuple[str, ...], source) -> None:
+    # A functional model applies spreads by position, not by name.
+    if isinstance(model, CalibrationModel) and tuple(names) != model.analytes:
+        raise AlignmentError(
+            f"{source}: analytes {list(names)} do not match the model's "
+            f"{list(model.analytes)}"
+        )
+
+
 def _cmd_predict(args) -> int:
     model = io.load_model(args.model)
     spectra = io.load_spectra(args.spectra, transpose=args.transpose,
                               role="prediction")
-    s_names = None
     if args.s_file:
         s_names, s = io.load_spread(args.s_file)
+        _match_analytes(model, s_names, args.s_file)
     elif args.jackknife:
         if not (args.cal_spectra and args.cal_concentrations):
             raise InvalidParameterError(
@@ -182,23 +207,15 @@ def _cmd_predict(args) -> int:
             )
         cal_spectra = io.load_spectra(args.cal_spectra)
         cal_conc = io.load_concentrations(args.cal_concentrations, cal_spectra)
-        s = jackknife_sd(cal_spectra, cal_conc, _spec_from_model(model, args))
         s_names = cal_conc.analyte_names()
+        _match_analytes(model, s_names, args.cal_concentrations)
+        s = jackknife_sd(cal_spectra, cal_conc, _spec_from_model(model, args))
     else:
         raise InvalidParameterError(
             "predict needs --s-file or --jackknife with calibration data"
         )
-    ids = spectra.sample_ids or tuple(
-        f"s{j + 1}" for j in range(spectra.num_samples)
-    )
     if isinstance(model, MultivariateModel):
-        from .baselines import predict_multivariate
-        from .predict import PredictionReport, confidence_intervals
-
         y_hat = predict_multivariate(model, spectra.absorbance)
-        analytes = tuple(s_names) if s_names else tuple(
-            f"analyte_{k + 1}" for k in range(y_hat.shape[1])
-        )
         report = PredictionReport(
             y_hat=y_hat,
             s=np.asarray(s, dtype=float),
@@ -206,12 +223,12 @@ def _cmd_predict(args) -> int:
             c=args.c,
             residual_norms=np.zeros(y_hat.shape[0]),
             outside_unit_range=np.any((y_hat < 0) | (y_hat > 1), axis=1),
-            analytes=analytes,
+            analytes=tuple(s_names),
         )
     else:
         sum_to = resolve_sum_to(_parse_sum_to(args.sum_to), model)
         report = prediction_report(model, spectra, s, c=args.c, sum_to=sum_to)
-    io.save_predictions(report, ids, args.out)
+    io.save_predictions(report, spectra.sample_ids, args.out)
     return 0
 
 

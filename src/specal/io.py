@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
+from array import array
+from dataclasses import asdict
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,8 @@ from .errors import AlignmentError, ParseError, ShapeError
 from .model import CalibrationModel, ConcentrationMatrix, SpectraSet
 
 MODEL_SCHEMA_VERSION = 1
+
+_floats = partial(np.asarray, dtype=float)
 
 
 def _fmt(value: float) -> str:
@@ -33,27 +40,69 @@ def _write_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_float(cell: str, row: int, column: int, path) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ParseError(
-            f"{path}: non-numeric cell at row {row}, column {column}: {cell!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise ParseError(f"{path}: non-finite cell at row {row}, column {column}")
-    return value
+def _write_table(path, header: list[str], ids, values) -> None:
+    """One row per id: the id, then that row of ``values``, each number
+    in shortest round-trip form."""
+    _write_rows(path, header,
+                ([sid, *map(_fmt, row)] for sid, row in zip(ids, values)))
 
 
-def _read_csv(path) -> list[list[str]]:
+def _read_table(path, numeric=None, numeric_header: bool = False
+                ) -> tuple[list[str], list[str], np.ndarray]:
+    """Header names, row ids and float cells of a CSV table.
+
+    Blank rows are skipped, a table has at least two columns, every row is
+    as long as the header, and header names and row ids (first cells) are
+    stripped.  ``numeric(header)`` checks the header and returns the
+    0-based columns to convert (default: all after the ids) before any
+    cell is converted.  Those cells of every data row, and of the header too with
+    ``numeric_header`` (whose id then leads the ids), go through
+    ``float()`` into one finite array of shape (rows, columns).  A bad cell
+    raises ParseError with its 1-based row and column, blank rows not
+    counted.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle) if row]
+            rows = filter(None, csv.reader(handle))
+            header = next(rows, None)
+            first = next(rows, None)
+            if first is None:
+                raise ParseError(
+                    f"{path}: need a header row and at least one data row")
+            header = [cell.strip() for cell in header]
+            if len(header) < 2:
+                raise ParseError(f"{path}: need at least two columns")
+            columns = range(1, len(header)) if numeric is None else numeric(header)
+            ids = []
+            cells = array("d")
+            numbered = enumerate(chain([header, first], rows), start=1)
+            if not numeric_header:
+                next(numbered)
+            for number, row in numbered:
+                if len(row) != len(header):
+                    raise ParseError(f"{path}: row {number} has {len(row)} "
+                                     f"cells, expected {len(header)}")
+                ids.append(row[0].strip())
+                try:
+                    cells.extend(map(float, [row[j] for j in columns]))
+                except ValueError:
+                    for j in columns:
+                        try:
+                            float(row[j])
+                        except ValueError:
+                            raise ParseError(
+                                f"{path}: non-numeric cell at row {number}, "
+                                f"column {j + 1}: {row[j]!r}") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
-        raise ParseError(f"{path}: need a header row and at least one data row")
-    return rows
+    values = np.frombuffer(cells, dtype=float).reshape(len(ids), len(columns))
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, k = bad[0]
+        row = i + (1 if numeric_header else 2)
+        raise ParseError(f"{path}: non-finite cell at row {row}, "
+                         f"column {columns[k] + 1}")
+    return header, ids, values
 
 
 def load_spectra(path, transpose: bool = False, role: str = "calibration") -> SpectraSet:
@@ -62,41 +111,19 @@ def load_spectra(path, transpose: bool = False, role: str = "calibration") -> Sp
     ``transpose=True`` accepts the flipped layout (one row per sample,
     header of wavelengths with a leading ``sample`` column).
     """
-    rows = _read_csv(path)
-    header = rows[0]
     if transpose:
-        grid = [
-            _parse_float(cell, 1, j + 2, path) for j, cell in enumerate(header[1:])
-        ]
-        ids = [row[0] for row in rows[1:]]
-        values = [
-            [_parse_float(cell, i + 2, j + 2, path)
-             for j, cell in enumerate(row[1:])]
-            for i, row in enumerate(rows[1:])
-        ]
-        matrix = np.asarray(values)
+        _, ids, values = _read_table(path, numeric_header=True)
+        ids, grid, matrix = ids[1:], values[0], values[1:]
     else:
-        if header[0].strip().lower() != "wavelength":
-            raise ParseError(
-                f"{path}: first header cell must be 'wavelength', got {header[0]!r}"
-            )
-        ids = [cell.strip() for cell in header[1:]]
-        if not ids:
-            raise ParseError(f"{path}: no sample columns present")
-        grid = []
-        columns = []
-        for i, row in enumerate(rows[1:], start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-                )
-            grid.append(_parse_float(row[0], i, 1, path))
-            columns.append([
-                _parse_float(cell, i, j + 2, path)
-                for j, cell in enumerate(row[1:])
-            ])
-        matrix = np.asarray(columns).T
-    grid = np.asarray(grid)
+        def wide(header: list[str]) -> range:
+            if header[0].lower() != "wavelength":
+                raise ParseError(f"{path}: first header cell must be "
+                                 f"'wavelength', got {header[0]!r}")
+            return range(len(header))
+
+        header, _, values = _read_table(path, wide)
+        ids = header[1:]
+        grid, matrix = values[:, 0], values[:, 1:].T
     diffs = np.diff(grid)
     if np.any(diffs <= 0):
         bad = int(np.argmax(diffs <= 0)) + 1
@@ -115,36 +142,14 @@ def save_spectra(spectra: SpectraSet, path) -> None:
     ids = spectra.sample_ids or tuple(
         f"s{i + 1}" for i in range(spectra.num_samples)
     )
-    rows = [
-        [_fmt(wl)] + [_fmt(v) for v in spectra.absorbance[:, n]]
-        for n, wl in enumerate(spectra.grid)
-    ]
-    _write_rows(path, ["wavelength", *ids], rows)
-
-
-def _load_labelled_table(path) -> tuple[list[str], list[str], np.ndarray]:
-    rows = _read_csv(path)
-    header = rows[0]
-    if len(header) < 2:
-        raise ParseError(f"{path}: need an id column plus at least one analyte")
-    analytes = [cell.strip() for cell in header[1:]]
-    ids = []
-    values = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-            )
-        ids.append(row[0].strip())
-        values.append([
-            _parse_float(cell, i, j + 2, path) for j, cell in enumerate(row[1:])
-        ])
-    return ids, analytes, np.asarray(values)
+    _write_table(path, ["wavelength", *ids], map(_fmt, spectra.grid),
+                 spectra.absorbance.T)
 
 
 def load_concentrations(path, spectra: SpectraSet | None = None) -> ConcentrationMatrix:
     """Sample-id keyed analyte table, realigned to the spectra column order."""
-    ids, analytes, values = _load_labelled_table(path)
+    header, ids, values = _read_table(path)
+    analytes = header[1:]
     if spectra is not None and spectra.sample_ids is not None:
         index = {sid: k for k, sid in enumerate(ids)}
         missing = [sid for sid in spectra.sample_ids if sid not in index]
@@ -152,7 +157,8 @@ def load_concentrations(path, spectra: SpectraSet | None = None) -> Concentratio
             raise AlignmentError(
                 f"{path}: no concentration rows for spectra samples {missing}"
             )
-        unknown = [sid for sid in ids if sid not in set(spectra.sample_ids)]
+        known = set(spectra.sample_ids)
+        unknown = [sid for sid in ids if sid not in known]
         if unknown:
             raise AlignmentError(
                 f"{path}: concentration rows {unknown} match no spectra sample"
@@ -166,11 +172,7 @@ def load_concentrations(path, spectra: SpectraSet | None = None) -> Concentratio
 
 def save_concentrations(conc: ConcentrationMatrix, path) -> None:
     ids = conc.sample_ids or tuple(f"s{i + 1}" for i in range(conc.num_samples))
-    rows = [
-        [ids[i]] + [_fmt(v) for v in conc.values[i]]
-        for i in range(conc.num_samples)
-    ]
-    _write_rows(path, ["sample", *conc.analyte_names()], rows)
+    _write_table(path, ["sample", *conc.analyte_names()], ids, conc.values)
 
 
 def load_value_table(path, columns: tuple[str, ...] | None = None
@@ -180,31 +182,16 @@ def load_value_table(path, columns: tuple[str, ...] | None = None
     With ``columns`` given, only those named columns are parsed, so tables
     carrying extra non-numeric columns (intervals, flags) still load.
     """
-    rows = _read_csv(path)
-    header = [cell.strip() for cell in rows[0]]
-    if len(header) < 2:
-        raise ParseError(f"{path}: need an id column plus at least one value column")
-    available = header[1:]
-    if columns is None:
-        wanted = available
-    else:
-        missing = [name for name in columns if name not in available]
+    def picks(header: list[str]) -> list[int]:
+        available = header[1:]
+        wanted = available if columns is None else columns
+        missing = [name for name in wanted if name not in available]
         if missing:
             raise AlignmentError(f"{path}: missing columns {missing}")
-        wanted = list(columns)
-    picks = [available.index(name) + 1 for name in wanted]
-    ids = []
-    values = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-            )
-        ids.append(row[0].strip())
-        values.append([
-            _parse_float(row[j], i, j + 1, path) for j in picks
-        ])
-    return tuple(ids), tuple(wanted), np.asarray(values)
+        return [available.index(name) + 1 for name in wanted]
+
+    header, ids, values = _read_table(path, picks)
+    return tuple(ids), tuple(header[1:] if columns is None else columns), values
 
 
 def save_model(model, path) -> None:
@@ -222,13 +209,7 @@ def save_model(model, path) -> None:
             "closed_total": model.closed_total,
         }
         if model.diagnostics is not None:
-            diag = model.diagnostics
-            payload["diagnostics"] = {
-                "rss": diag.rss,
-                "hat_trace": diag.hat_trace,
-                "constraint_max_abs": diag.constraint_max_abs,
-                "gcv": diag.gcv,
-            }
+            payload["diagnostics"] = asdict(model.diagnostics)
     elif isinstance(model, MultivariateModel):
         payload = {
             "schema": MODEL_SCHEMA_VERSION,
@@ -252,6 +233,19 @@ def load_model(path):
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: a model file holds one JSON object")
+
+    def field(name, convert, optional=False):
+        if optional and payload.get(name) is None:
+            return None
+        try:
+            return convert(payload[name])
+        except KeyError:
+            raise ParseError(f"{path}: model field {name!r} is missing") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: model field {name!r}: {exc}") from None
+
     schema = payload.get("schema")
     if schema != MODEL_SCHEMA_VERSION:
         raise ParseError(
@@ -260,25 +254,26 @@ def load_model(path):
         )
     kind = payload.get("kind")
     if kind == "functional":
-        diagnostics = None
-        if "diagnostics" in payload:
-            diagnostics = FitDiagnostics(**payload["diagnostics"])
+        if "closed_total" in payload:
+            closed_total = field("closed_total", float, optional=True)
+        else:  # written before closed_total existed: only the flag
+            closed_total = 1.0 if payload.get("closed_calibration") else None
         return CalibrationModel(
-            basis=KnotVector(np.asarray(payload["knots"]), payload["order"]),
-            coefficients=np.asarray(payload["coefficients"]),
-            method=payload["method"],
-            lam=payload["lambda"],
-            analytes=tuple(payload["analytes"]),
-            diagnostics=diagnostics,
-            closed_total=payload.get(
-                "closed_total", 1.0 if payload.get("closed_calibration") else None),
+            basis=KnotVector(field("knots", _floats), field("order", operator.index)),
+            coefficients=field("coefficients", _floats),
+            method=field("method", str),
+            lam=field("lambda", float),
+            analytes=field("analytes", tuple),
+            diagnostics=field("diagnostics", lambda diag: FitDiagnostics(**diag),
+                              optional=True),
+            closed_total=closed_total,
         )
     if kind == "multivariate":
         return MultivariateModel(
-            method=payload["method"],
-            intercept=np.asarray(payload["intercept"]),
-            coefficients=np.asarray(payload["coefficients"]),
-            components=payload.get("components"),
+            method=field("method", str),
+            intercept=field("intercept", _floats),
+            coefficients=field("coefficients", _floats),
+            components=field("components", operator.index, optional=True),
             variance_fraction=payload.get("variance_fraction"),
         )
     raise ParseError(f"{path}: unknown model kind {kind!r}")
@@ -288,29 +283,23 @@ def save_curves(model: CalibrationModel, path, num_points: int = 201) -> None:
     """Dense-grid table of the fitted baseline and analyte curves."""
     a, b = model.basis.domain
     grid = np.linspace(a, b, num_points)
-    curves = model.curve_values(grid)
-    rows = [
-        [_fmt(t)] + [_fmt(v) for v in curves[:, n]]
-        for n, t in enumerate(grid)
-    ]
-    _write_rows(path, ["wavelength", "baseline", *model.analytes], rows)
+    _write_table(path, ["wavelength", "baseline", *model.analytes],
+                 map(_fmt, grid), model.curve_values(grid).T)
 
 
 def save_spread(analytes, s, path) -> None:
-    rows = [[name, _fmt(value)] for name, value in zip(analytes, s)]
-    _write_rows(path, ["analyte", "s"], rows)
+    _write_table(path, ["analyte", "s"], analytes, np.reshape(s, (-1, 1)))
 
 
 def load_spread(path) -> tuple[tuple[str, ...], np.ndarray]:
-    rows = _read_csv(path)
-    names = []
-    values = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ParseError(f"{path}: row {i} must have two cells")
-        names.append(row[0].strip())
-        values.append(_parse_float(row[1], i, 2, path))
-    return tuple(names), np.asarray(values)
+    """Two-column ``analyte,s`` table of jackknife spreads."""
+    def spread(header: list[str]) -> range:
+        if len(header) != 2:
+            raise ParseError(f"{path}: need two columns, analyte and s")
+        return range(1, 2)
+
+    _, names, values = _read_table(path, spread)
+    return tuple(names), values[:, 0]
 
 
 def save_predictions(report, ids, path) -> None:
@@ -318,28 +307,18 @@ def save_predictions(report, ids, path) -> None:
     for name in report.analytes:
         header += [name, f"{name}_lo", f"{name}_hi"]
     header += ["residual_norm", "outside_unit_range"]
-    rows = []
-    for j in range(report.y_hat.shape[0]):
-        row = [ids[j]]
-        for ell in range(report.y_hat.shape[1]):
-            row += [
-                _fmt(report.y_hat[j, ell]),
-                _fmt(report.intervals[j, ell, 0]),
-                _fmt(report.intervals[j, ell, 1]),
-            ]
-        row += [_fmt(report.residual_norms[j]),
-                str(bool(report.outside_unit_range[j])).lower()]
-        rows.append(row)
-    _write_rows(path, header, rows)
+    # Per analyte: estimate, lower bound, upper bound.
+    estimates = np.concatenate([report.y_hat[:, :, None], report.intervals], axis=2)
+    _write_rows(path, header, (
+        [ids[j], *map(_fmt, estimates[j].ravel()), _fmt(report.residual_norms[j]),
+         str(bool(report.outside_unit_range[j])).lower()]
+        for j in range(report.y_hat.shape[0])
+    ))
 
 
 def save_sep(report, analytes, path) -> None:
-    rows = [
-        [name, _fmt(value)]
-        for name, value in zip(analytes, report.per_component)
-    ]
-    rows.append(["overall", _fmt(report.overall)])
-    _write_rows(path, ["component", "sep"], rows)
+    _write_table(path, ["component", "sep"], [*analytes, "overall"],
+                 np.append(report.per_component, report.overall)[:, None])
 
 
 def save_study_rows(header: list[str], rows, path) -> None:

@@ -122,6 +122,55 @@ class TestConcentrationIo:
         assert conc.values[0, 0] == -0.2
 
 
+# One small table per loader; "{x}" marks the cell at file row 3, column 2.
+# Filling it with two cells makes that row ragged.
+LOADER_TABLES = {
+    "wide": ("wavelength,s1,s2\n1.0,0.5,0.1\n2.0,{x},0.2\n3.0,0.4,0.3\n",
+             lambda path: io.load_spectra(path).absorbance[0, 1]),
+    "transposed": ("sample,1.0,2.0,3.0\np1,0.5,0.1,0.2\np2,{x},0.2,0.3\n",
+                   lambda path: io.load_spectra(path, transpose=True).absorbance[1, 0]),
+    "concentrations": ("sample,a,b\ns1,0.5,0.5\ns2,{x},0.75\n",
+                       lambda path: io.load_concentrations(path).values[1, 0]),
+    "value-table": ("sample,a,flag\np1,0.1,yes\np2,{x},no\n",
+                    lambda path: io.load_value_table(path, columns=("a",))[2][1, 0]),
+    "spread": ("analyte,s\na,0.1\nb,{x}\n",
+               lambda path: io.load_spread(path)[1][1]),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADER_TABLES))
+@pytest.mark.parametrize("cell, message", [
+    ("oops", "non-numeric cell at row 3, column 2: 'oops'"),
+    ("inf", "non-finite cell at row 3, column 2"),
+    ("0.25,0.5", "row 3 has"),
+])
+def test_loader_cell_faults_name_the_file_position(tmp_path, loader, cell, message):
+    template, load = LOADER_TABLES[loader]
+    path = tmp_path / "table.csv"
+    path.write_text(template.format(x=cell))
+    with pytest.raises(ParseError, match=message):
+        load(path)
+
+
+@pytest.mark.parametrize("loader", sorted(LOADER_TABLES))
+def test_loader_accepts_whitespace_padded_number(tmp_path, loader):
+    template, load = LOADER_TABLES[loader]
+    path = tmp_path / "table.csv"
+    path.write_text(template.format(x=" 0.25 "))
+    assert load(path) == 0.25
+
+
+def test_transposed_ids_are_stripped_and_match_concentrations(tmp_path):
+    spectra_path = tmp_path / "flipped.csv"
+    spectra_path.write_text("sample,1.0,2.0,3.0\n p1 ,0.5,0.1,0.2\np2 ,0.3,0.2,0.3\n")
+    conc_path = tmp_path / "conc.csv"
+    conc_path.write_text("sample,a,b\np2,0.25,0.75\np1,0.5,0.5\n")
+    spectra = io.load_spectra(spectra_path, transpose=True)
+    assert spectra.sample_ids == ("p1", "p2")
+    conc = io.load_concentrations(conc_path, spectra)
+    npt.assert_array_equal(conc.values, [[0.5, 0.5], [0.25, 0.75]])
+
+
 class TestModelIo:
     def test_functional_round_trip(self, dataset, tmp_path):
         spectra, conc, truth, _, _ = dataset
@@ -167,6 +216,40 @@ class TestModelIo:
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"schema": 99, "kind": "functional"}))
+        with pytest.raises(ParseError):
+            io.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["functional", "multivariate"])
+    def test_missing_required_field_is_a_parse_error(self, dataset, tmp_path, kind):
+        spectra, conc, truth, _, _ = dataset
+        model = (fit_ols(assemble_design(spectra, conc, truth.basis))
+                 if kind == "functional"
+                 else fit_pcr(spectra.absorbance, conc.values, components=3))
+        path = tmp_path / "model.json"
+        io.save_model(model, path)
+        payload = json.loads(path.read_text())
+        optional = {"diagnostics", "closed_total", "closed_calibration",
+                    "components", "variance_fraction"}
+        required = sorted(set(payload) - optional)
+        assert {"schema", "kind", "method", "coefficients"} <= set(required)
+        for key in required:
+            path.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+            with pytest.raises(ParseError) as excinfo:
+                io.load_model(path)
+            assert str(path) in str(excinfo.value)
+            assert key in str(excinfo.value)
+
+    def test_malformed_field_is_a_parse_error(self, dataset, tmp_path):
+        spectra, conc, truth, _, _ = dataset
+        path = tmp_path / "model.json"
+        io.save_model(fit_ols(assemble_design(spectra, conc, truth.basis)), path)
+        payload = json.loads(path.read_text())
+        for key, value in (("knots", ["a", "b"]), ("order", None),
+                           ("lambda", "big"), ("diagnostics", {"rss": 1.0})):
+            path.write_text(json.dumps({**payload, key: value}))
+            with pytest.raises(ParseError, match=f"model field '{key}'"):
+                io.load_model(path)
+        path.write_text("[1, 2]")
         with pytest.raises(ParseError):
             io.load_model(path)
 
@@ -306,3 +389,46 @@ class TestCli:
                      "--cal-concentrations", str(cpath),
                      "--out", str(pred)]) == 0
         assert pred.exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--lambda-grid", "a:b:c"], ["--lambda-grid", "1:2"],
+        ["--lambda-grid", "1:2:3.5"], ["--lambda-grid", "1:inf:5"],
+        ["--sum-to", "abc"], ["--sum-to", "nan"], ["--lambda", "nan"],
+    ])
+    def test_malformed_number_is_invalid_parameter(self, dataset, tmp_path,
+                                                    capsys, flag):
+        _, _, _, spath, cpath = dataset
+        code = main(["calibrate", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--method", "ols-ss", *flag,
+                     "--model-out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[invalid-parameter]:")
+
+    def test_predict_rejects_spreads_of_other_analytes(self, dataset, tmp_path,
+                                                       capsys):
+        _, conc, _, spath, cpath = dataset
+        model = tmp_path / "model.json"
+        spread = tmp_path / "s.csv"
+        cal = ["--spectra", str(spath), "--concentrations", str(cpath),
+               "--method", "ols-k"]
+        assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
+        assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+        names, s = io.load_spread(spread)
+        relabelled = ConcentrationMatrix(values=conc.values[:, ::-1],
+                                         sample_ids=conc.sample_ids,
+                                         analytes=names[::-1])
+        reversed_conc = tmp_path / "reversed_conc.csv"
+        io.save_concentrations(relabelled, reversed_conc)
+        bad_spreads = {"reversed": (names[::-1], s[::-1]),
+                       "renamed": (("fat", "water", "protein"), s)}
+        for key, (bad_names, bad_s) in bad_spreads.items():
+            io.save_spread(bad_names, bad_s, tmp_path / f"{key}.csv")
+        for source in (["--s-file", str(tmp_path / "reversed.csv")],
+                       ["--s-file", str(tmp_path / "renamed.csv")],
+                       ["--jackknife", "--cal-spectra", str(spath),
+                        "--cal-concentrations", str(reversed_conc)]):
+            code = main(["predict", "--model", str(model), "--spectra", str(spath),
+                         *source, "--out", str(tmp_path / "pred.csv")])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error[alignment]:")
+        assert not (tmp_path / "pred.csv").exists()
