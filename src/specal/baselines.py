@@ -35,7 +35,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class MultivariateModel:
-    """Linear predictor ``y = intercept + w @ coefficients``."""
+    """Linear predictor ``y = intercept + w @ coefficients``.
+
+    ``analytes`` names the prediction columns; None for a model fitted on
+    bare arrays, or read from a file written before the names were kept.
+    """
 
     method: str
     intercept: np.ndarray
@@ -43,6 +47,7 @@ class MultivariateModel:
     components: int | None = None
     variance_fraction: float | None = None
     scores: np.ndarray | None = None
+    analytes: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         intercept = np.asarray(self.intercept, dtype=float).ravel()
@@ -53,6 +58,9 @@ class MultivariateModel:
             raise ShapeError("model parameters contain non-finite values")
         if self.components is not None and self.components < 1:
             raise InvalidComponentsError("component count must be at least one")
+        if self.analytes is not None and len(self.analytes) != intercept.size:
+            raise ShapeError(f"{len(self.analytes)} analyte names for "
+                             f"{intercept.size} prediction columns")
         object.__setattr__(self, "intercept", intercept)
         object.__setattr__(self, "coefficients", coefficients)
 

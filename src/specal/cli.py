@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import io
+from . import _blas, io
 from .baselines import MultivariateModel, predict_multivariate
 from .errors import AlignmentError, InvalidParameterError, SpecalError
 from .methods import STUDY_METHODS, FitSpec, make_strategy, resolve_sum_to
@@ -185,8 +185,9 @@ def _spec_from_model(model, args) -> FitSpec:
 
 
 def _match_analytes(model, names: tuple[str, ...], source) -> None:
-    # A functional model applies spreads by position, not by name.
-    if isinstance(model, CalibrationModel) and tuple(names) != model.analytes:
+    # A model applies spreads by position, not by name.  A multivariate
+    # model file written before analyte names were stored has none to check.
+    if model.analytes is not None and tuple(names) != model.analytes:
         raise AlignmentError(
             f"{source}: analytes {list(names)} do not match the model's "
             f"{list(model.analytes)}"
@@ -439,7 +440,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _blas.one_thread():
+            return args.func(args)
     except SpecalError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

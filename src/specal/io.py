@@ -11,6 +11,7 @@ import csv
 import json
 import operator
 from array import array
+from collections import Counter
 from dataclasses import asdict
 from functools import partial
 from itertools import chain
@@ -95,6 +96,8 @@ def _read_table(path, numeric=None, numeric_header: bool = False
                                 f"column {j + 1}: {row[j]!r}") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     values = np.frombuffer(cells, dtype=float).reshape(len(ids), len(columns))
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
@@ -103,6 +106,13 @@ def _read_table(path, numeric=None, numeric_header: bool = False
         raise ParseError(f"{path}: non-finite cell at row {row}, "
                          f"column {columns[k] + 1}")
     return header, ids, values
+
+
+def _unique_ids(path, ids) -> None:
+    """Sample ids key rows across files, so each may appear once."""
+    repeated = [sid for sid, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise AlignmentError(f"{path}: repeated sample ids {repeated}")
 
 
 def load_spectra(path, transpose: bool = False, role: str = "calibration") -> SpectraSet:
@@ -124,6 +134,7 @@ def load_spectra(path, transpose: bool = False, role: str = "calibration") -> Sp
         header, _, values = _read_table(path, wide)
         ids = header[1:]
         grid, matrix = values[:, 0], values[:, 1:].T
+    _unique_ids(path, ids)
     diffs = np.diff(grid)
     if np.any(diffs <= 0):
         bad = int(np.argmax(diffs <= 0)) + 1
@@ -149,6 +160,7 @@ def save_spectra(spectra: SpectraSet, path) -> None:
 def load_concentrations(path, spectra: SpectraSet | None = None) -> ConcentrationMatrix:
     """Sample-id keyed analyte table, realigned to the spectra column order."""
     header, ids, values = _read_table(path)
+    _unique_ids(path, ids)
     analytes = header[1:]
     if spectra is not None and spectra.sample_ids is not None:
         index = {sid: k for k, sid in enumerate(ids)}
@@ -220,6 +232,8 @@ def save_model(model, path) -> None:
             "components": model.components,
             "variance_fraction": model.variance_fraction,
         }
+        if model.analytes is not None:
+            payload["analytes"] = list(model.analytes)
     else:
         raise ShapeError(f"cannot serialize model of type {type(model).__name__}")
     with open(path, "w") as handle:
@@ -229,9 +243,9 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: a model file holds one JSON object")
@@ -275,6 +289,7 @@ def load_model(path):
             coefficients=field("coefficients", _floats),
             components=field("components", operator.index, optional=True),
             variance_fraction=payload.get("variance_fraction"),
+            analytes=field("analytes", tuple, optional=True),
         )
     raise ParseError(f"{path}: unknown model kind {kind!r}")
 

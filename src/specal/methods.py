@@ -9,7 +9,7 @@ behaviour and the two are interchangeable by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -230,8 +230,9 @@ class MultivariateStrategy(Strategy):
 
     def fit(self, spectra: SpectraSet,
             concentrations: ConcentrationMatrix) -> baselines.MultivariateModel:
-        return self.fit_decomposition(
+        model = self.fit_decomposition(
             baselines.decompose(spectra.absorbance, concentrations.values))
+        return replace(model, analytes=concentrations.analyte_names())
 
     def fit_decomposition(self, dec: baselines.Decomposition
                           ) -> baselines.MultivariateModel:

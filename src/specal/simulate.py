@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.linalg as sla
 
+from . import _blas
 from .basis import KnotVector, design_matrix, make_knots
 from .errors import (
     CovarianceConditioningError,
@@ -236,9 +237,12 @@ def prediction_spectra(truth: SimTruth, y_star: np.ndarray, *path: int) -> Spect
 
 def _ordered_map(func, arg_tuples: list[tuple], jobs: int) -> list:
     """``[func(*args) for args in arg_tuples]``, on ``jobs`` worker processes
-    when ``jobs > 1``; results keep the input order either way."""
+    when ``jobs > 1``; results keep the input order either way.  Workers
+    run BLAS on one thread under any start method, as the studies' own
+    process does, so the results do not depend on ``jobs``."""
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_blas.pin_one_thread) as pool:
             futures = [pool.submit(func, *args) for args in arg_tuples]
             return [f.result() for f in futures]
     return [func(*args) for args in arg_tuples]
@@ -312,6 +316,7 @@ def _jackknife_replicate(cfg: SimConfig, methods: dict[str, FitSpec],
             for name, spread in zip(methods, spreads)}
 
 
+@_blas.one_thread()
 def run_jackknife_study(cfg: SimConfig, methods: Iterable[str] | Mapping[str, FitSpec],
                         replicates: int, jobs: int = 1) -> JackknifeStudyResult:
     """Repeat the jackknife over fresh-noise replicates; summarize spreads.
@@ -398,6 +403,7 @@ def _bias_variance_set(cfg: SimConfig, methods: dict[str, FitSpec],
     return preds
 
 
+@_blas.one_thread()
 def run_bias_variance_study(cfg: SimConfig,
                             methods: Iterable[str] | Mapping[str, FitSpec],
                             learning_sets: int = 40, prediction_reps: int = 5,

@@ -10,6 +10,7 @@ from specal.baselines import fit_pcr, predict_multivariate
 from specal.calibrate import fit_ols
 from specal.cli import main
 from specal.errors import AlignmentError, ParseError
+from specal.methods import FitSpec, make_strategy
 from specal.model import ConcentrationMatrix, SpectraSet, assemble_design
 from specal.predict import predict_concentrations
 from specal.simulate import SimConfig, generate_dataset, WEAK_PHI
@@ -171,6 +172,19 @@ def test_transposed_ids_are_stripped_and_match_concentrations(tmp_path):
     npt.assert_array_equal(conc.values, [[0.5, 0.5], [0.25, 0.75]])
 
 
+@pytest.mark.parametrize("text, load", [
+    ("sample,a,b\ns1,0.5,0.5\ns1,0.9,0.1\ns2,0.2,0.8\n", io.load_concentrations),
+    ("wavelength,s1,s2,s1\n1.0,0.5,0.1,0.2\n2.0,0.4,0.3,0.1\n", io.load_spectra),
+    ("sample,1.0,2.0\ns1,0.5,0.1\n s1,0.4,0.3\n",
+     lambda path: io.load_spectra(path, transpose=True)),
+], ids=["concentrations", "wide", "transposed"])
+def test_repeated_sample_id_is_an_alignment_error(tmp_path, text, load):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(AlignmentError, match=r"repeated sample ids \['s1'\]"):
+        load(path)
+
+
 class TestModelIo:
     def test_functional_round_trip(self, dataset, tmp_path):
         spectra, conc, truth, _, _ = dataset
@@ -212,6 +226,19 @@ class TestModelIo:
             legacy["closed_calibration"] = flag
             path.write_text(json.dumps(legacy))
             assert io.load_model(path).closed_total == total
+
+    def test_multivariate_analytes_stored_and_legacy_file_read(self, dataset,
+                                                                tmp_path):
+        spectra, conc, _, _, _ = dataset
+        model = make_strategy(FitSpec(method="pls", components=3)).fit(spectra, conc)
+        assert model.analytes == ("a", "b", "c")
+        path = tmp_path / "pls.json"
+        io.save_model(model, path)
+        assert io.load_model(path).analytes == ("a", "b", "c")
+        payload = json.loads(path.read_text())
+        del payload["analytes"]
+        path.write_text(json.dumps(payload))
+        assert io.load_model(path).analytes is None
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "model.json"
@@ -432,3 +459,60 @@ class TestCli:
             assert code == 1
             assert capsys.readouterr().err.startswith("error[alignment]:")
         assert not (tmp_path / "pred.csv").exists()
+
+
+def test_repeated_concentration_id_exits_with_alignment_error(dataset, tmp_path,
+                                                             capsys):
+    _, _, _, spath, cpath = dataset
+    lines = cpath.read_text().splitlines()
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("\n".join([*lines, lines[1]]) + "\n")
+    code = main(["calibrate", "--spectra", str(spath), "--concentrations",
+                 str(repeated), "--method", "ols-k",
+                 "--model-out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error[alignment]: " + f"{repeated}: repeated sample ids ['s01']")
+
+
+def test_non_utf8_inputs_exit_with_parse_error(dataset, tmp_path, capsys):
+    _, _, _, spath, cpath = dataset
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(spath.read_bytes().replace(b"s01", "s\xe901".encode("latin-1"), 1))
+    model = tmp_path / "model.json"
+    assert main(["calibrate", "--spectra", str(latin1), "--concentrations",
+                 str(cpath), "--method", "ols-k", "--model-out", str(model)]) == 1
+    assert capsys.readouterr().err.startswith(f"error[parse]: {latin1}: not UTF-8")
+    assert main(["calibrate", "--spectra", str(spath), "--concentrations",
+                 str(cpath), "--method", "ols-k", "--model-out", str(model)]) == 0
+    model.write_bytes(model.read_bytes().replace(
+        b'"OLS-K"', '"OLS-\xc9"'.encode("latin-1")))
+    spread = tmp_path / "s.csv"
+    io.save_spread(("a", "b", "c"), [0.1, 0.2, 0.3], spread)
+    assert main(["predict", "--model", str(model), "--spectra", str(spath),
+                 "--s-file", str(spread), "--out", str(tmp_path / "p.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error[parse]: cannot read model file {model}")
+
+
+def test_multivariate_predict_checks_spread_names(dataset, tmp_path, capsys):
+    _, _, _, spath, cpath = dataset
+    cal = ["--spectra", str(spath), "--concentrations", str(cpath),
+           "--method", "pls", "--components", "3"]
+    model, spread = tmp_path / "pls.json", tmp_path / "s.csv"
+    assert main(["baselines", *cal, "--model-out", str(model)]) == 0
+    assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+    names, s = io.load_spread(spread)
+    reversed_spread = tmp_path / "reversed.csv"
+    io.save_spread(names[::-1], s[::-1], reversed_spread)
+    predict = ["predict", "--model", str(model), "--spectra", str(spath),
+               "--out", str(tmp_path / "pred.csv")]
+    assert main([*predict, "--s-file", str(reversed_spread)]) == 1
+    assert capsys.readouterr().err.startswith("error[alignment]:")
+    assert not (tmp_path / "pred.csv").exists()
+    # A model file written before analyte names were stored applies the
+    # spreads by position, as it always did.
+    payload = json.loads(model.read_text())
+    del payload["analytes"]
+    model.write_text(json.dumps(payload))
+    assert main([*predict, "--s-file", str(reversed_spread)]) == 0
