@@ -3,13 +3,14 @@
 Evaluation uses the standard stable recurrence (triangular scheme over the
 nonzero functions of the containing knot span).  Derivatives come from the
 knot-difference formula applied to lower-order values.  The curvature
-penalty integrates products of second derivatives exactly with two-point
-Gauss quadrature per span (the integrand is piecewise quadratic for
-cubics).
+penalty is assembled span by span into its seven diagonals: a cubic's
+second derivative is linear on every span, so each span's products
+integrate exactly in closed form from the values at the span ends.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +153,12 @@ def _nonzero_triangle(knots_p: np.ndarray, order: int, span: np.ndarray,
     return values
 
 
+def _inverse_widths(knots: np.ndarray, q: int) -> np.ndarray:
+    """``1 / (t[j+q] - t[j])`` per ``j``, zero where the width is zero."""
+    width = knots[q:] - knots[:-q]
+    return np.divide(1.0, width, out=np.zeros_like(width), where=width > 0)
+
+
 def _all_values(knots: np.ndarray, order: int, x: np.ndarray,
                 deriv: int = 0) -> np.ndarray:
     """Dense (len(x), num_basis) matrix of basis (derivative) values."""
@@ -167,9 +174,7 @@ def _all_values(knots: np.ndarray, order: int, x: np.ndarray,
     cols = span[:, None] - base_order + 1 + np.arange(base_order)[None, :]
     np.put_along_axis(dense, cols, triangle, axis=1)
     for q in range(base_order, order):
-        width = knots_p[q:] - knots_p[:-q]
-        scale = np.divide(1.0, width, out=np.zeros_like(width), where=width > 0)
-        scaled = dense * scale[None, :]
+        scaled = dense * _inverse_widths(knots_p, q)[None, :]
         dense = q * (scaled[:, :-1] - scaled[:, 1:])
     return dense[:, pad:pad + (knots.size - order)]
 
@@ -198,6 +203,27 @@ def design_matrix(kv: KnotVector, grid: np.ndarray) -> np.ndarray:
     return _all_values(kv.knots, kv.order, grid)
 
 
+def cached_design_matrix(kv: KnotVector, grid: np.ndarray) -> np.ndarray:
+    """:func:`design_matrix`, shared through ``kv`` while it is in use.
+
+    ``kv`` keeps the latest grid and a weak reference to its read-only
+    matrix, so callers that hold the matrix (a design, a GLS system)
+    share it with everyone else evaluating the same knots on the same
+    grid values, such as the held-out predictions of a jackknife, and the
+    cache never keeps the matrix alive by itself.
+    """
+    grid = np.asarray(grid, dtype=float)
+    cached = kv.__dict__.get("_design")
+    b = None
+    if cached is not None and np.array_equal(cached[0], grid):
+        b = cached[1]()
+    if b is None:
+        b = design_matrix(kv, grid)
+        b.flags.writeable = False
+        object.__setattr__(kv, "_design", (grid.copy(), weakref.ref(b)))
+    return b
+
+
 def derivative_matrix(kv: KnotVector, grid: np.ndarray, deriv: int = 2) -> np.ndarray:
     """Like :func:`design_matrix` but for derivative values of order ``deriv``."""
     grid = np.asarray(grid, dtype=float)
@@ -218,23 +244,41 @@ def greville_points(kv: KnotVector) -> np.ndarray:
 def penalty_matrix(kv: KnotVector) -> PenaltyMatrix:
     """Integrated products of second derivatives over the domain.
 
-    Only cubic bases are supported: their second derivatives are piecewise
-    linear, so two Gauss nodes per span integrate the products exactly.
+    Only cubic bases are supported.  The second derivative of cubic ``i``
+    is ``a0[i] N_i + a1[i] N_(i+1) + a2[i] N_(i+2)`` in the linear
+    B-splines ``N_j`` (the knot-difference formula applied twice), so on
+    each knot span it is linear, fixed by its values at the two span ends.
+    The exact integral over a span of width ``h`` of two such lines with
+    end values ``(u, v)`` and ``(u', v')`` is
+    ``h/6 ((2u + v) u' + (u + 2v) v')``.  The four cubics alive on a span
+    give that span's 4-by-4 block, which is added into the seven diagonals
+    ``|i - j| <= 3``; the upper diagonals are mirrored, so the matrix is
+    exactly symmetric and exactly zero outside the band.
     """
     if kv.order != 4:
         raise UnsupportedOrderError(
             f"curvature penalty requires cubic splines (order 4), got {kv.order}"
         )
-    a, b = kv.domain
-    breaks = np.unique(kv.knots)
-    breaks = breaks[(breaks >= a) & (breaks <= b)]
-    lo, hi = breaks[:-1], breaks[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    offset = half / np.sqrt(3.0)
-    nodes = np.concatenate([mid - offset, mid + offset])
-    weights = np.concatenate([half, half])
-    d2 = _all_values(kv.knots, kv.order, nodes, deriv=2)
-    entries = (d2 * weights[:, None]).T @ d2
-    entries = 0.5 * (entries + entries.T)
+    t = kv.knots
+    k = kv.num_basis
+    inv2, inv3 = _inverse_widths(t, 2), _inverse_widths(t, 3)
+    a0 = 6.0 * inv3[:k] * inv2[:k]
+    a1 = -6.0 * inv2[1:k + 1] * (inv3[:k] + inv3[1:k + 1])
+    a2 = 6.0 * inv3[1:k + 1] * inv2[2:k + 2]
+    # Spans s = 3 .. k-1 tile the domain; cubics s-3 .. s live on span s.
+    # Rows p of ``left`` / ``right`` hold cubic s-3+p at the span ends.
+    spans = k - 3
+    zero = np.zeros(spans)
+    left = np.stack([a2[:spans], a1[1:spans + 1], a0[2:spans + 2], zero])
+    right = np.stack([zero, a2[1:spans + 1], a1[2:spans + 2], a0[3:spans + 3]])
+    h = (t[4:k + 1] - t[3:k]) / 6.0
+    entries = np.zeros((k, k))
+    for d in range(4):
+        diag = np.zeros(k - d)
+        for p in range(4 - d):
+            diag[p:p + spans] += h * ((2.0 * left[p] + right[p]) * left[p + d]
+                                      + (left[p] + 2.0 * right[p]) * right[p + d])
+        rows = np.arange(k - d)
+        entries[rows, rows + d] = diag
+        entries[rows + d, rows] = diag
     return PenaltyMatrix(entries)

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import nnls
 
-from .basis import KnotVector, PenaltyMatrix, design_matrix
+from .basis import KnotVector, PenaltyMatrix, cached_design_matrix
 from .errors import (
     CovarianceConditioningError,
     DegenerateCovarianceError,
@@ -356,18 +356,54 @@ def loo_coefficients(design: AggregatedDesign, penalty: PenaltyMatrix | None = N
         yield i, system.solve(lam=lam, m=m, f=f)[0]
 
 
+def _uniform_lags(grid: np.ndarray) -> np.ndarray | None:
+    """Rounded distance of each site offset when the grid is uniform.
+
+    Entry ``k`` is ``round(t[k] - t[0], 9)``, returned only when it
+    increases with ``k`` and every ``round(t[n+k] - t[n], 9)`` equals it;
+    otherwise None.  Offsets are checked 64 at a time, so no T-by-T
+    array is formed.
+    """
+    block = 64
+    t = grid.size
+    lags = np.round(grid - grid[0], 9)
+    if np.any(np.diff(lags) <= 0):
+        return None
+    # shifted[k, n] = t[n+k]; entries with n + k >= T wrap and are ignored.
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([grid, grid]), t)
+    sites = np.arange(t)
+    for start in range(1, t, block):
+        ks = np.arange(start, min(start + block, t))
+        gaps = np.round(shifted[ks] - grid, 9)
+        if not np.all((gaps == lags[ks, None]) | (sites >= t - ks[:, None])):
+            return None
+    return lags
+
+
 def empirical_covariogram(residuals: np.ndarray, grid: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample average residual products at each distinct site distance.
 
     Returns ``(lags, covs, counts)`` where ``covs[i, k]`` averages
     ``e_i(t_n) e_i(t_n')`` over the ``counts[k]`` ordered pairs with
-    ``|t_n - t_n'| == lags[k]``.
+    ``|t_n - t_n'| == lags[k]`` (distances rounded to 9 decimals).  On a
+    uniform grid offset ``k`` is lag ``k``: its sum is the lagged product
+    ``sum_n e(t_n) e(t_(n+k))``, doubled for ``k > 0``, over ``T`` pairs
+    at ``k = 0`` and ``2 (T - k)`` otherwise.  Any other grid sorts the
+    ``T^2`` rounded distances.
     """
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     grid = np.asarray(grid, dtype=float)
     if residuals.shape[1] != grid.size:
         raise ShapeError("residual columns must match the grid length")
+    lags = _uniform_lags(grid)
+    if lags is not None:
+        t = grid.size
+        counts = np.concatenate([[t], 2.0 * np.arange(t - 1, 0, -1)])
+        sums = np.stack([np.correlate(r, r, "full")[t - 1:] for r in residuals])
+        sums[:, 1:] *= 2.0
+        return lags, sums / counts, counts
     dist = np.abs(grid[:, None] - grid[None, :])
     rounded = np.round(dist, 9)
     lags, inverse = np.unique(rounded.ravel(), return_inverse=True)
@@ -379,23 +415,27 @@ def empirical_covariogram(residuals: np.ndarray, grid: np.ndarray
     return lags, sums / counts, counts
 
 
-def _covariogram_design(y_sq: np.ndarray, lags: np.ndarray,
-                        phi: np.ndarray) -> np.ndarray:
-    decay = np.exp(-np.outer(lags, phi))            # (L, m)
-    return (y_sq[:, None, :] * decay[None, :, :]).reshape(-1, phi.size)
-
-
 def fit_covariance(residuals: np.ndarray, concentrations, grid: np.ndarray,
                    phi_grid: np.ndarray | None = None, refine: bool = True,
                    max_lag_fraction: float = 0.5) -> CovarianceModel:
     """Least squares fit of the exponential covariance to lag covariances.
 
+    Sample ``i``'s covariogram at lag ``l`` is modelled as
+    ``sum_k y_ik^2 sigma2_k exp(-phi_k l)``.  Lags beyond
+    ``max_lag_fraction`` of the span are dropped and the rest weighted by
+    the square root of their pair count: long-lag covariogram values
+    average few pairs and would otherwise dominate the fit with noise.
+
     The decay rates are searched on a log grid (one shared value first,
-    then one cyclic per-analyte refinement sweep); at every candidate the
-    variance scales solve a nonnegative linear least-squares subproblem.
-    Lags beyond ``max_lag_fraction`` of the span are dropped and the rest
-    weighted by pair count: long-lag covariogram values average few pairs
-    and would otherwise dominate the fit with noise.
+    then one cyclic per-analyte refinement sweep; a candidate replaces the
+    best only when strictly better).  At every candidate the variance
+    scales solve a nonnegative least-squares problem.  Its stacked design
+    has one block of rows per sample, ``y_i^2`` times the weighted decays,
+    so with the thin QR ``Y^2 = Q R0`` (taken once) the problem reduces to
+    ``min(I, m)`` blocks, ``R0`` rows times the decays, against ``Q'``
+    times the weighted covariogram.  The residual norm of the full problem
+    is ``sqrt(rnorm^2 + c)``, where ``c`` is the squared target norm that
+    ``Q`` does not see.
     """
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     if residuals.shape[0] < 2:
@@ -413,33 +453,38 @@ def fit_covariance(residuals: np.ndarray, concentrations, grid: np.ndarray,
     lags, covs, counts = empirical_covariogram(residuals, grid)
     keep = lags <= max_lag_fraction * lags[-1]
     lags, covs, counts = lags[keep], covs[:, keep], counts[keep]
-    row_weights = np.tile(np.sqrt(counts), covs.shape[0])
-    target = covs.ravel() * row_weights
-    y_sq = y ** 2
+    weights = np.sqrt(counts)
+    target = covs * weights                         # (I, L)
+    q, r0 = np.linalg.qr(y ** 2)
+    reduced_target = (q.T @ target).ravel()
+    unseen = max(float(np.sum(target ** 2) - reduced_target @ reduced_target),
+                 0.0)
+    decays = np.exp(-np.outer(grid_phi, lags)) * weights        # (phis, L)
 
-    def objective(phi_vec: np.ndarray) -> tuple[float, np.ndarray]:
-        design = _covariogram_design(y_sq, lags, phi_vec)
-        sigma2, rnorm = nnls(design * row_weights[:, None], target)
-        return rnorm, sigma2
+    def objective(picks: np.ndarray) -> tuple[float, np.ndarray]:
+        # Row (j, l), column k of the reduced design: r0[j, k] decays[picks[k], l].
+        design = (r0[:, None, :] * decays[picks].T[None, :, :]).reshape(-1, m)
+        sigma2, rnorm = nnls(design, reduced_target)
+        return float(np.sqrt(rnorm ** 2 + unseen)), sigma2
 
     best_sse = np.inf
-    best_phi = None
+    best_picks = None
     best_sigma2 = None
-    for phi in grid_phi:
-        sse, sigma2 = objective(np.full(m, phi))
+    for p in range(grid_phi.size):
+        sse, sigma2 = objective(np.full(m, p))
         if sse < best_sse:
-            best_sse, best_phi, best_sigma2 = sse, np.full(m, phi), sigma2
+            best_sse, best_picks, best_sigma2 = sse, np.full(m, p), sigma2
     if refine and m > 1:
         for ell in range(m):
-            for phi in grid_phi:
-                candidate = best_phi.copy()
-                candidate[ell] = phi
+            for p in range(grid_phi.size):
+                candidate = best_picks.copy()
+                candidate[ell] = p
                 sse, sigma2 = objective(candidate)
                 if sse < best_sse:
-                    best_sse, best_phi, best_sigma2 = sse, candidate, sigma2
+                    best_sse, best_picks, best_sigma2 = sse, candidate, sigma2
     clipped = bool(np.any(best_sigma2 < 1e-12))
     sigma2 = np.maximum(best_sigma2, 1e-12)
-    return CovarianceModel(sigma2=sigma2, phi=best_phi, clipped=clipped)
+    return CovarianceModel(sigma2=sigma2, phi=grid_phi[best_picks], clipped=clipped)
 
 
 def _whitening_factor(cov_matrix: np.ndarray, jitter_scale: float) -> np.ndarray:
@@ -471,7 +516,7 @@ class _WhitenedSystem:
                  constraint_weight: float):
         if concentrations.num_analytes != cov.num_analytes:
             raise ShapeError("covariance model analyte count does not match Y")
-        b = design_matrix(kv, spectra.grid)
+        b = cached_design_matrix(kv, spectra.grid)
         y = concentrations.values
         w = spectra.absorbance
         jitter_scale = float(np.mean(cov.sigma2))

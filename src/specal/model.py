@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KnotVector, design_matrix
+from .basis import KnotVector, cached_design_matrix
 from .errors import CollinearConcentrationsError, ShapeError
 
 ROLE_CALIBRATION = "calibration"
@@ -169,7 +169,7 @@ class CalibrationModel:
 
     def curve_values(self, grid: np.ndarray) -> np.ndarray:
         """(m+1, T) matrix of baseline and analyte curves on ``grid``."""
-        b = design_matrix(self.basis, np.asarray(grid, dtype=float))
+        b = cached_design_matrix(self.basis, grid)
         return self.coefficients @ b.T
 
 
@@ -257,7 +257,7 @@ def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
         raise ShapeError("constraint weight must be nonnegative")
     y = concentrations.values
     m = concentrations.num_analytes
-    b = design_matrix(kv, spectra.grid)
+    b = cached_design_matrix(kv, spectra.grid)
     if np.linalg.matrix_rank(y) < m:
         raise CollinearConcentrationsError(
             f"analyte concentration columns are linearly dependent "

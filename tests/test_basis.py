@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from specal.basis import (
     KnotVector,
+    cached_design_matrix,
     derivative_matrix,
     design_matrix,
     eval_basis,
@@ -40,6 +41,30 @@ def naive_bspline(knots, order, k, t):
 def random_knots(rng, num_basis):
     interior = np.sort(rng.uniform(0.0, 10.0, num_basis - 4))
     return KnotVector(np.concatenate([np.zeros(4), interior, np.full(4, 10.0)]))
+
+
+def repeated_knot_vector(rng, num_basis=24):
+    """Random clamped knots on [0, 10] with one interior knot doubled."""
+    interior = np.sort(rng.uniform(0.0, 10.0, num_basis - 4))
+    interior[7] = interior[8]
+    return KnotVector(np.concatenate([np.zeros(4), interior, np.full(4, 10.0)]))
+
+
+def dense_gauss_penalty(kv):
+    """Penalty from a dense table of second derivatives at two Gauss nodes
+    per span, weighted and multiplied out in full."""
+    a, b = kv.domain
+    breaks = np.unique(kv.knots)
+    breaks = breaks[(breaks >= a) & (breaks <= b)]
+    lo, hi = breaks[:-1], breaks[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    offset = half / np.sqrt(3.0)
+    nodes = np.concatenate([mid - offset, mid + offset])
+    weights = np.concatenate([half, half])
+    d2 = _all_values(kv.knots, kv.order, nodes, deriv=2)
+    entries = (d2 * weights[:, None]).T @ d2
+    return 0.5 * (entries + entries.T)
 
 
 class TestMakeKnots:
@@ -153,6 +178,26 @@ class TestDesignMatrix:
             design_matrix(kv, np.array([0.2, 0.2, 0.8]))
 
 
+    def test_cached_matrix_keyed_by_grid_values(self):
+        kv = make_knots((0.0, 10.0), 8)
+        grid = np.linspace(0.0, 10.0, 41)
+        first = cached_design_matrix(kv, grid)
+        assert not first.flags.writeable
+        npt.assert_array_equal(first, design_matrix(kv, grid))
+        assert cached_design_matrix(kv, grid.copy()) is first
+        assert cached_design_matrix(make_knots((0.0, 10.0), 8), grid) is not first
+        shifted = 0.9 * grid
+        other = cached_design_matrix(kv, shifted)
+        npt.assert_array_equal(other, design_matrix(kv, shifted))
+        assert cached_design_matrix(kv, shifted.copy()) is other
+        # The knot vector holds its matrix weakly: once the callers drop
+        # it, it is freed and the next call evaluates again.
+        del other
+        assert kv.__dict__["_design"][1]() is None
+        npt.assert_array_equal(cached_design_matrix(kv, shifted),
+                               design_matrix(kv, shifted))
+
+
 class TestDerivatives:
     def test_first_derivative_matches_finite_differences(self):
         kv = random_knots(np.random.default_rng(7), 9)
@@ -210,6 +255,17 @@ class TestPenaltyMatrix:
             for j in range(k):
                 if abs(i - j) > 3:
                     assert r[i, j] == 0.0
+
+    @pytest.mark.parametrize("kv", [
+        knots_from_grid(np.arange(350.0, 751.0, 1.0)),
+        make_knots((350.0, 750.0), 14),
+        repeated_knot_vector(np.random.default_rng(13)),
+    ], ids=["K403", "K14", "repeated-knot"])
+    def test_matches_dense_gauss_quadrature(self, kv):
+        r = penalty_matrix(kv).entries
+        oracle = dense_gauss_penalty(kv)
+        npt.assert_allclose(r, oracle, rtol=1e-12,
+                            atol=1e-12 * np.abs(oracle).max())
 
     def test_rejects_non_cubic(self):
         kv = KnotVector(np.array([0.0, 0, 0, 1, 2, 2, 2]), order=3)

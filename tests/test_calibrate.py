@@ -1,10 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import nnls
 
 from specal.basis import design_matrix, make_knots, penalty_matrix
 from specal.calibrate import (
+    DEFAULT_PHI_GRID,
     CovarianceModel,
+    _uniform_lags,
     empirical_covariogram,
     fit_covariance,
     fit_gls,
@@ -27,7 +30,7 @@ from specal.model import (
     SpectraSet,
     assemble_design,
 )
-from specal.simulate import gp_cholesky
+from specal.simulate import STRONG_PHI, WEAK_PHI, gp_cholesky
 
 from test_model import make_dataset
 
@@ -419,10 +422,108 @@ class TestCovariance:
             rtol=1e-12, atol=1e-15,
         )
 
+    @pytest.mark.parametrize("grid", [
+        np.arange(350, 751, 1.0),
+        np.arange(350, 750, 0.4),
+        np.linspace(350, 750, 301),
+    ], ids=["step1", "step0.4", "linspace"])
+    def test_uniform_covariogram_matches_pairwise_oracle(self, grid):
+        rng = np.random.default_rng(24)
+        resid = rng.standard_normal((2, grid.size))
+        assert _uniform_lags(grid) is not None      # the lagged-product path
+        lags, covs, counts = empirical_covariogram(resid, grid)
+        expected, oracle_covs, oracle_counts = pairwise_covariogram(resid, grid)
+        npt.assert_array_equal(lags, expected)
+        npt.assert_array_equal(counts, oracle_counts)
+        npt.assert_allclose(covs, oracle_covs, rtol=1e-12,
+                            atol=1e-15 * np.abs(oracle_covs).max())
+
+    def test_jittered_grid_is_not_uniform(self):
+        grid = np.arange(350, 751, 1.0)
+        grid[200] += 1e-6
+        assert _uniform_lags(grid) is None
+        assert _uniform_lags(grid[::-1]) is None
+
+    @pytest.mark.parametrize("num_samples,num_analytes,phi", [
+        (20, 1, WEAK_PHI), (20, 1, STRONG_PHI),
+        (30, 3, WEAK_PHI), (30, 3, STRONG_PHI),
+        (2, 3, WEAK_PHI), (2, 3, STRONG_PHI),
+    ])
+    def test_reduced_fit_matches_stacked_nnls(self, num_samples, num_analytes,
+                                              phi):
+        # I = 2 with m = 3 leaves the thin QR with fewer rows than analytes.
+        rng = np.random.default_rng(25 + num_samples + num_analytes)
+        grid = np.arange(350.0, 751.0, 5.0)
+        chol = gp_cholesky(grid, 4.0, phi)
+        y = (np.ones((num_samples, 1)) if num_analytes == 1
+             else rng.dirichlet(np.ones(num_analytes), num_samples))
+        resid = np.stack([
+            sum(y[i, k] * (chol @ rng.standard_normal(grid.size))
+                for k in range(num_analytes))
+            for i in range(num_samples)
+        ])
+        cov = fit_covariance(resid, y, grid)
+        sigma2, phi_fit = stacked_covariance_fit(resid, y, grid)
+        npt.assert_array_equal(cov.phi, phi_fit)
+        npt.assert_allclose(cov.sigma2, np.maximum(sigma2, 1e-12), rtol=1e-10)
+        assert cov.clipped == bool(np.any(sigma2 < 1e-12))
+
     def test_zero_residuals_degenerate(self):
         with pytest.raises(DegenerateCovarianceError):
             fit_covariance(np.zeros((5, 11)), np.ones((5, 1)),
                            np.linspace(0, 1, 11))
+
+
+def pairwise_covariogram(resid, grid):
+    """Covariogram by the double loop over every ordered site pair."""
+    pairs, sums = {}, {}
+    for n in range(grid.size):
+        row_lags = np.round(np.abs(grid[n] - grid), 9).tolist()
+        products = (resid[:, n, None] * resid).T.tolist()
+        for lag, product in zip(row_lags, products):
+            pairs[lag] = pairs.get(lag, 0) + 1
+            acc = sums.setdefault(lag, [0.0] * len(product))
+            for i, value in enumerate(product):
+                acc[i] += value
+    lags = sorted(pairs)
+    counts = np.array([pairs[lag] for lag in lags], dtype=float)
+    covs = np.array([sums[lag] for lag in lags]).T / counts
+    return np.array(lags), covs, counts
+
+
+def stacked_covariance_fit(resid, y, grid, phi_grid=DEFAULT_PHI_GRID):
+    """The covariance fit on the full (I L)-by-m stacked NNLS design.
+
+    Returns the unclipped variance scales and the decay rates, found by
+    the same shared-then-cyclic search with the strict ``<`` rule.
+    """
+    lags, covs, counts = pairwise_covariogram(resid, grid)
+    keep = lags <= 0.5 * lags[-1]
+    lags, covs, counts = lags[keep], covs[:, keep], counts[keep]
+    row_weights = np.tile(np.sqrt(counts), covs.shape[0])
+    target = covs.ravel() * row_weights
+    y_sq = y ** 2
+    m = y.shape[1]
+
+    def objective(phi_vec):
+        decay = np.exp(-np.outer(lags, phi_vec))
+        design = (y_sq[:, None, :] * decay[None, :, :]).reshape(-1, m)
+        sigma2, rnorm = nnls(design * row_weights[:, None], target)
+        return rnorm, sigma2
+
+    best = (np.inf, None, None)
+    for phi in phi_grid:
+        sse, sigma2 = objective(np.full(m, phi))
+        if sse < best[0]:
+            best = (sse, sigma2, np.full(m, phi))
+    for ell in range(m if m > 1 else 0):
+        for phi in phi_grid:
+            candidate = best[2].copy()
+            candidate[ell] = phi
+            sse, sigma2 = objective(candidate)
+            if sse < best[0]:
+                best = (sse, sigma2, candidate)
+    return best[1], best[2]
 
 
 def equal_norm_rows(num_samples, num_analytes=2):

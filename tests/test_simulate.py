@@ -6,6 +6,7 @@ from specal.calibrate import fit_ols
 from specal.errors import InvalidParameterError
 from specal.methods import FitSpec, Strategy, make_strategy
 from specal.model import assemble_design
+from specal.predict import jackknife_sd
 from specal.simulate import (
     STRONG_PHI,
     WEAK_PHI,
@@ -297,3 +298,28 @@ class TestStrategyFastPaths:
         assert len(calls) == 2
         for i, fitted in folds.items():
             npt.assert_array_equal(fitted.coefficients, want_folds[i])
+
+    @pytest.mark.parametrize("method,evaluations", [
+        ("ols-k", 1), ("ols-ss", 1), ("gls-k", 2),
+    ])
+    def test_jackknife_evaluates_basis_once(self, monkeypatch, method,
+                                            evaluations):
+        # The held-out predictions share the basis evaluation of the design
+        # (or of the GLS system) that the folds hold; GLS-K also evaluates
+        # it once for its pilot OLS fit, which is done before the folds.
+        from specal import basis
+
+        cfg = SimConfig(seed=10, num_samples=8, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        want = jackknife_sd(spectra, conc, FitSpec(method=method))
+        calls = []
+        original = basis.design_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(basis, "design_matrix", counting)
+        got = jackknife_sd(spectra, conc, FitSpec(method=method))
+        assert len(calls) == evaluations
+        npt.assert_array_equal(got, want)
