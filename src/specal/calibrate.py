@@ -7,13 +7,17 @@ basis design, the normal equations split into per-eigenvector blocks
 basis pair once per design (the Demmler-Reinsch basis, in which the basis
 Gram ``C`` and the penalty ``R`` are both diagonal), so each block is
 diagonal for every ``lam`` and every fold.  Its ``solve`` costs two small
-matrix products after an eigendecomposition of the concentration Gram,
-and the smoother trace is a sum of ratios.  OLS (``R = 0``), penalized
-fits, GCV scores, lambda selection and leave-one-out refits (Gram
-downdates) all go through it, and ``_gcv`` holds the one GCV formula.
+matrix products after an eigendecomposition of the concentration Gram;
+its ``gcv`` (the one GCV formula) reads the RSS and the smoother trace
+off that spectrum, so scoring a ``lam`` forms no coefficient matrix.  OLS
+(``R = 0``), penalized fits, GCV scores, lambda selection and
+leave-one-out refits (Gram downdates) all go through it.
+
 GLS fits and their leave-one-out refits share one whitened assembly,
-``_WhitenedSystem``.  Explicit matrix inversion is never used, only
-Cholesky factorizations and symmetric eigendecompositions.
+``_WhitenedSystem``, which applies each sample's inverse Cholesky factor
+by the innovations (Kalman) recursion of its noise process, with no
+T-by-T matrix.  Explicit matrix inversion is never used: the dense
+solves are Cholesky factorizations and symmetric eigendecompositions.
 """
 
 from __future__ import annotations
@@ -60,7 +64,13 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Per-analyte exponential-decay noise covariance parameters."""
+    """Per-analyte exponential-decay noise covariance parameters.
+
+    Sample ``i``'s covariance ``sum_k y_ik^2 sigma2_k exp(-phi_k |t - t'|)``
+    is that of ``m`` independent exponential (Ornstein-Uhlenbeck)
+    processes, an ``m``-state Markov process along the grid; GLS whitens
+    with its recursion (``_whiten``), never with the dense matrix.
+    """
 
     sigma2: np.ndarray
     phi: np.ndarray
@@ -93,30 +103,6 @@ class CovarianceModel:
         for s2, ph, y in zip(self.sigma2, self.phi, y_row):
             cov += (y * y) * s2 * np.exp(-ph * dist)
         return cov
-
-    def sample_covariances(self, grid: np.ndarray,
-                           y: np.ndarray) -> Iterator[np.ndarray]:
-        """:meth:`sample_covariance` of each row of ``y``, bit for bit.
-
-        The decays are evaluated once per distinct site distance and each
-        sample mixes them in the same operation order; its matrix is then
-        gathered through one shared lag index.  No per-sample distance
-        matrix or exponential is formed and no T-by-T decay matrix is held.
-        """
-        grid = np.asarray(grid, dtype=float)
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        if y.shape[1] != self.num_analytes:
-            raise ShapeError("concentration row length does not match analytes")
-        dist = np.abs(grid[:, None] - grid[None, :])
-        lags = np.unique(dist)
-        index = np.searchsorted(lags, dist)
-        del dist
-        decays = np.exp(-self.phi[:, None] * lags)       # (m, lags)
-        for row in y:
-            mixed = np.zeros_like(lags)
-            for weight, decay in zip((row * row) * self.sigma2, decays):
-                mixed += weight * decay
-            yield mixed[index]
 
 
 def _demmler_reinsch(b: np.ndarray, r: np.ndarray | None
@@ -175,6 +161,8 @@ class _FactoredSystem:
         self.bw = design.b.T @ self.w.T                      # (K, I): B'W_i columns
         self.F = (design.conc_aug[:-1].T @ self.w) @ design.b  # (m+1, K)
         self.num_rows = design.num_rows
+        self._full = None
+        self._proj_rss = None
 
     def downdated(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         a = self.conc_aug[i]
@@ -182,39 +170,81 @@ class _FactoredSystem:
         f = self.F - np.outer(a, self.bw[:, i])
         return m, f
 
-    def solve(self, lam: float = 0.0, m: np.ndarray | None = None,
-              f: np.ndarray | None = None,
-              trace: bool = False) -> tuple[np.ndarray, float | None]:
-        """Coefficients minimizing the (penalized) stacked objective.
-
-        With ``M = Q diag(d) Q'`` the block of eigenvector ``j`` is
-        ``d_j diag(mu) + lam diag(rho)`` in the basis ``U``, so the
-        coefficients are ``Q ((Q'F U) / (d_j mu_k + lam rho_k)) U'`` and,
-        with ``trace``, the smoother trace is the sum of
-        ``d_j mu_k / (d_j mu_k + lam rho_k)``; otherwise it is None.  For
-        ``lam > 0`` every denominator is at least ``min(d_j, lam)``,
-        since ``mu_k + rho_k = 1``; at ``lam = 0`` a zero ``mu_k`` (a basis
-        the grid cannot resolve) raises.
-        """
-        m = self.M if m is None else m
-        f = self.F if f is None else f
+    def _eigh(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         evals, q = np.linalg.eigh(m)
         if evals[0] <= 1e-12 * max(evals[-1], 1.0):
             raise SingularDesignError(
                 "concentration block is rank deficient after augmentation"
             )
+        return evals, q
+
+    def _check_lambda(self, lam: float) -> None:
         if lam <= 0 and self.mu[0] == 0.0:
             raise SingularDesignError(_SINGULAR_BASIS)
-        scaled = np.outer(evals, self.mu)
-        denom = scaled + lam * self.rho
-        coef = (q @ (((q.T @ f) @ self.u) / denom)) @ self.u.T
-        return coef, (float(np.sum(scaled / denom)) if trace else None)
 
-    def residual_sums(self, coef: np.ndarray) -> float:
-        """Data plus constraint residual sum of squares of a coefficient matrix."""
-        data = _data_rss(self.w, self.conc_aug[:-1], coef, self.b)
-        constraint_curve = (self.conc_aug[-1] @ coef) @ self.b.T
-        return data + float(np.sum(constraint_curve ** 2))
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(d, Q, H = Q'FU)`` of the full system, computed on first use."""
+        if self._full is None:
+            evals, q = self._eigh(self.M)
+            self._full = evals, q, (q.T @ self.F) @ self.u
+        return self._full
+
+    def solve(self, lam: float = 0.0, m: np.ndarray | None = None,
+              f: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients minimizing the (penalized) stacked objective.
+
+        With ``M = Q diag(d) Q'`` the block of eigenvector ``j`` is
+        ``d_j diag(mu) + lam diag(rho)`` in the basis ``U``, so the
+        coefficients are ``Q ((Q'F U) / (d_j mu_k + lam rho_k)) U'``.  For
+        ``lam > 0`` every denominator is at least ``min(d_j, lam)``,
+        since ``mu_k + rho_k = 1``; at ``lam = 0`` a zero ``mu_k`` (a basis
+        the grid cannot resolve) raises.  ``m`` and ``f`` replace ``M`` and
+        ``F`` for a fold.
+        """
+        if m is None:
+            evals, q, h = self._spectrum()
+        else:
+            evals, q = self._eigh(m)
+            h = (q.T @ f) @ self.u
+        self._check_lambda(lam)
+        denom = np.outer(evals, self.mu) + lam * self.rho
+        return (q @ (h / denom)) @ self.u.T
+
+    def _projection_rss(self) -> float:
+        """Direct (data plus constraint) RSS of the fit ``H / (d_j mu_k)``
+        on the entries with ``d_j mu_k > 0``, taken once."""
+        if self._proj_rss is None:
+            evals, q, h = self._spectrum()
+            scaled = np.outer(evals, self.mu)
+            theta = np.divide(h, scaled, out=np.zeros_like(h), where=scaled > 0)
+            coef = (q @ theta) @ self.u.T
+            data = _data_rss(self.w, self.conc_aug[:-1], coef, self.b)
+            constraint_curve = (self.conc_aug[-1] @ coef) @ self.b.T
+            self._proj_rss = data + float(np.sum(constraint_curve ** 2))
+        return self._proj_rss
+
+    def gcv(self, lam: float) -> tuple[float, float, float | None]:
+        """(RSS, hat trace, GCV score) at ``lam`` from the spectrum alone.
+
+        With ``dmu = d_j mu_k``, the fit at ``lam`` shrinks entry ``H_jk``
+        of ``H = Q'FU`` by ``dmu / (dmu + lam rho_k)`` relative to the
+        projection, so its RSS is the projection's plus
+        ``sum H^2 (lam rho)^2 / (dmu (dmu + lam rho)^2)`` over the entries
+        with ``dmu > 0`` (``H`` vanishes where ``dmu = 0``).  The hat trace
+        is ``sum dmu / (dmu + lam rho)``.  No coefficient matrix is formed.
+        The score ``n RSS / (n - trace)^2`` is None once the trace reaches n.
+        """
+        evals, _, h = self._spectrum()
+        self._check_lambda(lam)
+        scaled = np.outer(evals, self.mu)
+        shrink = lam * self.rho
+        denom = scaled + shrink
+        trace = float(np.sum(scaled / denom))
+        seen = scaled > 0
+        excess = (h * (shrink / denom))[seen] ** 2 / scaled[seen]
+        rss = self._projection_rss() + float(np.sum(excess))
+        n = self.num_rows
+        return rss, trace, (n * rss / (n - trace) ** 2 if trace < n else None)
 
 
 def _factored(design: AggregatedDesign, penalty: np.ndarray | None) -> _FactoredSystem:
@@ -236,14 +266,6 @@ def _data_rss(w: np.ndarray, rows: np.ndarray, coef: np.ndarray,
     return float(np.sum((w - (rows @ coef) @ b.T) ** 2))
 
 
-def _gcv(system: _FactoredSystem, coef: np.ndarray,
-         trace: float) -> tuple[float, float, float | None]:
-    """(RSS, hat trace, GCV score); the score is None once the trace reaches n."""
-    rss = system.residual_sums(coef)
-    n = system.num_rows
-    return rss, trace, (n * rss / (n - trace) ** 2 if trace < n else None)
-
-
 def _diagnostics(coef: np.ndarray, b: np.ndarray, rss: float, trace: float,
                  gcv: float | None = None) -> FitDiagnostics:
     constraint_curve = coef[1:].sum(axis=0) @ b.T
@@ -263,11 +285,10 @@ def fit_ols(design: AggregatedDesign, diagnostics: bool = True) -> CalibrationMo
             "cannot support this many basis functions"
         )
     system = _factored(design, None)
-    coef, _ = system.solve()
+    coef = system.solve()
     diag = None
     if diagnostics:
-        diag = _diagnostics(coef, design.b,
-                            *_gcv(system, coef, float(design.num_coefficients)))
+        diag = _diagnostics(coef, design.b, *system.gcv(0.0))
     return CalibrationModel(
         basis=design.basis,
         coefficients=coef,
@@ -292,10 +313,10 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
     if r.shape != (design.num_basis, design.num_basis):
         raise ShapeError("penalty dimension does not match basis dimension")
     system = _factored(design, r)
-    coef, trace = system.solve(lam=lam, trace=diagnostics)
+    coef = system.solve(lam=lam)
     diag = None
     if diagnostics:
-        diag = _diagnostics(coef, design.b, *_gcv(system, coef, trace))
+        diag = _diagnostics(coef, design.b, *system.gcv(lam))
     return CalibrationModel(
         basis=design.basis,
         coefficients=coef,
@@ -312,8 +333,7 @@ def gcv_score(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float) -> f
     if lam < 0:
         raise InvalidParameterError(f"smoothing parameter must be >= 0, got {lam}")
     system = _factored(design, penalty.entries)
-    coef, trace = system.solve(lam=lam, trace=True)
-    _, _, score = _gcv(system, coef, trace)
+    _, trace, score = system.gcv(lam)
     if score is None:
         raise DegenerateGcvError(
             f"smoother trace {trace:.3f} reaches the number of rows "
@@ -334,8 +354,7 @@ def select_lambda(design: AggregatedDesign, penalty: PenaltyMatrix,
     system = _factored(design, penalty.entries)
     best_lam, best_score = None, np.inf
     for lam in grid:
-        coef, trace = system.solve(lam=float(lam), trace=True)
-        _, _, score = _gcv(system, coef, trace)
+        _, _, score = system.gcv(float(lam))
         if score is not None and score <= best_score:
             best_lam, best_score = float(lam), score
     if best_lam is None:
@@ -353,7 +372,7 @@ def loo_coefficients(design: AggregatedDesign, penalty: PenaltyMatrix | None = N
     system = _factored(design, None if penalty is None else penalty.entries)
     for i in range(design.num_samples):
         m, f = system.downdated(i)
-        yield i, system.solve(lam=lam, m=m, f=f)[0]
+        yield i, system.solve(lam=lam, m=m, f=f)
 
 
 def _uniform_lags(grid: np.ndarray) -> np.ndarray | None:
@@ -487,28 +506,91 @@ def fit_covariance(residuals: np.ndarray, concentrations, grid: np.ndarray,
     return CovarianceModel(sigma2=sigma2, phi=grid_phi[best_picks], clipped=clipped)
 
 
-def _whitening_factor(cov_matrix: np.ndarray, jitter_scale: float) -> np.ndarray:
-    try:
-        return sla.cholesky(cov_matrix, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    bumped = cov_matrix + (1e-8 * jitter_scale) * np.eye(cov_matrix.shape[0])
-    try:
-        return sla.cholesky(bumped, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise CovarianceConditioningError(
-            "per-sample covariance block is not positive definite even after "
-            "diagonal jitter"
-        ) from None
+def _innovation_gains(variances: np.ndarray, rates: np.ndarray, noise: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kalman gains and innovation variances of each sample's noise process.
+
+    State ``k`` of sample ``i`` has stationary variance ``c = variances[i,
+    k]`` and decays by ``a = exp(-rates[n, k])`` into site ``n`` (rate
+    ``inf`` at the first site: the stationary law).  The noise is the sum
+    of the states plus white noise of variance ``noise``.  At each site the
+    state covariance ``P`` (m, m, I) is predicted, ``P <- a a' o P +
+    diag(c (1 - a^2))``, then updated: ``S = 1'P1 + noise``, ``g = P1 / S``,
+    ``P <- P - g (P1)'``.  Returns ``g`` (T, m, I), ``S`` (T, I) and, per
+    sample, whether every ``S`` is finite and positive.
+    """
+    num, m = variances.shape
+    decay = np.exp(-rates)
+    steps = (decay[:, :, None] * decay[:, None, :])[..., None]      # (T, m, m, 1)
+    fresh = -np.expm1(-2.0 * rates)[:, :, None] * variances.T       # (T, m, I)
+    gains = np.empty(fresh.shape)
+    scales = np.empty((decay.shape[0], num))
+    # Samples run along the last axis, so the sums over states add whole rows.
+    state = np.zeros((m, m, num))
+    diagonal = state.reshape(m * m, num)[::m + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(decay.shape[0]):
+            state *= steps[n]
+            diagonal += fresh[n]
+            p1 = state.sum(axis=1)
+            s = p1.sum(axis=0) + noise
+            g = p1 / s
+            state -= g[:, None, :] * p1[None, :, :]
+            gains[n] = g
+            scales[n] = s
+    ok = np.all(np.isfinite(scales) & (scales > 0), axis=0)
+    return gains, scales, ok
+
+
+def _whiten(cols: np.ndarray, grid: np.ndarray, y: np.ndarray,
+            cov: CovarianceModel) -> None:
+    """Replace ``cols[:, i]`` (T, I, J) by ``L_i^-1 cols[:, i]``, in place.
+
+    ``L_i`` is the Cholesky factor of sample ``i``'s noise covariance on
+    the increasing ``grid``.  The filter of :func:`_innovation_gains` run
+    over a column gives its innovations; scaled by ``1/sqrt(S)`` they are
+    ``L_i^-1`` times the column (the innovations are the Cholesky
+    factorization in grid order), at ``O(T m^2)`` per column.  A sample
+    whose ``S`` is not positive somewhere (a blank sample's covariance is
+    zero) is filtered again against its covariance plus ``1e-8
+    mean(sigma2)`` on the diagonal; if that fails too,
+    ``CovarianceConditioningError``.
+    """
+    variances = (y * y) * cov.sigma2
+    rates = np.vstack([np.full(cov.num_analytes, np.inf),
+                       np.outer(np.diff(grid), cov.phi)])
+    gains, scales, ok = _innovation_gains(variances, rates, 0.0)
+    if not np.all(ok):
+        retry = ~ok
+        jitter = 1e-8 * float(np.mean(cov.sigma2))
+        gains[:, :, retry], scales[:, retry], ok = _innovation_gains(
+            variances[retry], rates, jitter)
+        if not np.all(ok):
+            raise CovarianceConditioningError(
+                "per-sample covariance block is not positive definite even "
+                "after diagonal jitter"
+            )
+    decay = np.exp(-rates)[:, :, None, None]
+    gains = gains[..., None]
+    roots = np.sqrt(scales)[..., None]
+    state = np.zeros((cov.num_analytes,) + cols.shape[1:])        # (m, I, J)
+    for n in range(cols.shape[0]):
+        state *= decay[n]
+        innovation = cols[n] - state.sum(axis=0)
+        state += gains[n] * innovation
+        np.divide(innovation, roots[n], out=cols[n])
 
 
 class _WhitenedSystem:
     """Whitened GLS normal equations, kept per sample and in total.
 
-    Holds each sample's Gram block and right-hand side, their sums and,
-    with ``augment``, the sum-to-zero constraint Gram (identity noise
-    weight) added to the total.  Fold downdates subtract one sample's
-    pieces, the GLS counterpart of :meth:`_FactoredSystem.downdated`.
+    Each sample's basis columns and spectrum are whitened by
+    :func:`_whiten`.  Holds each sample's whitened K-by-K Gram ``G_i`` and
+    K-vector ``h_i``, the totals ``sum_i (r_i r_i') kron G_i`` and
+    ``sum_i r_i kron h_i`` (``r_i = (1, y_i)``) and, with ``augment``, the
+    sum-to-zero constraint Gram (identity noise weight) added to the total.
+    Fold downdates subtract one sample's term, the GLS counterpart of
+    :meth:`_FactoredSystem.downdated`.
     """
 
     def __init__(self, spectra: SpectraSet, concentrations: ConcentrationMatrix,
@@ -518,29 +600,32 @@ class _WhitenedSystem:
             raise ShapeError("covariance model analyte count does not match Y")
         b = cached_design_matrix(kv, spectra.grid)
         y = concentrations.values
-        w = spectra.absorbance
-        jitter_scale = float(np.mean(cov.sigma2))
+        k = kv.num_basis
+        cols = np.empty((spectra.num_wavelengths, y.shape[0], k + 1))
+        cols[:, :, :k] = b[:, None, :]
+        cols[:, :, k] = spectra.absorbance.T
+        _whiten(cols, spectra.grid, y, cov)
+        cols = cols.transpose(1, 2, 0)                        # (I, K+1, T)
+        full = cols @ cols.transpose(0, 2, 1)                 # (I, K+1, K+1)
+        self.grams = full[:, :k, :k]
+        self.rhs_parts = full[:, :k, k]
         rows = np.column_stack([np.ones(y.shape[0]), y])
-        self.grams = []
-        self.rhs_parts = []
-        for i, sigma in enumerate(cov.sample_covariances(spectra.grid, y)):
-            chol = _whitening_factor(sigma, jitter_scale)
-            zb = sla.solve_triangular(chol, b, lower=True, check_finite=False)
-            zw = sla.solve_triangular(chol, w[i], lower=True, check_finite=False)
-            self.grams.append(np.kron(np.outer(rows[i], rows[i]), zb.T @ zb))
-            self.rhs_parts.append(np.kron(rows[i], zb.T @ zw))
-        self.gram = np.sum(self.grams, axis=0)
-        self.rhs = np.sum(self.rhs_parts, axis=0)
+        size = rows.shape[1] * k
+        self.gram = np.einsum("ia,ib,ikl->akbl", rows, rows, self.grams,
+                              optimize=True).reshape(size, size)
+        self.rhs = (rows.T @ self.rhs_parts).ravel()
         if augment:
             e = np.zeros(concentrations.num_analytes + 1)
             e[1:] = np.sqrt(constraint_weight)
             self.gram = self.gram + np.kron(np.outer(e, e), b.T @ b)
         self.b = b
         self.rows = rows
-        self.num_basis = kv.num_basis
+        self.num_basis = k
 
     def downdated(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.gram - self.grams[i], self.rhs - self.rhs_parts[i]
+        r = self.rows[i]
+        return (self.gram - np.kron(np.outer(r, r), self.grams[i]),
+                self.rhs - np.kron(r, self.rhs_parts[i]))
 
     def solve(self, gram: np.ndarray | None = None,
               rhs: np.ndarray | None = None) -> np.ndarray:

@@ -65,7 +65,14 @@ def predict_concentrations(model: CalibrationModel, spectra: SpectraSet,
     pinned to that value, which also restores well-posedness when the
     analyte curves sum to zero.
     """
-    baseline, a = _analyte_matrix(model, spectra)
+    return _solve_concentrations(*_analyte_matrix(model, spectra), spectra,
+                                 sum_to)
+
+
+def _solve_concentrations(baseline: np.ndarray, a: np.ndarray,
+                          spectra: SpectraSet,
+                          sum_to: float | None) -> np.ndarray:
+    """:func:`predict_concentrations` given the baseline and analyte curves."""
     m = a.shape[1]
     resid = spectra.absorbance - baseline[None, :]
     singular = np.linalg.svd(a, compute_uv=False)
@@ -98,9 +105,9 @@ def prediction_report(model: CalibrationModel, spectra: SpectraSet,
     s = np.asarray(s, dtype=float).ravel()
     if s.size != model.num_analytes:
         raise ShapeError("jackknife spread vector length does not match analytes")
-    y_hat = predict_concentrations(model, spectra, sum_to=sum_to)
-    intervals = confidence_intervals(y_hat, s, c)
     baseline, a = _analyte_matrix(model, spectra)
+    y_hat = _solve_concentrations(baseline, a, spectra, sum_to)
+    intervals = confidence_intervals(y_hat, s, c)
     fitted = baseline[None, :] + y_hat @ a.T
     residual_norms = np.linalg.norm(spectra.absorbance - fitted, axis=1)
     outside = np.any((y_hat < 0) | (y_hat > 1), axis=1)

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import nnls
 
 from specal.basis import design_matrix, make_knots, penalty_matrix
@@ -8,6 +10,7 @@ from specal.calibrate import (
     DEFAULT_PHI_GRID,
     CovarianceModel,
     _uniform_lags,
+    _whiten,
     empirical_covariogram,
     fit_covariance,
     fit_gls,
@@ -19,6 +22,7 @@ from specal.calibrate import (
     select_lambda,
 )
 from specal.errors import (
+    CovarianceConditioningError,
     DegenerateCovarianceError,
     DegenerateGcvError,
     InvalidParameterError,
@@ -339,6 +343,20 @@ class TestDemmlerReinsch:
             hat = np.trace(x @ np.linalg.solve(gram, x.T))
             assert model.diagnostics.hat_trace == pytest.approx(hat, rel=1e-9)
 
+    def test_gcv_rss_matches_direct_residual(self):
+        # The RSS read off the spectrum (projection RSS plus the shrinkage
+        # terms) equals the residual of the solved coefficients, on the
+        # singular smoothing-spline design and on a full-rank one.
+        spline, spline_pen = self.make()
+        small, kv = small_design(np.random.default_rng(41), num_samples=5)
+        for design, pen in ((spline, spline_pen), (small, penalty_matrix(kv))):
+            x, w = design.x_plus, design.w_plus
+            for lam in (1e-4, 0.3, 1.0, 1e3, 1e8):
+                model = fit_penalized(design, pen, lam)
+                resid = w - x @ model.coefficients.ravel()
+                assert model.diagnostics.rss == pytest.approx(resid @ resid,
+                                                              rel=1e-10)
+
     def test_lambda_zero_on_singular_gram_raises(self):
         design, pen = self.make()
         with pytest.raises(SingularDesignError):
@@ -603,19 +621,36 @@ class TestGls:
             ols_err += np.sum((ols_coef - coef) ** 2)
         assert gls_err <= ols_err
 
-    def test_shared_lag_covariances_equal_per_sample(self):
-        # The GLS assembly's shared-lag covariances are the per-sample
-        # formula bit for bit, on a grid with repeated and unique lags.
-        rng = np.random.default_rng(28)
-        grid = np.concatenate([np.linspace(0.0, 5.0, 11),
-                               np.sort(rng.uniform(5.1, 10.0, 9))])
-        y = rng.uniform(0.0, 2.0, (5, 3))
-        cov = CovarianceModel(sigma2=np.array([0.5, 2.0, 0.01]),
-                              phi=np.array([0.3, 1.0, 7.0]))
-        shared = list(cov.sample_covariances(grid, y))
-        assert len(shared) == 5
-        for row, sigma in zip(y, shared):
-            npt.assert_array_equal(sigma, cov.sample_covariance(grid, row))
+    def test_blank_sample_takes_jitter_fallback(self):
+        # An all-zero concentration row has a zero noise covariance; that
+        # sample is whitened against 1e-8 mean(sigma2) I instead.
+        spectra, conc, kv, b, _ = self.make(28)
+        y = conc.values.copy()
+        y[3] = 0.0
+        conc = ConcentrationMatrix(values=y)
+        cov = CovarianceModel(sigma2=np.array([0.5, 2.0]), phi=np.array([0.3, 1.0]))
+        model = fit_gls(spectra, conc, kv, cov)
+        jitter = 1e-8 * np.mean(cov.sigma2) * np.eye(spectra.grid.size)
+        blocks, rhs = [], []
+        for i in range(8):
+            sigma = cov.sample_covariance(spectra.grid, y[i])
+            chol = np.linalg.cholesky(sigma + jitter if i == 3 else sigma)
+            xi = np.kron(np.concatenate([[1.0], y[i]])[None, :], b)
+            blocks.append(np.linalg.solve(chol, xi))
+            rhs.append(np.linalg.solve(chol, spectra.absorbance[i]))
+        oracle = np.linalg.lstsq(np.vstack(blocks), np.concatenate(rhs), rcond=None)[0]
+        npt.assert_allclose(model.coefficients.ravel(), oracle,
+                            atol=1e-9 * max(np.abs(oracle).max(), 1.0))
+
+    def test_unwhitenable_sample_raises(self):
+        # A noise variance y^2 sigma2 that overflows to infinity fails the
+        # jitter fallback too.
+        spectra, conc, kv, _, _ = self.make(29)
+        conc = ConcentrationMatrix(values=10.0 * conc.values)
+        cov = CovarianceModel(sigma2=np.array([1e307, 1.0]), phi=np.array([0.3, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(CovarianceConditioningError):
+            fit_gls(spectra, conc, kv, cov)
 
     def test_loo_fast_path_matches_naive(self):
         spectra, conc, kv, _, _ = self.make(26)
@@ -646,3 +681,91 @@ class TestGls:
             fit_gls(spectra, conc, kv, cov)
         model = fit_gls(spectra, conc, kv, cov, augment=True)
         npt.assert_allclose(model.coefficients, coef, atol=0.5)
+
+
+def dense_whitened(cov, grid, y, cols):
+    """``L_i^-1 cols[:, i]`` per sample from the dense covariance's Cholesky."""
+    out = np.empty_like(cols)
+    for i, row in enumerate(y):
+        chol = np.linalg.cholesky(cov.sample_covariance(grid, row))
+        out[:, i] = sla.solve_triangular(chol, cols[:, i], lower=True)
+    return out
+
+
+def recursion_whitened(cov, grid, y, cols):
+    out = cols.copy()
+    _whiten(out, grid, y, cov)
+    return out
+
+
+FINE_GRID = np.arange(350.0, 751.0, 1.0)
+JITTERED_GRID = FINE_GRID + np.random.default_rng(50).uniform(-0.4, 0.4,
+                                                              FINE_GRID.size)
+
+
+class TestInnovationsWhitening:
+    """The innovations recursion against the dense Cholesky whitening.
+
+    At ``phi = 1e-4`` the dense covariance is ill-conditioned and its
+    Cholesky solve carries errors near 1e-10 of the largest entry (the
+    recursion is exact there, see ``test_single_process_closed_form``), so
+    the dense comparison allows 1e-9.
+    """
+
+    @pytest.mark.parametrize("grid", [FINE_GRID, JITTERED_GRID],
+                             ids=["uniform", "jittered"])
+    @pytest.mark.parametrize("phi", [
+        (1e-4,), (0.3,), (7.0,), (1e4,),
+        (1e-4, 0.3), (7.0, 1e4), (0.3, 0.3),
+        (1e-4, 7.0, 1e4), (0.3, 0.3, 7.0),
+    ])
+    def test_matches_dense_cholesky(self, grid, phi):
+        rng = np.random.default_rng(51)
+        m = len(phi)
+        cov = CovarianceModel(sigma2=np.linspace(0.5, 2.0, m), phi=np.array(phi))
+        y = rng.uniform(0.0, 1.5, (3, m))
+        if m > 1:
+            y[0, 0] = 0.0               # one analyte absent from one sample
+        cols = rng.standard_normal((grid.size, 3, 4))
+        want = dense_whitened(cov, grid, y, cols)
+        got = recursion_whitened(cov, grid, y, cols)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("phi", [1e-4, 0.3, 1e4])
+    def test_single_process_closed_form(self, phi):
+        # One exponential process: z_0 = x_0 / sqrt(c) and
+        # z_n = (x_n - a_n x_(n-1)) / sqrt(c (1 - a_n^2)).
+        rng = np.random.default_rng(52)
+        grid = JITTERED_GRID
+        c = 0.7
+        cov = CovarianceModel(sigma2=np.array([c]), phi=np.array([phi]))
+        x = rng.standard_normal(grid.size)
+        a = np.exp(-phi * np.diff(grid))
+        fresh = -np.expm1(-2.0 * phi * np.diff(grid))
+        want = np.concatenate([[x[0] / np.sqrt(c)],
+                               (x[1:] - a * x[:-1]) / np.sqrt(c * fresh)])
+        got = recursion_whitened(cov, grid, np.ones((1, 1)), x[:, None, None])
+        npt.assert_allclose(got[:, 0, 0], want, rtol=0,
+                            atol=1e-13 * np.abs(want).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), num_points=st.integers(2, 60),
+           num_analytes=st.integers(1, 3))
+    def test_random_grids_match_dense_cholesky(self, data, num_points,
+                                               num_analytes):
+        gaps = data.draw(st.lists(st.floats(0.05, 5.0), min_size=num_points - 1,
+                                  max_size=num_points - 1))
+        grid = np.concatenate([[0.0], np.cumsum(gaps)])
+        assume(np.all(np.diff(grid) > 0))
+        log_phi = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=num_analytes,
+                                     max_size=num_analytes))
+        y = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=num_analytes,
+                                        max_size=num_analytes)))
+        assume(np.max(y) > 0.05)
+        cov = CovarianceModel(sigma2=np.linspace(1.0, 2.0, num_analytes),
+                              phi=10.0 ** np.array(log_phi))
+        cols = np.random.default_rng(num_points).standard_normal(
+            (num_points, 1, 3))
+        want = dense_whitened(cov, grid, y[None, :], cols)
+        got = recursion_whitened(cov, grid, y[None, :], cols)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-8 * np.abs(want).max())

@@ -145,6 +145,35 @@ class TestPredictConcentrations:
         assert report.outside_unit_range.tolist() == [True, False]
         npt.assert_allclose(report.y_hat, y_star, atol=1e-8)
 
+    @pytest.mark.parametrize("sum_to", [None, 1.0])
+    def test_report_evaluates_basis_once(self, monkeypatch, sum_to):
+        # The estimates and the residual norms share one evaluation of the
+        # analyte curves, and the report equals its parts bit for bit.
+        from specal import basis
+
+        model, spectra = fitted_model(seed=12)
+        target = new_spectra(model, spectra.grid,
+                             np.array([[0.3, 0.4, 0.3], [0.2, 0.5, 0.3]]),
+                             noise=0.01, rng=np.random.default_rng(13))
+        y_hat = predict_concentrations(model, target, sum_to=sum_to)
+        curves = model.curve_values(target.grid)
+        fitted = curves[0][None, :] + y_hat @ curves[1:]
+        norms = np.linalg.norm(target.absorbance - fitted, axis=1)
+        del curves
+        calls = []
+        original = basis.design_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(basis, "design_matrix", counting)
+        report = prediction_report(model, target, s=np.full(3, 0.05),
+                                   sum_to=sum_to)
+        assert len(calls) == 1
+        npt.assert_array_equal(report.y_hat, y_hat)
+        npt.assert_array_equal(report.residual_norms, norms)
+
 
 class TestJackknife:
     def test_noiseless_gives_negligible_spread(self):
