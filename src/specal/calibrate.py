@@ -631,18 +631,20 @@ class _WhitenedSystem:
               rhs: np.ndarray | None = None) -> np.ndarray:
         gram = self.gram if gram is None else gram
         rhs = self.rhs if rhs is None else rhs
-        evals = np.linalg.eigvalsh(gram)
-        if evals[0] <= 1e-12 * max(evals[-1], 1.0):
+        # Singular when the smallest eigenvalue is at most 1e-12 max(largest,
+        # 1).  From the Cholesky factor, 1/||G^-1||_1 estimates the smallest
+        # and ||G||_1 the largest; a failed factorization is singular too.
+        try:
+            chol = sla.cho_factor(gram, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            chol = None
+        norm = np.abs(gram).sum(axis=0).max()
+        if (chol is None or sla.lapack.dpocon(chol[0], norm, uplo="L")[0] * norm
+                <= 1e-12 * max(norm, 1.0)):
             raise SingularDesignError(
                 "whitened system is singular; closed concentration rows need "
                 "the augmented constraint block (augment=True)"
             )
-        try:
-            chol = sla.cho_factor(gram, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            raise SingularDesignError(
-                "whitened system is not positive definite"
-            ) from None
         beta = sla.cho_solve(chol, rhs, check_finite=False)
         return beta.reshape(-1, self.num_basis)
 

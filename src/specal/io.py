@@ -48,6 +48,12 @@ def _write_table(path, header: list[str], ids, values) -> None:
                 ([sid, *map(_fmt, row)] for sid, row in zip(ids, values)))
 
 
+# Characters of lines left to the cell scan: quotes need csv's unquoting,
+# NUL stops older csv readers, and numpy strips \x1c-\x1f as whitespace
+# where float() refuses them.
+_UNPLAIN = '"\0\x1c\x1d\x1e\x1f'
+
+
 def _read_table(path, numeric=None, numeric_header: bool = False
                 ) -> tuple[list[str], list[str], np.ndarray]:
     """Header names, row ids and float cells of a CSV table.
@@ -61,44 +67,27 @@ def _read_table(path, numeric=None, numeric_header: bool = False
     ``float()`` into one finite array of shape (rows, columns).  A bad cell
     raises ParseError with its 1-based row and column, blank rows not
     counted.
+
+    Tables that numpy's C reader takes whole are read by it: its cells
+    parse with the same routine as ``float()``, to the same bits.  Any
+    other table (quoted cells, ragged rows, cells such as ``1_0`` that only
+    ``float()`` accepts, or a bad cell) is read again by the cell scan,
+    so accepted inputs and error messages do not depend on the reader.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = filter(None, csv.reader(handle))
-            header = next(rows, None)
-            first = next(rows, None)
-            if first is None:
-                raise ParseError(
-                    f"{path}: need a header row and at least one data row")
-            header = [cell.strip() for cell in header]
-            if len(header) < 2:
-                raise ParseError(f"{path}: need at least two columns")
-            columns = range(1, len(header)) if numeric is None else numeric(header)
-            ids = []
-            cells = array("d")
-            numbered = enumerate(chain([header, first], rows), start=1)
-            if not numeric_header:
-                next(numbered)
-            for number, row in numbered:
-                if len(row) != len(header):
-                    raise ParseError(f"{path}: row {number} has {len(row)} "
-                                     f"cells, expected {len(header)}")
-                ids.append(row[0].strip())
-                try:
-                    cells.extend(map(float, [row[j] for j in columns]))
-                except ValueError:
-                    for j in columns:
-                        try:
-                            float(row[j])
-                        except ValueError:
-                            raise ParseError(
-                                f"{path}: non-numeric cell at row {number}, "
-                                f"column {j + 1}: {row[j]!r}") from None
+            table = None
+            if handle.seekable():  # the scan rereads what numpy refuses
+                table = _read_plain(handle, numeric, numeric_header)
+                if table is None:
+                    handle.seek(0)
+            if table is None:
+                table = _scan(path, handle, numeric, numeric_header)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    values = np.frombuffer(cells, dtype=float).reshape(len(ids), len(columns))
+    header, ids, columns, values = table
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, k = bad[0]
@@ -106,6 +95,83 @@ def _read_table(path, numeric=None, numeric_header: bool = False
         raise ParseError(f"{path}: non-finite cell at row {row}, "
                          f"column {columns[k] + 1}")
     return header, ids, values
+
+
+def _read_plain(handle, numeric, numeric_header: bool):
+    """``_scan``'s table through ``np.loadtxt``, or None where it may differ.
+
+    Only lines without quotes and with exactly the header's cell count
+    reach numpy, so splitting at commas gives csv's cells.
+    """
+    # A line holds one terminator, at its end, so one that starts with it
+    # is a terminator alone: a row csv reads as empty.
+    lines = (line for line in handle if line[0] not in "\r\n")
+    head = next(lines, "")
+    first = next(lines, None)
+    header = [cell.strip() for cell in head.rstrip("\r\n").split(",")]
+    if first is None or len(header) < 2 or not _plain(head):
+        return None
+    columns = range(1, len(header)) if numeric is None else numeric(header)
+    # Reading every column, numpy checks that each row is as long as the
+    # first; with usecols it drops extra cells, so rows are counted here.
+    usecols = None if columns == range(len(header)) else columns
+    ids = []
+
+    def rows():
+        for line in chain([head] if numeric_header else [], [first], lines):
+            if not _plain(line) or (usecols is not None
+                                    and line.count(",") != len(header) - 1):
+                raise ValueError("not a plain row")
+            ids.append(line.partition(",")[0].strip())
+            yield line
+
+    try:
+        values = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2,
+                            usecols=usecols)
+    except ValueError:
+        return None
+    if values.shape[1] != len(columns):
+        return None
+    return header, ids, columns, values
+
+
+def _plain(line: str) -> bool:
+    return not any(char in line for char in _UNPLAIN)
+
+
+def _scan(path, handle, numeric, numeric_header: bool):
+    """``_read_table``'s cells through csv and ``float()``, one row at a time."""
+    rows = filter(None, csv.reader(handle))
+    header = next(rows, None)
+    first = next(rows, None)
+    if first is None:
+        raise ParseError(f"{path}: need a header row and at least one data row")
+    header = [cell.strip() for cell in header]
+    if len(header) < 2:
+        raise ParseError(f"{path}: need at least two columns")
+    columns = range(1, len(header)) if numeric is None else numeric(header)
+    ids = []
+    cells = array("d")
+    numbered = enumerate(chain([header, first], rows), start=1)
+    if not numeric_header:
+        next(numbered)
+    for number, row in numbered:
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {number} has {len(row)} "
+                             f"cells, expected {len(header)}")
+        ids.append(row[0].strip())
+        try:
+            cells.extend(map(float, [row[j] for j in columns]))
+        except ValueError:
+            for j in columns:
+                try:
+                    float(row[j])
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric cell at row {number}, "
+                        f"column {j + 1}: {row[j]!r}") from None
+    values = np.frombuffer(cells, dtype=float).reshape(len(ids), len(columns))
+    return header, ids, columns, values
 
 
 def _unique_ids(path, ids) -> None:
@@ -322,12 +388,14 @@ def save_predictions(report, ids, path) -> None:
     for name in report.analytes:
         header += [name, f"{name}_lo", f"{name}_hi"]
     header += ["residual_norm", "outside_unit_range"]
-    # Per analyte: estimate, lower bound, upper bound.
+    # Per analyte: estimate, lower bound, upper bound.  repr of the Python
+    # floats from tolist() is _fmt, without a numpy scalar per cell.
     estimates = np.concatenate([report.y_hat[:, :, None], report.intervals], axis=2)
     _write_rows(path, header, (
-        [ids[j], *map(_fmt, estimates[j].ravel()), _fmt(report.residual_norms[j]),
-         str(bool(report.outside_unit_range[j])).lower()]
-        for j in range(report.y_hat.shape[0])
+        [sid, *map(repr, row), repr(norm), str(outside).lower()]
+        for sid, row, norm, outside in zip(
+            ids, estimates.reshape(len(estimates), -1).tolist(),
+            report.residual_norms.tolist(), report.outside_unit_range.tolist())
     ))
 
 

@@ -11,6 +11,7 @@ from specal.calibrate import (
     CovarianceModel,
     _uniform_lags,
     _whiten,
+    _WhitenedSystem,
     empirical_covariogram,
     fit_covariance,
     fit_gls,
@@ -681,6 +682,24 @@ class TestGls:
             fit_gls(spectra, conc, kv, cov)
         model = fit_gls(spectra, conc, kv, cov, augment=True)
         npt.assert_allclose(model.coefficients, coef, atol=0.5)
+
+    @pytest.mark.parametrize("eigenvalues, singular", [
+        ([4.0, 1e-9], False), ([4.0, 1e-14], True), ([1e-3, 1e-11], False),
+        ([1e-3, 1e-13], True), ([1e-20, 1e-20], True), ([4.0, 0.0], True),
+    ])
+    def test_singular_guard_threshold(self, eigenvalues, singular):
+        # Singular when the smallest eigenvalue is at most 1e-12 max(largest, 1).
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        gram = (q * np.repeat(eigenvalues, 2)) @ q.T
+        system = _WhitenedSystem.__new__(_WhitenedSystem)
+        system.num_basis = 2
+        if singular:
+            with pytest.raises(SingularDesignError, match="augment=True"):
+                system.solve(gram, np.ones(4))
+        else:
+            npt.assert_allclose(system.solve(gram, np.ones(4)).ravel(),
+                                np.linalg.solve(gram, np.ones(4)), rtol=1e-6)
 
 
 def dense_whitened(cov, grid, y, cols):

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import numpy as np
@@ -161,6 +162,76 @@ def test_loader_accepts_whitespace_padded_number(tmp_path, loader):
     assert load(path) == 0.25
 
 
+# Cells that float() reads and numpy's reader refuses go through the scan.
+@pytest.mark.parametrize("loader", sorted(LOADER_TABLES))
+@pytest.mark.parametrize("cell, value", [
+    ("1_0", 10.0), ('"0.25"', 0.25), ("١", 1.0), ('"0.25\r"', 0.25),
+], ids=["underscore", "quoted", "arabic-indic", "quoted-cr"])
+def test_loader_reads_cells_only_float_accepts(tmp_path, loader, cell, value):
+    template, load = LOADER_TABLES[loader]
+    path = tmp_path / "table.csv"
+    path.write_text(template.format(x=cell), newline="")
+    assert load(path) == value
+
+
+LINE_ENDINGS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "blank-lines": lambda text: text.replace("\n", "\n\n\r\n"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADER_TABLES))
+@pytest.mark.parametrize("ending", sorted(LINE_ENDINGS))
+def test_plain_tables_skip_the_cell_scan(tmp_path, monkeypatch, loader, ending):
+    template, load = LOADER_TABLES[loader]
+    path = tmp_path / "table.csv"
+    path.write_text(LINE_ENDINGS[ending](template.format(x="0.25")), newline="")
+    monkeypatch.setattr(io, "_scan", None)
+    assert load(path) == 0.25
+
+
+@pytest.mark.parametrize("loader", sorted(LOADER_TABLES))
+@pytest.mark.parametrize("ending", sorted(LINE_ENDINGS))
+def test_cell_faults_keep_their_position_across_line_endings(tmp_path, loader,
+                                                             ending):
+    template, load = LOADER_TABLES[loader]
+    path = tmp_path / "table.csv"
+    path.write_text(LINE_ENDINGS[ending](template.format(x="oops")), newline="")
+    with pytest.raises(ParseError,
+                       match="non-numeric cell at row 3, column 2: 'oops'"):
+        load(path)
+
+
+@pytest.mark.parametrize("loader", sorted(LOADER_TABLES))
+def test_information_separator_is_not_whitespace(tmp_path, loader):
+    # numpy strips \x1c-\x1f around a number; float() refuses them.
+    template, load = LOADER_TABLES[loader]
+    path = tmp_path / "table.csv"
+    path.write_text(template.format(x="0.25\x1c"))
+    with pytest.raises(ParseError,
+                       match=r"non-numeric cell at row 3, column 2: '0.25\\x1c'"):
+        load(path)
+
+
+# A trailing extra cell lies outside the columns read, where a column
+# subset would silently drop it; rows that all carry one are ragged too.
+@pytest.mark.parametrize("text, load, message", [
+    ("sample,a,b\ns1,0.5,0.5\ns2,0.25,0.75,0.1\n", io.load_concentrations,
+     "row 3 has 4 cells, expected 3"),
+    ("sample,a,flag\np1,0.1,yes\np2,0.2,no,extra\n",
+     lambda path: io.load_value_table(path, columns=("a",)),
+     "row 3 has 4 cells, expected 3"),
+    ("wavelength,s1\n1.0,0.5,0.1\n2.0,0.4,0.3\n", io.load_spectra,
+     "row 2 has 3 cells, expected 2"),
+], ids=["concentrations", "value-table", "wide-every-row"])
+def test_row_with_an_extra_trailing_cell_is_ragged(tmp_path, text, load, message):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load(path)
+
+
 def test_transposed_ids_are_stripped_and_match_concentrations(tmp_path):
     spectra_path = tmp_path / "flipped.csv"
     spectra_path.write_text("sample,1.0,2.0,3.0\n p1 ,0.5,0.1,0.2\np2 ,0.3,0.2,0.3\n")
@@ -169,6 +240,27 @@ def test_transposed_ids_are_stripped_and_match_concentrations(tmp_path):
     spectra = io.load_spectra(spectra_path, transpose=True)
     assert spectra.sample_ids == ("p1", "p2")
     conc = io.load_concentrations(conc_path, spectra)
+    npt.assert_array_equal(conc.values, [[0.5, 0.5], [0.25, 0.75]])
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_table_from_a_pipe_is_read_once(tmp_path):
+    read_end, write_end = os.pipe()
+    os.write(write_end, b'sample,a,b\ns1,"0.5",0.5\ns2,0.25,0.75\n')
+    os.close(write_end)
+    try:
+        conc = io.load_concentrations(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    npt.assert_array_equal(conc.values, [[0.5, 0.5], [0.25, 0.75]])
+
+
+def test_quoted_names_and_ids_are_unquoted(tmp_path):
+    path = tmp_path / "conc.csv"
+    path.write_text('"sample","a","b"\n"s1",0.5,0.5\n"s2",0.25,0.75\n')
+    conc = io.load_concentrations(path)
+    assert conc.sample_ids == ("s1", "s2")
+    assert conc.analytes == ("a", "b")
     npt.assert_array_equal(conc.values, [[0.5, 0.5], [0.25, 0.75]])
 
 

@@ -3,14 +3,22 @@
 Reordering the calibration samples changes nothing a functional fit
 reports, and measuring the concentrations in other units (``y -> c y``,
 with the closure total becoming ``c``) scales every prediction and every
-jackknife spread by ``c``.
+jackknife spread by ``c``.  The CSV loaders read a table to the same bits,
+or fail with the same message, whichever of their two readers takes it.
 """
+
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from specal import io
+from specal.errors import ParseError
 from specal.methods import FitSpec, make_strategy
 from specal.model import ConcentrationMatrix, SpectraSet
 from specal.predict import jackknife_sd
@@ -84,3 +92,75 @@ def test_covariance_scales_inversely_with_units(c):
         spectra, ConcentrationMatrix(values=c * conc.values), kv)
     npt.assert_array_equal(cov_c.phi, cov.phi)
     npt.assert_allclose(cov_c.sigma2, cov.sigma2 / c ** 2, rtol=1e-8)
+
+
+# Table layouts as (header and rows from a value matrix, loader).  The
+# first cell of each row is an id, or a wavelength written exactly.
+LAYOUTS = {
+    "wide": (lambda rows, cols: (["wavelength", *(f"s{j}" for j in range(cols))],
+                                 [[str(1000 + i)] for i in range(rows)]),
+             lambda path: _spectra_bits(io.load_spectra(path))),
+    "transposed": (lambda rows, cols: (["sample", *(str(1000 + j) for j in range(cols))],
+                                       [[f"p{i}"] for i in range(rows)]),
+                   lambda path: _spectra_bits(io.load_spectra(path, transpose=True))),
+    "concentrations": (lambda rows, cols: (["sample", *(f"a{j}" for j in range(cols))],
+                                           [[f"s{i}"] for i in range(rows)]),
+                       lambda path: _concentration_bits(io.load_concentrations(path))),
+    "value-table": (lambda rows, cols: (["sample", "flag", *(f"a{j}" for j in range(cols))],
+                                        [[f"p{i}", "yes"] for i in range(rows)]),
+                    lambda path: _value_table_bits(path)),
+}
+FORMATS = [repr, "%.17g".__mod__, "%.3e".__mod__]
+# Cells the scan refuses: words, blanks, non-finite values, an extra cell,
+# and numpy-only whitespace.
+CORRUPT = ["oops", "", "nan", "-inf", "1e999", "0.5,0.5", "0.5\x1c", "1 2"]
+
+
+def _spectra_bits(spectra):
+    return spectra.sample_ids, spectra.grid.tobytes(), spectra.absorbance.tobytes()
+
+
+def _concentration_bits(conc):
+    return conc.sample_ids, conc.analytes, conc.values.tobytes()
+
+
+def _value_table_bits(path):
+    with open(path, encoding="utf-8") as handle:
+        names = handle.readline().strip().split(",")[2:]
+    ids, columns, values = io.load_value_table(path, columns=tuple(reversed(names)))
+    return ids, columns, np.ascontiguousarray(values).tobytes()
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:negative concentration values")
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@settings(max_examples=40, deadline=None)
+@given(values=arrays(float, st.tuples(st.integers(2, 6), st.integers(2, 5)),
+                     elements=st.floats(-1e300, 1e300)),
+       fmt=st.sampled_from(FORMATS), pad=st.sampled_from(["", " ", "  "]),
+       newline=st.sampled_from(["\n", "\r\n"]),
+       corrupt=st.none() | st.tuples(st.integers(0, 35), st.integers(0, 35),
+                                     st.sampled_from(CORRUPT)))
+def test_numpy_reader_matches_cell_scan(layout, values, fmt, pad, newline, corrupt):
+    table, load = LAYOUTS[layout]
+    header, rows = table(*values.shape)
+    for row, numbers in zip(rows, values.tolist()):
+        row += [f"{pad}{fmt(v)}{pad}" for v in numbers]
+    if corrupt is not None:
+        i, j, cell = corrupt
+        rows[i % len(rows)][-1 - j % values.shape[1]] = cell
+    text = "".join(",".join(row) + newline for row in [header, *rows])
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "table.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        both = _outcome(load, path)
+        with mock.patch.object(io, "_read_plain", lambda *args: None):
+            scan = _outcome(load, path)
+    assert both == scan
+    assert (both[0] == "ParseError") == (corrupt is not None)
