@@ -79,40 +79,39 @@ class PenaltyMatrix:
         object.__setattr__(self, "entries", entries)
 
 
-def make_knots(domain: tuple[float, float], num_basis: int,
-               order: int = DEFAULT_ORDER) -> KnotVector:
-    """Clamped knot vector on ``domain`` with uniform interior knots.
+def make_knots(domain: tuple[float, float], num_basis: int) -> KnotVector:
+    """Clamped cubic knot vector on ``domain`` with uniform interior knots.
 
-    Boundary knots get multiplicity ``order``; the remaining
-    ``num_basis - order`` knots are spaced evenly inside the domain.
+    Boundary knots get multiplicity four; the remaining ``num_basis - 4``
+    knots are spaced evenly inside the domain.
     """
     a, b = float(domain[0]), float(domain[1])
     if a >= b:
         raise InvalidDomainError(f"domain must satisfy A < B, got [{a}, {b}]")
+    order = DEFAULT_ORDER
     if num_basis < order:
         raise InvalidBasisError(
             f"num_basis must be at least order ({order}), got {num_basis}"
         )
     interior = np.linspace(a, b, num_basis - order + 2)[1:-1]
-    knots = np.concatenate([np.full(order, a), interior, np.full(order, b)])
-    return KnotVector(knots, order)
+    return KnotVector(np.concatenate([np.full(order, a), interior,
+                                      np.full(order, b)]))
 
 
-def knots_from_grid(grid: np.ndarray, order: int = DEFAULT_ORDER) -> KnotVector:
-    """Smoothing-spline knots: every observation site is a knot.
+def knots_from_grid(grid: np.ndarray) -> KnotVector:
+    """Cubic smoothing-spline knots: every observation site is a knot.
 
-    The first and last sites become boundary knots of multiplicity
-    ``order``, so the dimension is ``len(grid) - 2 + order``.
+    The first and last sites become boundary knots of multiplicity four,
+    so the dimension is ``len(grid) + 2``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise InvalidGridError("grid must hold at least two sites")
     if np.any(np.diff(grid) <= 0):
         raise InvalidGridError("grid sites must be strictly increasing")
-    knots = np.concatenate(
-        [np.full(order, grid[0]), grid[1:-1], np.full(order, grid[-1])]
-    )
-    return KnotVector(knots, order)
+    order = DEFAULT_ORDER
+    return KnotVector(np.concatenate([np.full(order, grid[0]), grid[1:-1],
+                                      np.full(order, grid[-1])]))
 
 
 def _padded(knots: np.ndarray, order: int) -> tuple[np.ndarray, int]:

@@ -46,7 +46,7 @@ from .model import (
     closure_total,
 )
 
-DEFAULT_PHI_GRID = np.logspace(-4, 1, 50)
+PHI_GRID = np.logspace(-4, 1, 50)
 DEFAULT_LAMBDA_GRID = np.logspace(-4, 8, 25)
 _SINGULAR_BASIS = ("basis block is singular; the grid cannot resolve this many "
                    "basis functions (try a penalty or fewer knots)")
@@ -301,7 +301,7 @@ def fit_ols(design: AggregatedDesign, diagnostics: bool = True) -> CalibrationMo
 
 
 def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
-                  diagnostics: bool = True, method: str = "OLS-SS") -> CalibrationModel:
+                  diagnostics: bool = True) -> CalibrationModel:
     """Penalized least squares with curvature penalty on every curve.
 
     All coefficient blocks, the baseline included, are penalized alike.
@@ -320,7 +320,7 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
     return CalibrationModel(
         basis=design.basis,
         coefficients=coef,
-        method=method,
+        method="OLS-SS",
         lam=float(lam),
         analytes=design.concentrations.analyte_names(),
         diagnostics=diag,
@@ -434,27 +434,27 @@ def empirical_covariogram(residuals: np.ndarray, grid: np.ndarray
     return lags, sums / counts, counts
 
 
-def fit_covariance(residuals: np.ndarray, concentrations, grid: np.ndarray,
-                   phi_grid: np.ndarray | None = None, refine: bool = True,
-                   max_lag_fraction: float = 0.5) -> CovarianceModel:
+def fit_covariance(residuals: np.ndarray, concentrations,
+                   grid: np.ndarray) -> CovarianceModel:
     """Least squares fit of the exponential covariance to lag covariances.
 
     Sample ``i``'s covariogram at lag ``l`` is modelled as
-    ``sum_k y_ik^2 sigma2_k exp(-phi_k l)``.  Lags beyond
-    ``max_lag_fraction`` of the span are dropped and the rest weighted by
-    the square root of their pair count: long-lag covariogram values
-    average few pairs and would otherwise dominate the fit with noise.
+    ``sum_k y_ik^2 sigma2_k exp(-phi_k l)``.  Lags beyond half the span are
+    dropped and the rest weighted by the square root of their pair count:
+    long-lag covariogram values average few pairs and would otherwise
+    dominate the fit with noise.
 
-    The decay rates are searched on a log grid (one shared value first,
-    then one cyclic per-analyte refinement sweep; a candidate replaces the
-    best only when strictly better).  At every candidate the variance
-    scales solve a nonnegative least-squares problem.  Its stacked design
-    has one block of rows per sample, ``y_i^2`` times the weighted decays,
-    so with the thin QR ``Y^2 = Q R0`` (taken once) the problem reduces to
-    ``min(I, m)`` blocks, ``R0`` rows times the decays, against ``Q'``
-    times the weighted covariogram.  The residual norm of the full problem
-    is ``sqrt(rnorm^2 + c)``, where ``c`` is the squared target norm that
-    ``Q`` does not see.
+    The decay rates are searched on ``PHI_GRID``, 50 log-spaced values
+    from 1e-4 to 10 (one shared value first, then one cyclic per-analyte
+    refinement sweep; a candidate replaces the best only when strictly
+    better).  At every candidate the
+    variance scales solve a nonnegative least-squares problem.  Its stacked
+    design has one block of rows per sample, ``y_i^2`` times the weighted
+    decays, so with the thin QR ``Y^2 = Q R0`` (taken once) the problem
+    reduces to ``min(I, m)`` blocks, ``R0`` rows times the decays, against
+    ``Q'`` times the weighted covariogram.  The residual norm of the full
+    problem is ``sqrt(rnorm^2 + c)``, where ``c`` is the squared target norm
+    that ``Q`` does not see.
     """
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     if residuals.shape[0] < 2:
@@ -466,11 +466,8 @@ def fit_covariance(residuals: np.ndarray, concentrations, grid: np.ndarray,
     if y.shape[0] != residuals.shape[0]:
         raise ShapeError("concentration rows must match residual rows")
     m = y.shape[1]
-    grid_phi = DEFAULT_PHI_GRID if phi_grid is None else np.asarray(phi_grid, float)
-    if np.any(grid_phi <= 0):
-        raise InvalidParameterError("phi grid entries must be positive")
     lags, covs, counts = empirical_covariogram(residuals, grid)
-    keep = lags <= max_lag_fraction * lags[-1]
+    keep = lags <= 0.5 * lags[-1]
     lags, covs, counts = lags[keep], covs[:, keep], counts[keep]
     weights = np.sqrt(counts)
     target = covs * weights                         # (I, L)
@@ -478,7 +475,7 @@ def fit_covariance(residuals: np.ndarray, concentrations, grid: np.ndarray,
     reduced_target = (q.T @ target).ravel()
     unseen = max(float(np.sum(target ** 2) - reduced_target @ reduced_target),
                  0.0)
-    decays = np.exp(-np.outer(grid_phi, lags)) * weights        # (phis, L)
+    decays = np.exp(-np.outer(PHI_GRID, lags)) * weights        # (phis, L)
 
     def objective(picks: np.ndarray) -> tuple[float, np.ndarray]:
         # Row (j, l), column k of the reduced design: r0[j, k] decays[picks[k], l].
@@ -489,13 +486,13 @@ def fit_covariance(residuals: np.ndarray, concentrations, grid: np.ndarray,
     best_sse = np.inf
     best_picks = None
     best_sigma2 = None
-    for p in range(grid_phi.size):
+    for p in range(PHI_GRID.size):
         sse, sigma2 = objective(np.full(m, p))
         if sse < best_sse:
             best_sse, best_picks, best_sigma2 = sse, np.full(m, p), sigma2
-    if refine and m > 1:
+    if m > 1:
         for ell in range(m):
-            for p in range(grid_phi.size):
+            for p in range(PHI_GRID.size):
                 candidate = best_picks.copy()
                 candidate[ell] = p
                 sse, sigma2 = objective(candidate)
@@ -503,7 +500,7 @@ def fit_covariance(residuals: np.ndarray, concentrations, grid: np.ndarray,
                     best_sse, best_picks, best_sigma2 = sse, candidate, sigma2
     clipped = bool(np.any(best_sigma2 < 1e-12))
     sigma2 = np.maximum(best_sigma2, 1e-12)
-    return CovarianceModel(sigma2=sigma2, phi=grid_phi[best_picks], clipped=clipped)
+    return CovarianceModel(sigma2=sigma2, phi=PHI_GRID[best_picks], clipped=clipped)
 
 
 def _innovation_gains(variances: np.ndarray, rates: np.ndarray, noise: float
@@ -598,6 +595,10 @@ class _WhitenedSystem:
                  constraint_weight: float):
         if concentrations.num_analytes != cov.num_analytes:
             raise ShapeError("covariance model analyte count does not match Y")
+        if augment and not 0 <= constraint_weight < np.inf:
+            raise InvalidParameterError(
+                "constraint weight must be finite and nonnegative, got "
+                f"{constraint_weight}")
         b = cached_design_matrix(kv, spectra.grid)
         y = concentrations.values
         k = kv.num_basis

@@ -140,6 +140,8 @@ def _load_pair(args) -> tuple[SpectraSet, ConcentrationMatrix]:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.curve_points < 1:
+        raise InvalidParameterError("--curve-points must be at least 1")
     spectra, conc = _load_pair(args)
     spec = _fit_spec(args)
     strategy = make_strategy(spec)
@@ -196,8 +198,7 @@ def _match_analytes(model, names: tuple[str, ...], source) -> None:
 
 def _cmd_predict(args) -> int:
     model = io.load_model(args.model)
-    spectra = io.load_spectra(args.spectra, transpose=args.transpose,
-                              role="prediction")
+    spectra = io.load_spectra(args.spectra, transpose=args.transpose)
     if args.s_file:
         s_names, s = io.load_spread(args.s_file)
         _match_analytes(model, s_names, args.s_file)
@@ -290,8 +291,10 @@ def _manifest_payload(cfg: SimConfig, args, extra: dict) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    out_dir = io.ensure_dir(args.out_dir)
     cfg = _scenario_config(args)
+    if args.study == "dataset" and args.prediction_samples < 1:
+        raise InvalidParameterError("--prediction-samples must be at least 1")
+    out_dir = io.ensure_dir(args.out_dir)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.study == "dataset":
         spectra, conc, truth = generate_dataset(cfg)
@@ -305,8 +308,7 @@ def _cmd_simulate(args) -> int:
         pred_ids = tuple(f"p{j + 1}" for j in range(args.prediction_samples))
         io.save_spectra(
             SpectraSet(grid=pred_spectra.grid,
-                       absorbance=pred_spectra.absorbance,
-                       role="prediction", sample_ids=pred_ids),
+                       absorbance=pred_spectra.absorbance, sample_ids=pred_ids),
             out_dir / "pred_spectra.csv",
         )
         io.save_concentrations(

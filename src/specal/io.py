@@ -181,7 +181,7 @@ def _unique_ids(path, ids) -> None:
         raise AlignmentError(f"{path}: repeated sample ids {repeated}")
 
 
-def load_spectra(path, transpose: bool = False, role: str = "calibration") -> SpectraSet:
+def load_spectra(path, transpose: bool = False) -> SpectraSet:
     """Wide-format CSV: ``wavelength`` column then one column per sample.
 
     ``transpose=True`` accepts the flipped layout (one row per sample,
@@ -209,8 +209,7 @@ def load_spectra(path, transpose: bool = False, role: str = "calibration") -> Sp
             f"violation after entry {bad} ({grid[bad - 1]} -> {grid[bad]})"
         )
     try:
-        return SpectraSet(grid=grid, absorbance=matrix, role=role,
-                          sample_ids=tuple(ids))
+        return SpectraSet(grid=grid, absorbance=matrix, sample_ids=tuple(ids))
     except ShapeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

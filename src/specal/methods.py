@@ -61,7 +61,6 @@ class FitSpec:
     constraint_weight: float = 1.0
     gls_augment: bool | str = "auto"
     covariance_per_fold: bool = False
-    phi_grid: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         method = self.method.lower()
@@ -82,11 +81,7 @@ def resolve_sum_to(sum_to: float | str | None,
 
 def _subset(spectra: SpectraSet, concentrations: ConcentrationMatrix,
             keep: np.ndarray) -> tuple[SpectraSet, ConcentrationMatrix]:
-    sub_spec = SpectraSet(
-        grid=spectra.grid,
-        absorbance=spectra.absorbance[keep],
-        role=spectra.role,
-    )
+    sub_spec = SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[keep])
     sub_conc = ConcentrationMatrix(
         values=concentrations.values[keep],
         analytes=concentrations.analytes,
@@ -148,8 +143,7 @@ class FunctionalStrategy(Strategy):
         resid = spectra.absorbance - (
             (design.conc_aug[:-1] @ pilot.coefficients) @ design.b.T
         )
-        return fit_covariance(resid, concentrations, spectra.grid,
-                              phi_grid=self.spec.phi_grid)
+        return fit_covariance(resid, concentrations, spectra.grid)
 
     def fit(self, spectra: SpectraSet,
             concentrations: ConcentrationMatrix) -> CalibrationModel:
@@ -251,19 +245,6 @@ def make_strategy(spec: FitSpec) -> Strategy:
     if spec.method in FUNCTIONAL_METHODS:
         return FunctionalStrategy(spec)
     return MultivariateStrategy(spec)
-
-
-def resolve_strategy(fit_config) -> Strategy:
-    """Accept a ready strategy, a FitSpec, or a method name."""
-    if isinstance(fit_config, Strategy):
-        return fit_config
-    if isinstance(fit_config, FitSpec):
-        return make_strategy(fit_config)
-    if isinstance(fit_config, str):
-        return make_strategy(FitSpec(method=fit_config))
-    raise InvalidParameterError(
-        f"cannot interpret fit configuration {fit_config!r}"
-    )
 
 
 # Canonical study method table: names as used in the comparison studies.

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import KnotVector, cached_design_matrix
-from .errors import CollinearConcentrationsError, ShapeError
-
-ROLE_CALIBRATION = "calibration"
-ROLE_PREDICTION = "prediction"
+from .errors import CollinearConcentrationsError, InvalidParameterError, ShapeError
 
 
 def closure_total(values) -> float | None:
@@ -55,7 +52,6 @@ class SpectraSet:
 
     grid: np.ndarray
     absorbance: np.ndarray
-    role: str = ROLE_CALIBRATION
     sample_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -188,7 +184,6 @@ class AggregatedDesign:
     spectra: SpectraSet
     concentrations: ConcentrationMatrix
     basis: KnotVector
-    constraint_weight: float = 1.0
 
     @property
     def num_samples(self) -> int:
@@ -253,8 +248,10 @@ def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
             f"{spectra.num_samples} spectra but "
             f"{concentrations.num_samples} concentration rows"
         )
-    if constraint_weight < 0:
-        raise ShapeError("constraint weight must be nonnegative")
+    if not 0 <= constraint_weight < np.inf:
+        raise InvalidParameterError(
+            "constraint weight must be finite and nonnegative, got "
+            f"{constraint_weight}")
     y = concentrations.values
     m = concentrations.num_analytes
     b = cached_design_matrix(kv, spectra.grid)
@@ -279,7 +276,6 @@ def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
         spectra=spectra,
         concentrations=concentrations,
         basis=kv,
-        constraint_weight=float(constraint_weight),
     )
 
 

@@ -124,8 +124,9 @@ def prediction_report(model: CalibrationModel, spectra: SpectraSet,
 
 def confidence_intervals(y_hat: np.ndarray, s: np.ndarray, c: float = 1.96) -> np.ndarray:
     """Elementwise ``y_hat +- c * s`` as a (J, m, 2) array."""
-    if c <= 0:
-        raise InvalidParameterError(f"interval multiplier must be positive, got {c}")
+    if not 0 < c < np.inf:
+        raise InvalidParameterError(
+            f"interval multiplier must be finite and positive, got {c}")
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
     s = np.asarray(s, dtype=float).ravel()
     if s.size != y_hat.shape[1]:
@@ -152,11 +153,8 @@ class _HeldOutErrors:
 
     def add(self, i: int, fitted) -> None:
         """Predict held-out sample ``i`` from ``fitted``, the fold-``i`` model."""
-        held_out = SpectraSet(
-            grid=self.spectra.grid,
-            absorbance=self.spectra.absorbance[i:i + 1],
-            role="prediction",
-        )
+        held_out = SpectraSet(grid=self.spectra.grid,
+                              absorbance=self.spectra.absorbance[i:i + 1])
         try:
             y_hat = self.strategy.predict_fitted(fitted, held_out)
         except Exception as exc:  # noqa: BLE001 - rewrapped with fold context
@@ -173,16 +171,16 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
                       fit_configs) -> list[np.ndarray | SpecalError]:
     """Leave-one-out spreads of several predictors on one calibration set.
 
-    Entry ``k`` is the spread :func:`jackknife_sd` gives ``fit_configs[k]``,
-    or the error that stopped that configuration; a failing configuration
-    leaves the others running.  Functional methods run their own
-    leave-one-out paths one after another.  The multivariate baselines share
-    one pass over the folds, which decomposes each fold's data once for all
-    of them.
+    Entry ``k`` is the spread :func:`jackknife_sd` gives the FitSpec
+    ``fit_configs[k]``, or the error that stopped that configuration; a
+    failing configuration leaves the others running.  Functional methods
+    run their own leave-one-out paths one after another.  The multivariate
+    baselines share one pass over the folds, which decomposes each fold's
+    data once for all of them.
     """
-    from .methods import MultivariateStrategy, resolve_strategy
+    from .methods import MultivariateStrategy, make_strategy
 
-    strategies = [resolve_strategy(config) for config in fit_configs]
+    strategies = [make_strategy(config) for config in fit_configs]
     if spectra.num_samples != concentrations.num_samples:
         return [ShapeError("spectra and concentrations disagree on sample "
                            "count")] * len(strategies)
@@ -235,8 +233,8 @@ def jackknife_sd(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     """Leave-one-out spread of the concentration predictor.
 
     For each calibration sample the model is refitted without it (same
-    method and tuning as ``fit_config``), the held-out sample predicted,
-    and the squared errors averaged with 1/I normalization.
+    method and tuning as the FitSpec ``fit_config``), the held-out sample
+    predicted, and the squared errors averaged with 1/I normalization.
     """
     spread, = jackknife_spreads(spectra, concentrations, [fit_config])
     if isinstance(spread, SpecalError):

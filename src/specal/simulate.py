@@ -41,7 +41,7 @@ _NOISE_STREAM = 1
 _PRED_STREAM = 2
 
 # Prediction design for the bias/variance experiment: four closed samples.
-DEFAULT_PREDICTION_DESIGN = np.array([
+PREDICTION_DESIGN = np.array([
     [0.4, 0.1, 0.5],
     [0.2, 0.3, 0.5],
     [0.1, 0.4, 0.5],
@@ -114,8 +114,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.grid_step <= 0 or self.grid_end <= self.grid_start:
             raise InvalidParameterError("grid specification is not increasing")
-        if self.alpha <= 0 or self.sigma2 <= 0 or self.phi <= 0:
-            raise InvalidParameterError("alpha, sigma2 and phi must be positive")
+        if not all(0 < v < np.inf for v in (self.alpha, self.sigma2, self.phi)):
+            raise InvalidParameterError(
+                "alpha, sigma2 and phi must be finite and positive")
         if self.num_samples < self.curves.num_analytes + 1:
             raise InvalidParameterError(
                 "need more samples than analytes for calibration"
@@ -136,12 +137,8 @@ class SimTruth:
     """Exact generating quantities kept for scoring."""
 
     basis: KnotVector
-    coefficients: np.ndarray
     curve_values: np.ndarray
-    concentrations: np.ndarray
     config: SimConfig
-    noise_stream: int
-    conc_stream: int
 
 
 def sample_dirichlet(rng: np.random.Generator, num_samples: int,
@@ -179,6 +176,16 @@ def sample_gp(rng: np.random.Generator, grid: np.ndarray, sigma2: float,
     return chol @ rng.standard_normal(len(np.asarray(grid)))
 
 
+def _noise(cfg: SimConfig, rows: int, *path: int) -> np.ndarray:
+    """``rows`` noise curves on ``cfg.grid``; row ``j`` is the GP Cholesky
+    factor times the normal draws of stream ``(seed, *path, j)``."""
+    chol = gp_cholesky(cfg.grid, cfg.sigma2, cfg.phi)
+    return np.vstack([
+        chol @ _stream(cfg.seed, *path, j).standard_normal(chol.shape[0])
+        for j in range(rows)
+    ])
+
+
 def generate_dataset(cfg: SimConfig, noise_stream: int = 0,
                      conc_stream: int = 0
                      ) -> tuple[SpectraSet, ConcentrationMatrix, SimTruth]:
@@ -197,42 +204,22 @@ def generate_dataset(cfg: SimConfig, noise_stream: int = 0,
                          1, cfg.alpha, m)
         for i in range(cfg.num_samples)
     ])
-    chol = gp_cholesky(grid, cfg.sigma2, cfg.phi)
-    noise = np.vstack([
-        chol @ _stream(cfg.seed, _NOISE_STREAM, noise_stream, i)
-        .standard_normal(grid.size)
-        for i in range(cfg.num_samples)
-    ])
+    noise = _noise(cfg, cfg.num_samples, _NOISE_STREAM, noise_stream)
     absorbance = curve_values[0][None, :] + y @ curve_values[1:] + noise
-    spectra = SpectraSet(grid=grid, absorbance=absorbance, role="calibration")
-    conc = ConcentrationMatrix(values=y)
-    truth = SimTruth(
-        basis=kv,
-        coefficients=coef,
-        curve_values=curve_values,
-        concentrations=y,
-        config=cfg,
-        noise_stream=noise_stream,
-        conc_stream=conc_stream,
-    )
-    return spectra, conc, truth
+    spectra = SpectraSet(grid=grid, absorbance=absorbance)
+    truth = SimTruth(basis=kv, curve_values=curve_values, config=cfg)
+    return spectra, ConcentrationMatrix(values=y), truth
 
 
 def prediction_spectra(truth: SimTruth, y_star: np.ndarray, *path: int) -> SpectraSet:
     """Fresh prediction curves for the given concentration rows."""
     cfg = truth.config
-    grid = cfg.grid
     y_star = np.atleast_2d(np.asarray(y_star, dtype=float))
-    chol = gp_cholesky(grid, cfg.sigma2, cfg.phi)
-    noise = np.vstack([
-        chol @ _stream(cfg.seed, _PRED_STREAM, *path, j)
-        .standard_normal(grid.size)
-        for j in range(y_star.shape[0])
-    ])
+    noise = _noise(cfg, y_star.shape[0], _PRED_STREAM, *path)
     absorbance = (
         truth.curve_values[0][None, :] + y_star @ truth.curve_values[1:] + noise
     )
-    return SpectraSet(grid=grid, absorbance=absorbance, role="prediction")
+    return SpectraSet(grid=cfg.grid, absorbance=absorbance)
 
 
 def _ordered_map(func, arg_tuples: list[tuple], jobs: int) -> list:
@@ -360,7 +347,6 @@ class BiasVarianceResult:
     failures: dict[str, int]
     learning_sets: int
     prediction_reps: int
-    prediction_design: np.ndarray
     config: SimConfig
 
     def rows(self) -> list[tuple]:
@@ -407,7 +393,6 @@ def _bias_variance_set(cfg: SimConfig, methods: dict[str, FitSpec],
 def run_bias_variance_study(cfg: SimConfig,
                             methods: Iterable[str] | Mapping[str, FitSpec],
                             learning_sets: int = 40, prediction_reps: int = 5,
-                            prediction_design: np.ndarray | None = None,
                             jobs: int = 1) -> BiasVarianceResult:
     """Independent learning sets, repeated prediction draws per set.
 
@@ -415,12 +400,12 @@ def run_bias_variance_study(cfg: SimConfig,
     replicates anchors both accumulators: variability sums squared
     deviations of predictions from that mean, squared bias sums squared
     deviations of the mean from the true concentrations.  Sums run over
-    learning sets, replicates and prediction rows, one total per analyte.
+    learning sets, replicates and the rows of ``PREDICTION_DESIGN``, one
+    total per analyte.
     """
     if learning_sets < 1 or prediction_reps < 1:
         raise InvalidParameterError("learning sets and replicates must be >= 1")
-    y_star = (DEFAULT_PREDICTION_DESIGN if prediction_design is None
-              else np.atleast_2d(np.asarray(prediction_design, dtype=float)))
+    y_star = PREDICTION_DESIGN
     if y_star.shape[1] != cfg.num_analytes:
         raise ShapeError("prediction design columns must match analyte count")
     resolved = _resolve_methods(methods)
@@ -451,6 +436,5 @@ def run_bias_variance_study(cfg: SimConfig,
         failures=failures,
         learning_sets=learning_sets,
         prediction_reps=prediction_reps,
-        prediction_design=y_star,
         config=cfg,
     )

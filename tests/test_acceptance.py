@@ -189,16 +189,14 @@ def test_criterion_3_prediction_oracle():
 
         y_star = np.array([[0.2, 0.3, 0.5]])
         exact = SpectraSet(grid=grid,
-                           absorbance=curves[0] + y_star @ curves[1:],
-                           role="prediction")
+                           absorbance=curves[0] + y_star @ curves[1:])
         npt.assert_allclose(predict_concentrations(model, exact), y_star,
                             atol=1e-10)
 
         for _ in range(20):
             w = (curves[0] + rng.uniform(0, 1, 3) @ curves[1:]
                  + 0.4 * rng.standard_normal(grid.size))
-            target = SpectraSet(grid=grid, absorbance=w[None, :],
-                                role="prediction")
+            target = SpectraSet(grid=grid, absorbance=w[None, :])
             y_hat = predict_concentrations(model, target)[0]
 
             def objective(y):

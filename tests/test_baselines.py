@@ -81,8 +81,7 @@ def naive_jackknife_sd(spectra, conc, spec):
     sq_sum = np.zeros(conc.num_analytes)
     for i, fitted in Strategy.jackknife_fits(strategy, spectra, conc):
         held_out = SpectraSet(grid=spectra.grid,
-                              absorbance=spectra.absorbance[i:i + 1],
-                              role="prediction")
+                              absorbance=spectra.absorbance[i:i + 1])
         sq_sum += (y[i] - strategy.predict_fitted(fitted, held_out)[0]) ** 2
     return np.sqrt(sq_sum / spectra.num_samples)
 

@@ -7,7 +7,7 @@ from scipy.optimize import nnls
 
 from specal.basis import design_matrix, make_knots, penalty_matrix
 from specal.calibrate import (
-    DEFAULT_PHI_GRID,
+    PHI_GRID,
     CovarianceModel,
     _uniform_lags,
     _whiten,
@@ -510,7 +510,7 @@ def pairwise_covariogram(resid, grid):
     return np.array(lags), covs, counts
 
 
-def stacked_covariance_fit(resid, y, grid, phi_grid=DEFAULT_PHI_GRID):
+def stacked_covariance_fit(resid, y, grid, phi_grid=PHI_GRID):
     """The covariance fit on the full (I L)-by-m stacked NNLS design.
 
     Returns the unclipped variance scales and the decay rates, found by
@@ -682,6 +682,13 @@ class TestGls:
             fit_gls(spectra, conc, kv, cov)
         model = fit_gls(spectra, conc, kv, cov, augment=True)
         npt.assert_allclose(model.coefficients, coef, atol=0.5)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
+    def test_augment_weight_must_be_finite_and_nonnegative(self, weight):
+        spectra, conc, kv, _, _ = self.make(31)
+        cov = CovarianceModel(sigma2=np.array([1.0, 1.0]), phi=np.array([0.5, 0.5]))
+        with pytest.raises(InvalidParameterError, match="constraint weight"):
+            fit_gls(spectra, conc, kv, cov, augment=True, constraint_weight=weight)
 
     @pytest.mark.parametrize("eigenvalues, singular", [
         ([4.0, 1e-9], False), ([4.0, 1e-14], True), ([1e-3, 1e-11], False),

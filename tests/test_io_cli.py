@@ -284,8 +284,7 @@ class TestModelIo:
         path = tmp_path / "model.json"
         io.save_model(model, path)
         loaded = io.load_model(path)
-        target = SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[:3],
-                            role="prediction")
+        target = SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[:3])
         a = predict_concentrations(model, target, sum_to=1.0)
         b = predict_concentrations(loaded, target, sum_to=1.0)
         npt.assert_allclose(a, b, atol=1e-12)
@@ -463,8 +462,7 @@ class TestCli:
         model = io.load_model(model_path)
         expected = predict_concentrations(
             model,
-            SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance,
-                       role="prediction"),
+            SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance),
             sum_to=1.0,
         )
         npt.assert_allclose(written, expected, atol=1e-15)
@@ -551,6 +549,39 @@ class TestCli:
             assert code == 1
             assert capsys.readouterr().err.startswith("error[alignment]:")
         assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--c", "nan"], ["predict", "--c", "inf"],
+    ["calibrate", "--constraint-weight", "nan"],
+    ["calibrate", "--constraint-weight", "inf"],
+    ["calibrate", "--constraint-weight", "-1"],
+    ["calibrate", "--curve-points", "-1"],
+    ["simulate", "--prediction-samples", "0"],
+    ["simulate", "--prediction-samples", "-1"],
+    ["simulate", "--sigma2", "nan"], ["simulate", "--phi", "inf"],
+], ids=" ".join)
+def test_out_of_range_number_exits_before_writing(dataset, tmp_path, capsys, argv):
+    _, _, _, spath, cpath = dataset
+    cal = ["--spectra", str(spath), "--concentrations", str(cpath),
+           "--method", "ols-k"]
+    model, spread = tmp_path / "model.json", tmp_path / "s.csv"
+    assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
+    assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+    inputs = sorted(tmp_path.iterdir())
+    out = str(tmp_path / "out")
+    command, *flag = argv
+    required = {
+        "predict": ["--model", str(model), "--spectra", str(spath),
+                    "--s-file", str(spread), "--out", out],
+        "calibrate": [*cal, "--model-out", out,
+                      "--curves-out", str(tmp_path / "curves.csv")],
+        "simulate": ["--study", "dataset", "--samples", "6", "--out-dir", out],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *required, *flag]) == 1
+    assert capsys.readouterr().err.startswith("error[invalid-parameter]:")
+    assert sorted(tmp_path.iterdir()) == inputs
 
 
 def test_repeated_concentration_id_exits_with_alignment_error(dataset, tmp_path,

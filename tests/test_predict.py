@@ -41,7 +41,7 @@ def new_spectra(model, grid, y_rows, noise=None, rng=None):
     w = curves[0][None, :] + np.atleast_2d(y_rows) @ curves[1:]
     if noise:
         w = w + noise * rng.standard_normal(w.shape)
-    return SpectraSet(grid=grid, absorbance=w, role="prediction")
+    return SpectraSet(grid=grid, absorbance=w)
 
 
 class TestPredictConcentrations:
@@ -57,8 +57,7 @@ class TestPredictConcentrations:
         curves = model.curve_values(spectra.grid)
         rng = np.random.default_rng(2)
         w = curves[0] + 0.4 * curves[1] + 0.2 * rng.standard_normal(curves[0].size)
-        target = SpectraSet(grid=spectra.grid, absorbance=w[None, :],
-                            role="prediction")
+        target = SpectraSet(grid=spectra.grid, absorbance=w[None, :])
         y_hat = predict_concentrations(model, target)
         expected = (w - curves[0]) @ curves[1] / (curves[1] @ curves[1])
         assert y_hat[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -70,8 +69,7 @@ class TestPredictConcentrations:
         for trial in range(5):
             w = (curves[0] + rng.uniform(0, 1, 3) @ curves[1:]
                  + 0.3 * rng.standard_normal(curves[0].size))
-            target = SpectraSet(grid=spectra.grid, absorbance=w[None, :],
-                                role="prediction")
+            target = SpectraSet(grid=spectra.grid, absorbance=w[None, :])
             y_hat = predict_concentrations(model, target)[0]
 
             def objective(y):
@@ -93,12 +91,10 @@ class TestPredictConcentrations:
         )
         delta = np.array([0.13, -0.2, 0.05])
         base = predict_concentrations(
-            model, SpectraSet(grid=spectra.grid, absorbance=w[None, :],
-                              role="prediction"))
+            model, SpectraSet(grid=spectra.grid, absorbance=w[None, :]))
         shifted = predict_concentrations(
             model, SpectraSet(grid=spectra.grid,
-                              absorbance=(w + delta @ curves[1:])[None, :],
-                              role="prediction"))
+                              absorbance=(w + delta @ curves[1:])[None, :]))
         npt.assert_allclose(shifted - base, delta[None, :], atol=1e-10)
 
     def test_normal_equation_orthogonality(self):
@@ -108,8 +104,7 @@ class TestPredictConcentrations:
         w = curves[0] + rng.uniform(0, 1, 3) @ curves[1:] + rng.standard_normal(
             curves[0].size
         )
-        target = SpectraSet(grid=spectra.grid, absorbance=w[None, :],
-                            role="prediction")
+        target = SpectraSet(grid=spectra.grid, absorbance=w[None, :])
         y_hat = predict_concentrations(model, target)[0]
         a = curves[1:].T
         score = a.T @ (w - curves[0] - a @ y_hat)
@@ -119,8 +114,7 @@ class TestPredictConcentrations:
         rng = np.random.default_rng(9)
         spectra, conc, kv, _ = make_dataset(rng, sum_zero=True, closed=True)
         model = fit_ols(assemble_design(spectra, conc, kv))
-        target = SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[:1],
-                            role="prediction")
+        target = SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[:1])
         with pytest.raises(DegenerateAnalytesError):
             predict_concentrations(model, target)
         y_hat = predict_concentrations(model, target, sum_to=1.0)

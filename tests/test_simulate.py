@@ -136,6 +136,12 @@ class TestGenerateDataset:
         with pytest.raises(InvalidParameterError):
             SimConfig(seed=1, phi=-0.1)
 
+    @pytest.mark.parametrize("name", ["alpha", "sigma2", "phi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_noise_law_must_be_finite(self, name, value):
+        with pytest.raises(InvalidParameterError, match="finite and positive"):
+            SimConfig(**{name: value})
+
 
 class TestJackknifeStudy:
     def test_single_replicate_degenerate_iqr(self):

@@ -50,7 +50,7 @@ def test_coarse_grid_ten_analyte_workflow():
         strategy = make_strategy(spec)
         model = strategy.fit(spectra, conc)
         assert not model.closed_calibration
-        target = SpectraSet(grid=grid, absorbance=w_pred, role="prediction")
+        target = SpectraSet(grid=grid, absorbance=w_pred)
         y_hat = strategy.predict_fitted(model, target)
         report = sep(y_pred, y_hat)
         assert report.overall < 0.05
@@ -71,7 +71,7 @@ def test_unit_constraint_weight_biases_open_positive_curves():
         rng, grid, num_cal=25, num_pred=25, num_analytes=4)
     spectra = SpectraSet(grid=grid, absorbance=w_cal)
     conc = ConcentrationMatrix(values=y_cal)
-    target = SpectraSet(grid=grid, absorbance=w_pred, role="prediction")
+    target = SpectraSet(grid=grid, absorbance=w_pred)
     seps = {}
     for weight in (1.0, 0.0):
         spec = FitSpec(method="ols-k", num_basis=14, constraint_weight=weight)
@@ -98,7 +98,7 @@ def test_fine_grid_three_analyte_workflow(tmp_path):
     path = tmp_path / "model.json"
     io.save_model(model, path)
     loaded = io.load_model(path)
-    target = SpectraSet(grid=grid, absorbance=w_pred, role="prediction")
+    target = SpectraSet(grid=grid, absorbance=w_pred)
     npt.assert_allclose(
         predict_concentrations(model, target),
         predict_concentrations(loaded, target),
