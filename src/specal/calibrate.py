@@ -2,22 +2,28 @@
 
 All solvers work on the Gram form of the stacked system.  Because the
 design is a Kronecker product of a small concentration block with the
-basis design, the normal equations split into per-eigenvector blocks
-``d_j C + lam R`` of basis dimension.  ``_FactoredSystem`` factors the
-basis pair once per design (the Demmler-Reinsch basis, in which the basis
-Gram ``C`` and the penalty ``R`` are both diagonal), so each block is
-diagonal for every ``lam`` and every fold.  Its ``solve`` costs two small
-matrix products after an eigendecomposition of the concentration Gram;
-its ``gcv`` (the one GCV formula) reads the RSS and the smoother trace
-off that spectrum, so scoring a ``lam`` forms no coefficient matrix.  OLS
-(``R = 0``), penalized fits, GCV scores, lambda selection and
-leave-one-out refits (Gram downdates) all go through it.
+basis design, the normal equations split, in the eigenvectors of the
+concentration Gram ``M = Q diag(d) Q'``, into blocks ``d_j C + lam R`` of
+basis dimension K.  The basis Gram ``C = B'B`` and the curvature penalty
+``R`` are banded (half-bandwidth ``p = 3`` for cubic splines), so
+``_FactoredSystem`` keeps only their bands and solves each block with a
+banded Cholesky factorization in ``O(K p^2)``: ``m + 1`` of them per
+lambda and per leave-one-out fold, after an eigendecomposition of the
+``(m+1)``-square ``M``.  GCV takes the hat trace from the band of each
+block's inverse (the Takahashi recursion of ``_selected_inverse``) and
+sums the RSS from residual curves, so scoring the whole lambda grid costs
+``O(L (m+1) K p^2)`` and forms no K-by-K array.  At ``lam = 0`` every
+block is a multiple of ``C``, whose single Cholesky factorization is also
+the check that the grid resolves the basis.  OLS (``R = 0``), penalized
+fits, GCV scores, lambda selection and leave-one-out refits (Gram
+downdates) all go through it.
 
 GLS fits and their leave-one-out refits share one whitened assembly,
 ``_WhitenedSystem``, which applies each sample's inverse Cholesky factor
 by the innovations (Kalman) recursion of its noise process, with no
-T-by-T matrix.  Explicit matrix inversion is never used: the dense
-solves are Cholesky factorizations and symmetric eigendecompositions.
+T-by-T matrix.  No dense inverse is formed: the solves are Cholesky
+factorizations and symmetric eigendecompositions, and GCV uses only the
+band of each block's inverse.
 """
 
 from __future__ import annotations
@@ -105,48 +111,86 @@ class CovarianceModel:
         return cov
 
 
-def _demmler_reinsch(b: np.ndarray, r: np.ndarray | None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simultaneous diagonalization of ``C = B'B`` and the penalty ``R``.
+def _bands(b: np.ndarray, r: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bands of ``C = B'B`` and of the penalty ``R``, in LAPACK storage.
 
-    Returns ``(U, mu, rho)`` with ``U'(C + R)U = I``, ``U'CU = diag(mu)``
-    (ascending) and ``U'RU = diag(rho)``; ``R = None`` stands for zero.
-    ``C + R = L L'`` is Cholesky-factored and ``L^-1 C L^-T``
-    eigendecomposed; ``C`` is released first, so at most four K-by-K arrays
-    are live at once.  ``rho`` comes from ``U'RU`` itself, which keeps small
-    penalty eigenvalues accurate where ``1 - mu`` would cancel.  Both lie in
-    [0, 1]; values at rounding level (1e-12) are exact zeros, directions
-    that ``C`` or ``R`` does not see.  ``C + R`` is positive definite even
-    when ``C`` is singular (more basis functions than grid sites), so only
-    an unresolvable pair fails here.
+    Row ``i`` of each ``(K, p + 1)`` array holds entries ``(i + q, i)`` for
+    ``q = 0 .. p`` (zero past the last row), with ``p`` the half-bandwidth
+    of the pair, at least 1.  ``C[i, j]`` is nonzero only when some grid
+    site sees both functions, so ``p`` for ``C`` is the widest span of
+    nonzero columns in a row of ``B`` (3 for a cubic basis, 2 when every
+    site is a knot), and diagonal ``q`` of ``C`` is the product of ``B``
+    with itself shifted by ``q`` columns, summed over the sites; ``C`` is
+    never formed.  An all-zero row counts as full width.  ``R = None``
+    stands for zero.
     """
-    c = b.T @ b
-    try:
-        chol = sla.cholesky(c if r is None else c + r, lower=True,
-                            check_finite=False)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError(_SINGULAR_BASIS) from None
-    half = sla.solve_triangular(chol, c, lower=True, check_finite=False)
-    del c
-    sym = sla.solve_triangular(chol, half.T, lower=True, check_finite=False)
-    del half
-    mu, v = sla.eigh(sym, overwrite_a=True, check_finite=False, driver="evd")
-    del sym
-    u = sla.solve_triangular(chol, v, lower=True, trans="T", overwrite_b=True,
-                             check_finite=False)
-    rho = np.zeros_like(mu) if r is None else np.einsum("ki,ki->i", u, r @ u)
-    mu[mu <= 1e-12] = 0.0
-    rho[rho <= 1e-12] = 0.0
-    return u, mu, rho
+    k = b.shape[1]
+    seen = b != 0
+    spans = k - 1 - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1)
+    width = max(int(spans.max()), 1)
+    if r is not None:
+        width = max(width, int(np.max(np.arange(k) - (r != 0).argmax(axis=1))))
+    gram = np.zeros((k, width + 1))
+    penalty = np.zeros((k, width + 1))
+    for q in range(width + 1):
+        gram[:k - q, q] = np.einsum("tk,tk->k", b[:, q:], b[:, :k - q])
+        if r is not None:
+            penalty[:k - q, q] = np.diagonal(r, -q)
+    return gram, penalty
+
+
+def _selected_inverse(factors: np.ndarray) -> np.ndarray:
+    """The band of each ``A_s^-1``, from the band Cholesky factor of ``A_s``.
+
+    ``factors`` (S, K, p + 1) holds the lower factors ``A_s = L L'`` in the
+    storage of :func:`_bands`; each row ``i`` is overwritten with ``Z_i,i+q``
+    (``Z = A^-1``, zero past the last column) and the array returned.  The
+    band follows from ``L' Z = L^-1`` (Takahashi, Fagan and Chin 1973),
+    whose right side is lower triangular with diagonal ``1 / L_ii``: for
+    ``i <= j <= i + p``, ``Z_ij = (delta_ij / L_ii - sum_(k=i+1..i+p) L_ki
+    Z_kj) / L_ii``.  Run from ``i = K - 1`` down, row ``i`` needs only the
+    ``p`` rows after it, which have replaced their factor rows by then:
+    ``O(K p^2)`` work per system, vectorised across them, and each
+    system's band depends on no other.
+    """
+    _, k, width = factors.shape
+    # Row i holds 1 / L_ii^2 and -L_(i+q),i / L_ii until it is replaced;
+    # column by column, so that no temporary copy is made.
+    pivots = factors[:, :, 0]
+    for q in range(1, width):
+        np.divide(factors[:, :, q], pivots, out=factors[:, :, q])
+        np.negative(factors[:, :, q], out=factors[:, :, q])
+    np.square(pivots, out=pivots)
+    np.reciprocal(pivots, out=pivots)
+    # Z on rows and columns i+1 .. i+p is band entry |a - b| of row
+    # i + min(a, b); rows past the end only meet zero factor entries.
+    offsets = np.arange(1, width)
+    cols = np.abs(offsets[:, None] - offsets)
+    rows = np.minimum(np.arange(k)[:, None, None]
+                      + np.minimum(offsets[:, None], offsets), k - 1)
+    for i in range(k - 1, -1, -1):
+        ell = factors[:, i, 1:, None].copy()
+        np.matmul(factors[:, rows[i], cols], ell, out=factors[:, i, 1:, None])
+        factors[:, i, :1] += np.matmul(factors[:, i, None, 1:], ell)[:, 0]
+    return factors
 
 
 class _FactoredSystem:
-    """Gram-side view of an aggregated design in the Demmler-Reinsch basis.
+    """Gram-side view of an aggregated design, solved block by banded block.
 
-    Holds the basis factorization of :func:`_demmler_reinsch`, the small
+    Holds the bands of ``C`` and ``R`` (:func:`_bands`), the small
     concentration Gram ``M`` and the right-hand-side matrix ``F`` (one row
-    per coefficient block).  Fold downdates replace ``M`` and ``F`` only;
-    the basis factorization never changes.
+    per coefficient block).  With ``M = Q diag(d) Q'`` and ``H = Q'F``, the
+    coefficients are ``Q Theta``, where row ``j`` of ``Theta`` solves
+    ``(d_j C + lam R) theta = h_j``, one LAPACK band factorization and
+    solve (``dpbtrf``/``dpbtrs``) of ``O(K p^2)``.  A fit or a fold at
+    ``lam > 0`` costs the eigendecomposition of an ``(m+1)``-square matrix
+    and ``m + 1`` such factorizations; GCV over ``L`` lambdas factors all
+    ``L (m+1)`` blocks as one stacked array.  At ``lam = 0`` each block is
+    ``d_j C``, so one Cholesky factorization of ``C``, taken on first use
+    and kept (:meth:`_gram_cholesky`), serves the fit and every fold; it
+    is the one place a basis the grid cannot resolve raises.  Fold
+    downdates replace ``M`` and ``F`` only; the bands never change.
     """
 
     def __init__(self, design: AggregatedDesign, penalty: np.ndarray | None = None):
@@ -155,19 +199,20 @@ class _FactoredSystem:
         self.b = design.b
         self.w = design.spectra.absorbance
         self.penalty = penalty
-        self.u, self.mu, self.rho = _demmler_reinsch(design.b, penalty)
+        self.gram_band, self.penalty_band = _bands(design.b, penalty)
         self.conc_aug = design.conc_aug
         self.M = design.conc_aug.T @ design.conc_aug
-        self.bw = design.b.T @ self.w.T                      # (K, I): B'W_i columns
-        self.F = (design.conc_aug[:-1].T @ self.w) @ design.b  # (m+1, K)
+        self.P = design.conc_aug[:-1].T @ self.w             # (m+1, T)
+        self.F = self.P @ design.b                           # (m+1, K)
         self.num_rows = design.num_rows
         self._full = None
-        self._proj_rss = None
+        self._full_rss = None
+        self._gram_factor = None
 
     def downdated(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         a = self.conc_aug[i]
         m = self.M - np.outer(a, a)
-        f = self.F - np.outer(a, self.bw[:, i])
+        f = self.F - np.outer(a, self.w[i] @ self.b)
         return m, f
 
     def _eigh(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,80 +223,126 @@ class _FactoredSystem:
             )
         return evals, q
 
-    def _check_lambda(self, lam: float) -> None:
-        if lam <= 0 and self.mu[0] == 0.0:
-            raise SingularDesignError(_SINGULAR_BASIS)
-
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(d, Q, H = Q'FU)`` of the full system, computed on first use."""
+        """``(d, Q, H = Q'F)`` of the full system, computed on first use."""
         if self._full is None:
             evals, q = self._eigh(self.M)
-            self._full = evals, q, (q.T @ self.F) @ self.u
+            self._full = evals, q, q.T @ self.F
         return self._full
+
+    def _factor(self, evals: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """Banded Cholesky factors of ``d_j C + lam R``, (L, m+1, K, p+1).
+
+        Each block's band ends in zeros, so the stack is the band of one
+        block-diagonal matrix: one LAPACK call factors it in place, the
+        transposed stack being the Fortran-ordered band LAPACK expects, and
+        each block comes out as it would alone.
+        """
+        factors = np.empty((lams.size, evals.size) + self.gram_band.shape)
+        np.multiply(lams[:, None, None, None], self.penalty_band, out=factors)
+        factors += evals[:, None, None] * self.gram_band
+        band = factors.reshape(-1, self.gram_band.shape[1]).T
+        if sla.lapack.dpbtrf(band, lower=1, overwrite_ab=1)[1]:
+            raise SingularDesignError(_SINGULAR_BASIS)
+        return factors
+
+    def _gram_cholesky(self) -> np.ndarray:
+        """Band Cholesky factor of ``C``, computed on first use.
+
+        ``C`` is singular, and the grid cannot resolve the basis, when the
+        factorization fails or a squared pivot is at most ``1e-12`` of its
+        diagonal entry: that basis function is, to rounding, a combination
+        of the ones before it on the grid.
+        """
+        if self._gram_factor is None:
+            factor = self.gram_band.copy()
+            failed = sla.lapack.dpbtrf(factor.T, lower=1, overwrite_ab=1)[1]
+            if failed or np.any(factor[:, 0] ** 2 <= 1e-12 * self.gram_band[:, 0]):
+                raise SingularDesignError(_SINGULAR_BASIS)
+            self._gram_factor = factor
+        return self._gram_factor
+
+    def _blocks(self, evals: np.ndarray, h: np.ndarray, lam: float,
+                factors: np.ndarray | None = None) -> np.ndarray:
+        """``Theta``: row ``j`` solves ``(d_j C + lam R) theta = h_j``;
+        ``factors`` are the blocks' band Cholesky factors when known."""
+        if lam == 0.0 or self.penalty is None:
+            theta = sla.lapack.dpbtrs(self._gram_cholesky().T, h.T, lower=1)[0]
+            return theta.T / evals[:, None]
+        if factors is None:
+            factors = self._factor(evals, np.array([lam]))[0]
+        band = factors.reshape(-1, factors.shape[-1]).T
+        return sla.lapack.dpbtrs(band, h.ravel(), lower=1)[0].reshape(h.shape)
 
     def solve(self, lam: float = 0.0, m: np.ndarray | None = None,
               f: np.ndarray | None = None) -> np.ndarray:
-        """Coefficients minimizing the (penalized) stacked objective.
-
-        With ``M = Q diag(d) Q'`` the block of eigenvector ``j`` is
-        ``d_j diag(mu) + lam diag(rho)`` in the basis ``U``, so the
-        coefficients are ``Q ((Q'F U) / (d_j mu_k + lam rho_k)) U'``.  For
-        ``lam > 0`` every denominator is at least ``min(d_j, lam)``,
-        since ``mu_k + rho_k = 1``; at ``lam = 0`` a zero ``mu_k`` (a basis
-        the grid cannot resolve) raises.  ``m`` and ``f`` replace ``M`` and
-        ``F`` for a fold.
-        """
+        """Coefficients ``Q Theta`` minimizing the (penalized) stacked
+        objective; ``m`` and ``f`` replace ``M`` and ``F`` for a fold."""
         if m is None:
             evals, q, h = self._spectrum()
         else:
             evals, q = self._eigh(m)
-            h = (q.T @ f) @ self.u
-        self._check_lambda(lam)
-        denom = np.outer(evals, self.mu) + lam * self.rho
-        return (q @ (h / denom)) @ self.u.T
+            h = q.T @ f
+        return q @ self._blocks(evals, h, lam)
 
-    def _projection_rss(self) -> float:
-        """Direct (data plus constraint) RSS of the fit ``H / (d_j mu_k)``
-        on the entries with ``d_j mu_k > 0``, taken once."""
-        if self._proj_rss is None:
-            evals, q, h = self._spectrum()
-            scaled = np.outer(evals, self.mu)
-            theta = np.divide(h, scaled, out=np.zeros_like(h), where=scaled > 0)
-            coef = (q @ theta) @ self.u.T
-            data = _data_rss(self.w, self.conc_aug[:-1], coef, self.b)
-            constraint_curve = (self.conc_aug[-1] @ coef) @ self.b.T
-            self._proj_rss = data + float(np.sum(constraint_curve ** 2))
-        return self._proj_rss
+    def gcv(self, lams) -> list[tuple[float, float, float | None]]:
+        """``(RSS, hat trace, GCV score)`` at each of ``lams`` (one 0, or all
+        positive).  The score ``n RSS / (n - trace)^2`` is None once the
+        trace is within ``1e-10 n`` of ``n``, where rounding in the trace
+        would decide it.
 
-    def gcv(self, lam: float) -> tuple[float, float, float | None]:
-        """(RSS, hat trace, GCV score) at ``lam`` from the spectrum alone.
-
-        With ``dmu = d_j mu_k``, the fit at ``lam`` shrinks entry ``H_jk``
-        of ``H = Q'FU`` by ``dmu / (dmu + lam rho_k)`` relative to the
-        projection, so its RSS is the projection's plus
-        ``sum H^2 (lam rho)^2 / (dmu (dmu + lam rho)^2)`` over the entries
-        with ``dmu > 0`` (``H`` vanishes where ``dmu = 0``).  The hat trace
-        is ``sum dmu / (dmu + lam rho)``.  No coefficient matrix is formed.
-        The score ``n RSS / (n - trace)^2`` is None once the trace reaches n.
+        The hat trace is ``sum_j d_j <(d_j C + lam R)^-1, C>``, read off the
+        band of each block's inverse (:func:`_selected_inverse`), and
+        exactly ``(m+1) K`` at ``lam = 0``.  For the RSS, ``A Q`` (``A`` the
+        augmented concentration rows) is ``U diag(sqrt d)`` with orthonormal
+        ``U``, so the residual splits into the part of the data no
+        coefficient reaches, ``(I - UU') W``, taken once, plus row ``j`` of
+        ``U'W - diag(sqrt d) Theta B'``, a curve per block; both are summed
+        as squares, with no cancellation.  Each ``lam`` is computed
+        independently of the others, so a grid and a single value give the
+        same bits.
         """
-        evals, _, h = self._spectrum()
-        self._check_lambda(lam)
-        scaled = np.outer(evals, self.mu)
-        shrink = lam * self.rho
-        denom = scaled + shrink
-        trace = float(np.sum(scaled / denom))
-        seen = scaled > 0
-        excess = (h * (shrink / denom))[seen] ** 2 / scaled[seen]
-        rss = self._projection_rss() + float(np.sum(excess))
+        evals, q, h = self._spectrum()
+        if self._full_rss is None:
+            proj = (q.T @ self.P) / np.sqrt(evals)[:, None]   # U'W
+            resid = self.conc_aug @ (q @ (proj / np.sqrt(evals)[:, None]))
+            resid[:-1] -= self.w
+            self._full_rss = proj, float(np.sum(resid ** 2))
+            del resid
+        proj, unreached = self._full_rss
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        if lams.size == 1 and lams[0] == 0.0:
+            factors, traces = None, np.array([float(evals.size * self.b.shape[1])])
+        else:
+            factors = self._factor(evals, lams)
+        rss = []
+        for index, lam in enumerate(lams):
+            theta = self._blocks(evals, h, lam,
+                                 None if factors is None else factors[index])
+            rest = proj - np.sqrt(evals)[:, None] * (theta @ self.b.T)
+            rss.append(unreached + float(np.sum(rest ** 2)))
+        if factors is not None:
+            # <Z, C> over the band: each off-diagonal entry stands for two.
+            weights = self.gram_band.copy()
+            weights[:, 1:] *= 2.0
+            inverse = _selected_inverse(factors.reshape((-1,) + weights.shape))
+            inverse *= weights
+            traces = (inverse.sum(axis=(1, 2)).reshape(lams.size, -1)
+                      * evals).sum(axis=-1)
         n = self.num_rows
-        return rss, trace, (n * rss / (n - trace) ** 2 if trace < n else None)
+        out = []
+        for value, trace in zip(rss, traces.tolist()):
+            valid = n - trace > 1e-10 * n
+            out.append((value, trace, n * value / (n - trace) ** 2 if valid else None))
+        return out
 
 
 def _factored(design: AggregatedDesign, penalty: np.ndarray | None) -> _FactoredSystem:
     """The design's factored system for ``penalty``, built once per pair.
 
     The design keeps the latest system, so a GCV search followed by the
-    fit or the leave-one-out folds at the chosen lambda factors once.
+    fit or the leave-one-out folds at the chosen lambda takes the bands
+    (and, at ``lam = 0``, the Cholesky factor of ``C``) once.
     Penalty entries are read-only, so the same array is the same penalty.
     """
     system = design.__dict__.get("_factored")
@@ -279,16 +370,11 @@ def _diagnostics(coef: np.ndarray, b: np.ndarray, rss: float, trace: float,
 
 def fit_ols(design: AggregatedDesign, diagnostics: bool = True) -> CalibrationModel:
     """Ordinary least squares on the augmented system (correlation ignored)."""
-    if np.linalg.matrix_rank(design.b) < design.num_basis:
-        raise SingularDesignError(
-            "basis block of the design is rank deficient: the wavelength grid "
-            "cannot support this many basis functions"
-        )
     system = _factored(design, None)
     coef = system.solve()
     diag = None
     if diagnostics:
-        diag = _diagnostics(coef, design.b, *system.gcv(0.0))
+        diag = _diagnostics(coef, design.b, *system.gcv(0.0)[0])
     return CalibrationModel(
         basis=design.basis,
         coefficients=coef,
@@ -316,7 +402,7 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
     coef = system.solve(lam=lam)
     diag = None
     if diagnostics:
-        diag = _diagnostics(coef, design.b, *system.gcv(lam))
+        diag = _diagnostics(coef, design.b, *system.gcv(lam)[0])
     return CalibrationModel(
         basis=design.basis,
         coefficients=coef,
@@ -333,7 +419,7 @@ def gcv_score(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float) -> f
     if lam < 0:
         raise InvalidParameterError(f"smoothing parameter must be >= 0, got {lam}")
     system = _factored(design, penalty.entries)
-    _, trace, score = system.gcv(lam)
+    _, trace, score = system.gcv(lam)[0]
     if score is None:
         raise DegenerateGcvError(
             f"smoother trace {trace:.3f} reaches the number of rows "
@@ -353,8 +439,7 @@ def select_lambda(design: AggregatedDesign, penalty: PenaltyMatrix,
     grid = np.sort(grid)
     system = _factored(design, penalty.entries)
     best_lam, best_score = None, np.inf
-    for lam in grid:
-        _, _, score = system.gcv(float(lam))
+    for lam, (_, _, score) in zip(grid, system.gcv(grid)):
         if score is not None and score <= best_score:
             best_lam, best_score = float(lam), score
     if best_lam is None:

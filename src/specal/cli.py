@@ -29,6 +29,7 @@ from .simulate import (
     SCENARIO_PHI,
     AnalyteCurveSpec,
     SimConfig,
+    check_study,
     generate_dataset,
     prediction_spectra,
     run_bias_variance_study,
@@ -294,8 +295,13 @@ def _cmd_simulate(args) -> int:
     cfg = _scenario_config(args)
     if args.study == "dataset" and args.prediction_samples < 1:
         raise InvalidParameterError("--prediction-samples must be at least 1")
-    out_dir = io.ensure_dir(args.out_dir)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if args.study == "jackknife":
+        check_study(methods, args.jobs, replicates=args.replicates)
+    elif args.study == "bias-variance":
+        check_study(methods, args.jobs, learning_sets=args.learning_sets,
+                    prediction_reps=args.prediction_reps)
+    out_dir = io.ensure_dir(args.out_dir)
     if args.study == "dataset":
         spectra, conc, truth = generate_dataset(cfg)
         io.save_spectra(spectra, out_dir / "cal_spectra.csv")

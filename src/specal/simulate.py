@@ -235,8 +235,13 @@ def _ordered_map(func, arg_tuples: list[tuple], jobs: int) -> list:
     return [func(*args) for args in arg_tuples]
 
 
-def _resolve_methods(methods: Iterable[str] | Mapping[str, FitSpec]
-                     ) -> dict[str, FitSpec]:
+def check_study(methods: Iterable[str] | Mapping[str, FitSpec], jobs: int,
+                **counts: int) -> dict[str, FitSpec]:
+    """The study's methods by name, once ``jobs`` and every repeat count in
+    ``counts`` are at least 1 and every method name is known."""
+    for name, value in {"jobs": jobs, **counts}.items():
+        if value < 1:
+            raise InvalidParameterError(f"{name} must be at least 1, got {value}")
     if isinstance(methods, Mapping):
         return dict(methods)
     resolved = {}
@@ -312,9 +317,7 @@ def run_jackknife_study(cfg: SimConfig, methods: Iterable[str] | Mapping[str, Fi
     replicate.  Method failures are counted and excluded, never dropped
     silently.
     """
-    if replicates < 1:
-        raise InvalidParameterError("need at least one replicate")
-    resolved = _resolve_methods(methods)
+    resolved = check_study(methods, jobs, replicates=replicates)
     results = _ordered_map(
         _jackknife_replicate,
         [(cfg, resolved, rep) for rep in range(replicates)], jobs,
@@ -403,12 +406,11 @@ def run_bias_variance_study(cfg: SimConfig,
     learning sets, replicates and the rows of ``PREDICTION_DESIGN``, one
     total per analyte.
     """
-    if learning_sets < 1 or prediction_reps < 1:
-        raise InvalidParameterError("learning sets and replicates must be >= 1")
+    resolved = check_study(methods, jobs, learning_sets=learning_sets,
+                           prediction_reps=prediction_reps)
     y_star = PREDICTION_DESIGN
     if y_star.shape[1] != cfg.num_analytes:
         raise ShapeError("prediction design columns must match analyte count")
-    resolved = _resolve_methods(methods)
     all_preds = _ordered_map(
         _bias_variance_set,
         [(cfg, resolved, y_star, prediction_reps, g)

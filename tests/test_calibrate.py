@@ -9,6 +9,8 @@ from specal.basis import design_matrix, make_knots, penalty_matrix
 from specal.calibrate import (
     PHI_GRID,
     CovarianceModel,
+    _factored,
+    _selected_inverse,
     _uniform_lags,
     _whiten,
     _WhitenedSystem,
@@ -304,18 +306,87 @@ class TestGcv:
         spectra = SpectraSet(grid=grid, absorbance=np.array([[1.0, 2.0]]))
         conc = ConcentrationMatrix(values=np.array([[0.5]]))
         design = assemble_design(spectra, conc, kv)
-        with pytest.raises((DegenerateGcvError, SingularDesignError)):
-            gcv_score(design, penalty_matrix(kv), 1e-12)
+        # The trace equals the row count at every lambda, so rounding
+        # alone must not produce a score.
+        for lam in (1e-12, 1e-8, 1.0):
+            with pytest.raises((DegenerateGcvError, SingularDesignError)):
+                gcv_score(design, penalty_matrix(kv), lam)
 
 
-class TestDemmlerReinsch:
-    """Dense oracles for the one-factorization solver.
+def _mp_kron(mpmath, a, b):
+    return mpmath.matrix([[a[i, j] * b[k, l] for j in range(a.cols)
+                           for l in range(b.cols)]
+                          for i in range(a.rows) for k in range(b.rows)])
+
+
+class TestBandedSolver:
+    """Dense and high-precision oracles for the banded block solver.
 
     ``knots_from_grid`` puts K = T + 2 basis functions on T sites, so the
     basis Gram is singular and only the penalty makes the system solvable.
     The 10 nm grid keeps the dense oracle itself accurate to about 1e-10
     over the whole lambda range.
     """
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(4, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_selected_inverse_matches_dense_inverse(self, k, seed):
+        # Three diagonally dominant SPD matrices of half-bandwidth 3,
+        # factored and inverted as one stack.
+        rng = np.random.default_rng(seed)
+        p = 3
+        dense, bands = [], []
+        for _ in range(3):
+            a = np.zeros((k, k))
+            for q in range(1, p + 1):
+                off = rng.uniform(-1.0, 1.0, k - q)
+                a[np.arange(q, k), np.arange(k - q)] = off
+                a[np.arange(k - q), np.arange(q, k)] = off
+            a[np.diag_indices(k)] = np.abs(a).sum(axis=1) + rng.uniform(0.1, 1.0, k)
+            band = np.zeros((k, p + 1))
+            for q in range(p + 1):
+                band[:k - q, q] = np.diagonal(a, -q)
+            dense.append(a)
+            bands.append(band)
+        factors = np.stack(bands)
+        for factor in factors:
+            assert sla.lapack.dpbtrf(factor.T, lower=1, overwrite_ab=1)[1] == 0
+        inverse = _selected_inverse(factors)
+        for a, got in zip(dense, inverse):
+            z = np.linalg.inv(a)
+            want = np.zeros((k, p + 1))
+            for q in range(p + 1):
+                want[:k - q, q] = np.diagonal(z, -q)
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(z).max())
+
+    @pytest.mark.parametrize("lam", [1e6, 1e8])
+    def test_hat_trace_matches_mpmath_oracle(self, lam):
+        # tr((X'X + lam I kron R)^-1 X'X) solved in 50 digits from the same
+        # double inputs; at these lambdas a double dense solve is itself
+        # only accurate to about 1e-10.
+        mpmath = pytest.importorskip("mpmath")
+        design, pen = self.make()
+        with mpmath.workdps(50):
+            conc = mpmath.matrix(design.conc_aug.tolist())
+            b = mpmath.matrix(design.b.tolist())
+            gram = _mp_kron(mpmath, conc.T * conc, b.T * b)
+            penalty = _mp_kron(mpmath, mpmath.eye(conc.cols),
+                               mpmath.matrix(pen.entries.tolist()))
+            inverse = mpmath.inverse(gram + mpmath.mpf(lam) * penalty)
+            hat = float(mpmath.fsum(inverse[i, k] * gram[k, i]
+                                    for i in range(gram.rows)
+                                    for k in range(gram.rows)))
+        model = fit_penalized(design, pen, lam)
+        assert model.diagnostics.hat_trace == pytest.approx(hat, rel=1e-9)
+
+    def test_grid_and_single_lambda_give_the_same_bits(self):
+        # select_lambda scores the whole grid at once; gcv_score and the
+        # fit diagnostics score one lambda.  Each lambda's system is solved
+        # on its own, so the two agree exactly.
+        design, pen = self.make()
+        grid = np.logspace(-4, 8, 25)
+        system = _factored(design, pen.entries)
+        assert system.gcv(grid) == [system.gcv(lam)[0] for lam in grid]
 
     def make(self):
         from specal.basis import knots_from_grid
@@ -345,9 +416,10 @@ class TestDemmlerReinsch:
             assert model.diagnostics.hat_trace == pytest.approx(hat, rel=1e-9)
 
     def test_gcv_rss_matches_direct_residual(self):
-        # The RSS read off the spectrum (projection RSS plus the shrinkage
-        # terms) equals the residual of the solved coefficients, on the
-        # singular smoothing-spline design and on a full-rank one.
+        # The RSS summed from its two parts (the data no coefficient
+        # reaches, then one residual curve per block) equals the residual
+        # of the solved coefficients, on the singular smoothing-spline
+        # design and on a full-rank one.
         spline, spline_pen = self.make()
         small, kv = small_design(np.random.default_rng(41), num_samples=5)
         for design, pen in ((spline, spline_pen), (small, penalty_matrix(kv))):

@@ -560,6 +560,15 @@ class TestCli:
     ["simulate", "--prediction-samples", "0"],
     ["simulate", "--prediction-samples", "-1"],
     ["simulate", "--sigma2", "nan"], ["simulate", "--phi", "inf"],
+    # A later --study replaces the dataset study of ``required``.
+    ["simulate", "--study", "jackknife", "--replicates", "0"],
+    ["simulate", "--study", "bias-variance", "--learning-sets", "0"],
+    ["simulate", "--study", "bias-variance", "--prediction-reps", "0"],
+    ["simulate", "--study", "jackknife", "--methods", "OLS-K,OLS-Q"],
+    ["simulate", "--study", "jackknife", "--replicates", "1", "--methods",
+     "OLS-K", "--jobs", "0"],
+    ["simulate", "--study", "bias-variance", "--learning-sets", "1",
+     "--prediction-reps", "1", "--methods", "OLS-K", "--jobs", "-3"],
 ], ids=" ".join)
 def test_out_of_range_number_exits_before_writing(dataset, tmp_path, capsys, argv):
     _, _, _, spath, cpath = dataset

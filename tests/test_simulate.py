@@ -171,6 +171,16 @@ class TestJackknifeStudy:
             run_jackknife_study(cfg, ["OLS-X"], replicates=1)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("run", [
+    lambda cfg, jobs: run_jackknife_study(cfg, ["OLS-K"], 1, jobs=jobs),
+    lambda cfg, jobs: run_bias_variance_study(cfg, ["OLS-K"], 1, 1, jobs=jobs),
+], ids=["jackknife", "bias-variance"])
+def test_studies_reject_jobs_below_one(run, jobs):
+    with pytest.raises(InvalidParameterError, match="jobs must be at least 1"):
+        run(SimConfig(seed=1, num_samples=6), jobs)
+
+
 class TestBiasVarianceStudy:
     def test_zero_noise_zero_bias_and_variance(self):
         cfg = SimConfig(seed=5, num_samples=12, phi=WEAK_PHI, sigma2=1e-22)
@@ -288,13 +298,13 @@ class TestStrategyFastPaths:
             assemble_design(spectra, conc, kv), pen, lam))
 
         calls = []
-        original = calibrate._demmler_reinsch
+        original = calibrate._bands
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(calibrate, "_demmler_reinsch", counting)
+        monkeypatch.setattr(calibrate, "_bands", counting)
         strategy = make_strategy(FitSpec(method="ols-ss"))
         got = strategy.fit(spectra, conc)
         assert len(calls) == 1
