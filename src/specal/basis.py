@@ -66,7 +66,12 @@ class KnotVector:
 
 @dataclass(frozen=True)
 class PenaltyMatrix:
-    """Symmetric PSD matrix of pairwise second-derivative inner products."""
+    """Symmetric PSD matrix of pairwise second-derivative inner products.
+
+    ``entries`` is read-only and nothing writable aliases it, so the same
+    array is the same penalty.  A writable array or a view is copied; a
+    read-only array that owns its data is kept as given.
+    """
 
     entries: np.ndarray
 
@@ -74,8 +79,9 @@ class PenaltyMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidBasisError("penalty entries must form a square matrix")
-        entries = entries.copy()
-        entries.flags.writeable = False
+        if entries.flags.writeable or not entries.flags.owndata:
+            entries = entries.copy()
+            entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
 
@@ -280,4 +286,5 @@ def penalty_matrix(kv: KnotVector) -> PenaltyMatrix:
         rows = np.arange(k - d)
         entries[rows, rows + d] = diag
         entries[rows + d, rows] = diag
+    entries.flags.writeable = False
     return PenaltyMatrix(entries)

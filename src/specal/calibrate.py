@@ -208,6 +208,7 @@ class _FactoredSystem:
         self._full = None
         self._full_rss = None
         self._gram_factor = None
+        self._scores = {}
 
     def downdated(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         a = self.conc_aug[i]
@@ -289,7 +290,17 @@ class _FactoredSystem:
         """``(RSS, hat trace, GCV score)`` at each of ``lams`` (one 0, or all
         positive).  The score ``n RSS / (n - trace)^2`` is None once the
         trace is within ``1e-10 n`` of ``n``, where rounding in the trace
-        would decide it.
+        would decide it.  Results are kept per lambda, so the fit at a
+        lambda the grid has scored reuses the grid's numbers.
+        """
+        lams = np.atleast_1d(np.asarray(lams, dtype=float)).tolist()
+        new = [lam for lam in dict.fromkeys(lams) if lam not in self._scores]
+        if new:
+            self._scores.update(zip(new, self._score(np.array(new))))
+        return [self._scores[lam] for lam in lams]
+
+    def _score(self, lams: np.ndarray) -> list[tuple[float, float, float | None]]:
+        """:meth:`gcv` at each of ``lams``, computed.
 
         The hat trace is ``sum_j d_j <(d_j C + lam R)^-1, C>``, read off the
         band of each block's inverse (:func:`_selected_inverse`), and
@@ -310,7 +321,6 @@ class _FactoredSystem:
             self._full_rss = proj, float(np.sum(resid ** 2))
             del resid
         proj, unreached = self._full_rss
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
         if lams.size == 1 and lams[0] == 0.0:
             factors, traces = None, np.array([float(evals.size * self.b.shape[1])])
         else:

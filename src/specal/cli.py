@@ -10,17 +10,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import _blas, io
-from .baselines import MultivariateModel, predict_multivariate
+from .baselines import MultivariateModel
 from .errors import AlignmentError, InvalidParameterError, SpecalError
 from .methods import STUDY_METHODS, FitSpec, make_strategy, resolve_sum_to
 from .model import CalibrationModel, ConcentrationMatrix, SpectraSet
 from .predict import (
-    PredictionReport,
-    confidence_intervals,
     jackknife_sd,
     prediction_report,
     sep,
@@ -217,20 +216,12 @@ def _cmd_predict(args) -> int:
         raise InvalidParameterError(
             "predict needs --s-file or --jackknife with calibration data"
         )
-    if isinstance(model, MultivariateModel):
-        y_hat = predict_multivariate(model, spectra.absorbance)
-        report = PredictionReport(
-            y_hat=y_hat,
-            s=np.asarray(s, dtype=float),
-            intervals=confidence_intervals(y_hat, s, args.c),
-            c=args.c,
-            residual_norms=np.zeros(y_hat.shape[0]),
-            outside_unit_range=np.any((y_hat < 0) | (y_hat > 1), axis=1),
-            analytes=tuple(s_names),
-        )
-    else:
-        sum_to = resolve_sum_to(_parse_sum_to(args.sum_to), model)
-        report = prediction_report(model, spectra, s, c=args.c, sum_to=sum_to)
+    if model.analytes is None:
+        # A multivariate model file from before analyte names were stored.
+        model = replace(model, analytes=tuple(s_names))
+    sum_to = (None if isinstance(model, MultivariateModel)
+              else resolve_sum_to(_parse_sum_to(args.sum_to), model))
+    report = prediction_report(model, spectra, s, c=args.c, sum_to=sum_to)
     io.save_predictions(report, spectra.sample_ids, args.out)
     return 0
 

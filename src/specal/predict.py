@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import fold_decompositions
+from .baselines import (
+    MultivariateModel,
+    fold_decompositions,
+    predict_multivariate,
+)
 from .errors import (
     DegenerateAnalytesError,
     FoldFailureError,
@@ -25,6 +29,9 @@ from .errors import (
 from .model import CalibrationModel, ConcentrationMatrix, SpectraSet
 
 _RANK_RTOL = 1e-10
+# Spectra per block of a functional prediction report; a multiple of
+# OpenBLAS's kernel unroll widths (see _blocked_estimates).
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -65,61 +72,106 @@ def predict_concentrations(model: CalibrationModel, spectra: SpectraSet,
     pinned to that value, which also restores well-posedness when the
     analyte curves sum to zero.
     """
-    return _solve_concentrations(*_analyte_matrix(model, spectra), spectra,
-                                 sum_to)
+    baseline, a = _analyte_matrix(model, spectra)
+    return _concentration_solver(baseline, a, sum_to)(spectra.absorbance)
 
 
-def _solve_concentrations(baseline: np.ndarray, a: np.ndarray,
-                          spectra: SpectraSet,
-                          sum_to: float | None) -> np.ndarray:
-    """:func:`predict_concentrations` given the baseline and analyte curves."""
+def _concentration_solver(baseline: np.ndarray, a: np.ndarray,
+                          sum_to: float | None):
+    """The map from absorbance rows to :func:`predict_concentrations`.
+
+    The rank of the analyte curves is checked here, once, and each call
+    solves only the rows it is given.
+    """
     m = a.shape[1]
-    resid = spectra.absorbance - baseline[None, :]
-    singular = np.linalg.svd(a, compute_uv=False)
-    rank_ok = singular[-1] > _RANK_RTOL * singular[0]
     if sum_to is None:
-        if not rank_ok:
+        singular = np.linalg.svd(a, compute_uv=False)
+        if not singular[-1] > _RANK_RTOL * singular[0]:
             raise DegenerateAnalytesError(
                 "fitted analyte curves are collinear on this grid (they sum "
                 "to zero for closed calibration samples); supply sum_to to "
                 "resolve the unidentified direction"
             )
-        y_hat, *_ = np.linalg.lstsq(a, resid.T, rcond=None)
-        return y_hat.T
+
+        def solve(rows: np.ndarray) -> np.ndarray:
+            resid = rows - baseline[None, :]
+            return np.linalg.lstsq(a, resid.T, rcond=None)[0].T
+        return solve
     if m == 1:
-        return np.full((spectra.num_samples, 1), float(sum_to))
+        return lambda rows: np.full((len(rows), 1), float(sum_to))
     # Solve on the zero-sum subspace, then shift to the requested total.
     ones = np.ones((m, 1))
     q, _ = np.linalg.qr(ones, mode="complete")
     v = q[:, 1:]
     center = (float(sum_to) / m) * np.ones(m)
-    target = resid.T - (a @ center)[:, None]
-    u_hat, *_ = np.linalg.lstsq(a @ v, target, rcond=None)
-    return (center[:, None] + v @ u_hat).T
+    shift, av = a @ center, a @ v
+
+    def solve_closed(rows: np.ndarray) -> np.ndarray:
+        target = (rows - baseline[None, :]).T
+        target -= shift[:, None]
+        u_hat = np.linalg.lstsq(av, target, rcond=None)[0]
+        return (center[:, None] + v @ u_hat).T
+    return solve_closed
 
 
-def prediction_report(model: CalibrationModel, spectra: SpectraSet,
-                      s: np.ndarray, c: float = 1.96,
+def prediction_report(model: CalibrationModel | MultivariateModel,
+                      spectra: SpectraSet, s: np.ndarray, c: float = 1.96,
                       sum_to: float | None = None) -> PredictionReport:
-    """Full prediction output: estimates, intervals, residual norms."""
+    """Full prediction output: estimates, intervals, residual norms.
+
+    A functional model regresses each spectrum on its analyte curves and
+    reports each spectrum's residual norm (:func:`_blocked_estimates`); a
+    multivariate model (MLR, PCR, PLS) applies its linear predictor and
+    reports zero norms.  Either way the report holds the new spectra once:
+    the linear predictor makes no spectra-sized array, and the functional
+    path walks the spectra in blocks of ``_BLOCK_ROWS`` rows.
+    """
     s = np.asarray(s, dtype=float).ravel()
-    if s.size != model.num_analytes:
+    multivariate = isinstance(model, MultivariateModel)
+    if s.size != (model.intercept.size if multivariate else model.num_analytes):
         raise ShapeError("jackknife spread vector length does not match analytes")
-    baseline, a = _analyte_matrix(model, spectra)
-    y_hat = _solve_concentrations(baseline, a, spectra, sum_to)
-    intervals = confidence_intervals(y_hat, s, c)
-    fitted = baseline[None, :] + y_hat @ a.T
-    residual_norms = np.linalg.norm(spectra.absorbance - fitted, axis=1)
-    outside = np.any((y_hat < 0) | (y_hat > 1), axis=1)
+    if multivariate:
+        # One product over the whole batch: split into blocks, it would run
+        # on OpenBLAS's small-matrix kernel and move the estimates' last bits.
+        y_hat = predict_multivariate(model, spectra.absorbance)
+        residual_norms = np.zeros(len(y_hat))
+    else:
+        y_hat, residual_norms = _blocked_estimates(model, spectra, sum_to)
     return PredictionReport(
         y_hat=y_hat,
         s=s,
-        intervals=intervals,
+        intervals=confidence_intervals(y_hat, s, c),
         c=float(c),
         residual_norms=residual_norms,
-        outside_unit_range=outside,
+        outside_unit_range=np.any((y_hat < 0) | (y_hat > 1), axis=1),
         analytes=model.analytes,
     )
+
+
+def _blocked_estimates(model: CalibrationModel, spectra: SpectraSet,
+                       sum_to: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and residual norms, ``_BLOCK_ROWS`` spectra at a time.
+
+    The analyte curves are evaluated and their rank checked once; each
+    block makes only its own residuals.  The block size is fixed, not an
+    even split of the batch: BLAS picks a row's kernel by its position
+    modulo the kernel's unroll width, and fixed blocks starting at row 0
+    keep each row where one pass over the batch would put it, so the
+    estimates do not depend on the blocking (a tail block of a single row
+    may take another kernel and move in the last bit).
+    """
+    baseline, a = _analyte_matrix(model, spectra)
+    solve = _concentration_solver(baseline, a, sum_to)
+    w = spectra.absorbance
+    y_hat = np.empty((len(w), a.shape[1]))
+    residual_norms = np.empty(len(w))
+    for start in range(0, len(w), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        y = solve(w[block])
+        fitted = baseline[None, :] + y @ a.T
+        y_hat[block] = y
+        residual_norms[block] = np.linalg.norm(w[block] - fitted, axis=1)
+    return y_hat, residual_norms
 
 
 def confidence_intervals(y_hat: np.ndarray, s: np.ndarray, c: float = 1.96) -> np.ndarray:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from specal.basis import (
     KnotVector,
+    PenaltyMatrix,
     cached_design_matrix,
     derivative_matrix,
     design_matrix,
@@ -244,6 +245,34 @@ class TestPenaltyMatrix:
         d2 = derivative_matrix(kv, dense, deriv=2)
         oracle = np.trapezoid(d2[:, :, None] * d2[:, None, :], dense, axis=0)
         npt.assert_allclose(r, oracle, atol=1e-8 * max(1.0, np.abs(r).max()))
+
+    def test_entries_never_alias_a_writable_array(self):
+        source = np.eye(4)
+        penalty = PenaltyMatrix(source)
+        assert not penalty.entries.flags.writeable
+        source[0, 0] = 5.0
+        assert penalty.entries[0, 0] == 1.0
+        frozen = np.eye(4)
+        frozen.flags.writeable = False
+        assert PenaltyMatrix(frozen).entries is frozen
+        view = frozen[:, ::-1]
+        assert PenaltyMatrix(view).entries.flags.owndata
+
+    def test_building_holds_one_matrix(self):
+        # The band-by-band assembly fills one K-by-K array and hands it to
+        # PenaltyMatrix read-only, without a second copy.
+        import tracemalloc
+
+        kv = knots_from_grid(np.linspace(350.0, 750.0, 401))
+        k = kv.num_basis
+        tracemalloc.start()
+        try:
+            penalty_matrix(kv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == 403
+        assert peak < 1.5 * k * k * 8
 
     def test_symmetric_psd_banded(self):
         kv = random_knots(np.random.default_rng(12), 14)

@@ -9,7 +9,7 @@ from specal.basis import design_matrix, make_knots, penalty_matrix
 from specal.calibrate import (
     PHI_GRID,
     CovarianceModel,
-    _factored,
+    _FactoredSystem,
     _selected_inverse,
     _uniform_lags,
     _whiten,
@@ -382,11 +382,35 @@ class TestBandedSolver:
     def test_grid_and_single_lambda_give_the_same_bits(self):
         # select_lambda scores the whole grid at once; gcv_score and the
         # fit diagnostics score one lambda.  Each lambda's system is solved
-        # on its own, so the two agree exactly.
+        # on its own, so the two agree exactly.  A system keeps the scores
+        # it has computed, so each single lambda gets a fresh system.
         design, pen = self.make()
         grid = np.logspace(-4, 8, 25)
-        system = _factored(design, pen.entries)
-        assert system.gcv(grid) == [system.gcv(lam)[0] for lam in grid]
+        scores = _FactoredSystem(design, pen.entries).gcv(grid)
+        assert scores == [_FactoredSystem(design, pen.entries).gcv(lam)[0]
+                          for lam in grid]
+
+    def test_fit_after_selection_reuses_the_grid_scores(self, monkeypatch):
+        # The fit at the selected lambda reads its diagnostics from the
+        # grid pass: no second selected-inverse pass, and the same numbers
+        # a design that never ran the grid computes.
+        from specal import calibrate
+
+        design, pen = self.make()
+        lam = select_lambda(design, pen)
+        calls = []
+        original = calibrate._selected_inverse
+
+        def counting(factors):
+            calls.append(1)
+            return original(factors)
+
+        monkeypatch.setattr(calibrate, "_selected_inverse", counting)
+        reused = fit_penalized(design, pen, lam).diagnostics
+        assert calls == []
+        fresh_design, _ = self.make()
+        assert fit_penalized(fresh_design, pen, lam).diagnostics == reused
+        assert len(calls) == 1
 
     def make(self):
         from specal.basis import knots_from_grid

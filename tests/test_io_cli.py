@@ -648,3 +648,44 @@ def test_multivariate_predict_checks_spread_names(dataset, tmp_path, capsys):
     del payload["analytes"]
     model.write_text(json.dumps(payload))
     assert main([*predict, "--s-file", str(reversed_spread)]) == 0
+
+
+@pytest.mark.parametrize("legacy", [False, True])
+def test_multivariate_predict_file_is_unchanged_by_row_blocks(dataset, tmp_path,
+                                                               legacy):
+    # The file the predict command wrote when it built the multivariate
+    # report by hand: the linear predictor on the whole batch, spreads
+    # named by the spread file and zero residual norms.
+    from specal.predict import PredictionReport, confidence_intervals
+
+    spectra, _, _, spath, cpath = dataset
+    cal = ["--spectra", str(spath), "--concentrations", str(cpath),
+           "--method", "pls", "--components", "3"]
+    model, spread = tmp_path / "pls.json", tmp_path / "s.csv"
+    assert main(["baselines", *cal, "--model-out", str(model)]) == 0
+    assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+    if legacy:
+        payload = json.loads(model.read_text())
+        del payload["analytes"]
+        model.write_text(json.dumps(payload))
+    rng = np.random.default_rng(31)
+    rows = rng.integers(0, spectra.num_samples, 600)
+    big = SpectraSet(grid=spectra.grid,
+                     absorbance=spectra.absorbance[rows]
+                     + 0.01 * rng.standard_normal((600, spectra.grid.size)),
+                     sample_ids=tuple(f"p{j}" for j in range(600)))
+    bpath = tmp_path / "big.csv"
+    io.save_spectra(big, bpath)
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(model), "--spectra", str(bpath),
+                 "--s-file", str(spread), "--out", str(out)]) == 0
+    names, s = io.load_spread(spread)
+    loaded = io.load_spectra(bpath)
+    y_hat = predict_multivariate(io.load_model(model), loaded.absorbance)
+    expected = tmp_path / "expected.csv"
+    io.save_predictions(PredictionReport(
+        y_hat=y_hat, s=s, intervals=confidence_intervals(y_hat, s, 1.96),
+        c=1.96, residual_norms=np.zeros(600),
+        outside_unit_range=np.any((y_hat < 0) | (y_hat > 1), axis=1),
+        analytes=tuple(names)), loaded.sample_ids, expected)
+    assert out.read_bytes() == expected.read_bytes()

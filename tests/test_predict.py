@@ -169,6 +169,94 @@ class TestPredictConcentrations:
         npt.assert_array_equal(report.residual_norms, norms)
 
 
+def single_pass_report(model, spectra, s, c=1.96, sum_to=None):
+    """The report as one pass over the whole batch: the reference for the
+    row-blocked :func:`prediction_report`."""
+    curves = model.curve_values(spectra.grid)
+    baseline, a = curves[0], curves[1:].T
+    m = a.shape[1]
+    resid = spectra.absorbance - baseline[None, :]
+    if sum_to is None:
+        y_hat = np.linalg.lstsq(a, resid.T, rcond=None)[0].T
+    else:
+        q, _ = np.linalg.qr(np.ones((m, 1)), mode="complete")
+        v = q[:, 1:]
+        center = (float(sum_to) / m) * np.ones(m)
+        target = resid.T - (a @ center)[:, None]
+        u_hat = np.linalg.lstsq(a @ v, target, rcond=None)[0]
+        y_hat = (center[:, None] + v @ u_hat).T
+    fitted = baseline[None, :] + y_hat @ a.T
+    return (y_hat, confidence_intervals(y_hat, s, c),
+            np.linalg.norm(spectra.absorbance - fitted, axis=1))
+
+
+def batch(model, grid, num_rows, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.dirichlet(np.ones(model.num_analytes), num_rows)
+    return new_spectra(model, grid, y, noise=0.05, rng=rng)
+
+
+class TestBlockedReport:
+    S = np.array([0.05, 0.02, 0.1])
+
+    @pytest.mark.parametrize("num_rows, rtol", [(8, 0.0), (2000, 0.0),
+                                                (257, 1e-12), (513, 1e-12)])
+    @pytest.mark.parametrize("sum_to", [None, 1.0])
+    def test_equal_to_single_pass(self, num_rows, rtol, sum_to):
+        # Blocks of 256 rows keep every row at the kernel position one pass
+        # over the batch gives it, so the estimates do not move by a bit;
+        # a tail block of one row may take another kernel (tolerance
+        # relative to the largest entry).
+        model, _ = fitted_model(seed=20)
+        target = batch(model, np.linspace(0.0, 10.0, 401), num_rows, 21)
+        report = prediction_report(model, target, self.S, sum_to=sum_to)
+        y_hat, intervals, norms = single_pass_report(model, target, self.S,
+                                                     sum_to=sum_to)
+        for got, want in ((report.y_hat, y_hat), (report.intervals, intervals),
+                          (report.residual_norms, norms)):
+            npt.assert_allclose(got, want, rtol=0,
+                                atol=rtol * np.abs(want).max())
+
+    def test_peak_memory_stays_below_one_batch_copy(self):
+        import tracemalloc
+
+        model, _ = fitted_model(seed=24)
+        target = batch(model, np.linspace(0.0, 10.0, 401), 2000, 25)
+        batch_bytes = target.absorbance.nbytes
+        tracemalloc.start()
+        try:
+            prediction_report(model, target, self.S, sum_to=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch_bytes
+
+    @pytest.mark.parametrize("method", ["mlr", "pcr", "pls"])
+    def test_multivariate_report_matches_linear_predictor(self, method):
+        from specal.baselines import fit_mlr, fit_pcr, fit_pls, predict_multivariate
+
+        # 2000 spectra of 401 wavelengths: enough work that OpenBLAS runs
+        # the product on its large-matrix kernel, which 256-row blocks
+        # would not.
+        model, _ = fitted_model(seed=26)
+        grid = np.linspace(0.0, 10.0, 401)
+        rng = np.random.default_rng(27)
+        y = rng.uniform(0.1, 2.0, (30, 3))
+        cal = new_spectra(model, grid, y, noise=0.01, rng=rng)
+        fit = {"mlr": fit_mlr, "pcr": lambda w, y: fit_pcr(w, y, 3),
+               "pls": lambda w, y: fit_pls(w, y, 3)}[method]
+        linear = fit(cal.absorbance, y)
+        target = batch(model, grid, 2000, 28)
+        report = prediction_report(linear, target, self.S)
+        y_hat = predict_multivariate(linear, target.absorbance)
+        npt.assert_array_equal(report.y_hat, y_hat)
+        npt.assert_array_equal(report.intervals,
+                               confidence_intervals(y_hat, self.S))
+        npt.assert_array_equal(report.residual_norms, np.zeros(2000))
+        npt.assert_array_equal(report.outside_unit_range,
+                               np.any((y_hat < 0) | (y_hat > 1), axis=1))
+
+
 class TestJackknife:
     def test_noiseless_gives_negligible_spread(self):
         # Perfect refits need data consistent with the sum-to-zero block:
