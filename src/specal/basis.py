@@ -3,9 +3,9 @@
 Evaluation uses the standard stable recurrence (triangular scheme over the
 nonzero functions of the containing knot span).  Derivatives come from the
 knot-difference formula applied to lower-order values.  The curvature
-penalty is assembled span by span into its seven diagonals: a cubic's
-second derivative is linear on every span, so each span's products
-integrate exactly in closed form from the values at the span ends.
+penalty is assembled span by span into its lower band, the only form kept:
+a cubic's second derivative is linear on every span, so each span's
+products integrate exactly in closed form from the values at the span ends.
 """
 
 from __future__ import annotations
@@ -68,21 +68,19 @@ class KnotVector:
 class PenaltyMatrix:
     """Symmetric PSD matrix of pairwise second-derivative inner products.
 
-    ``entries`` is read-only and nothing writable aliases it, so the same
-    array is the same penalty.  A writable array or a view is copied; a
-    read-only array that owns its data is kept as given.
+    Held as its lower band: ``band[i, q]`` is entry ``(i + q, i)`` (zero
+    past the last row), the LAPACK lower storage.  The band is a read-only
+    copy, so the same array is the same penalty.
     """
 
-    entries: np.ndarray
+    band: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvalidBasisError("penalty entries must form a square matrix")
-        if entries.flags.writeable or not entries.flags.owndata:
-            entries = entries.copy()
-            entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        band = np.array(self.band, dtype=float)
+        if band.ndim != 2 or not 0 < band.shape[1] <= band.shape[0]:
+            raise InvalidBasisError("penalty band must be a (K, p + 1) array, p < K")
+        band.flags.writeable = False
+        object.__setattr__(self, "band", band)
 
 
 def make_knots(domain: tuple[float, float], num_basis: int) -> KnotVector:
@@ -256,9 +254,8 @@ def penalty_matrix(kv: KnotVector) -> PenaltyMatrix:
     The exact integral over a span of width ``h`` of two such lines with
     end values ``(u, v)`` and ``(u', v')`` is
     ``h/6 ((2u + v) u' + (u + 2v) v')``.  The four cubics alive on a span
-    give that span's 4-by-4 block, which is added into the seven diagonals
-    ``|i - j| <= 3``; the upper diagonals are mirrored, so the matrix is
-    exactly symmetric and exactly zero outside the band.
+    give that span's 4-by-4 block, whose lower half is added into the band
+    ``band[i, d] = R[i + d, i]``, ``d = 0 .. 3``.
     """
     if kv.order != 4:
         raise UnsupportedOrderError(
@@ -271,20 +268,15 @@ def penalty_matrix(kv: KnotVector) -> PenaltyMatrix:
     a1 = -6.0 * inv2[1:k + 1] * (inv3[:k] + inv3[1:k + 1])
     a2 = 6.0 * inv3[1:k + 1] * inv2[2:k + 2]
     # Spans s = 3 .. k-1 tile the domain; cubics s-3 .. s live on span s.
-    # Rows p of ``left`` / ``right`` hold cubic s-3+p at the span ends.
+    # Entry p of ``left`` / ``right``, a view, is cubic s-3+p at the span ends.
     spans = k - 3
     zero = np.zeros(spans)
-    left = np.stack([a2[:spans], a1[1:spans + 1], a0[2:spans + 2], zero])
-    right = np.stack([zero, a2[1:spans + 1], a1[2:spans + 2], a0[3:spans + 3]])
+    left = [a2[:spans], a1[1:spans + 1], a0[2:spans + 2], zero]
+    right = [zero, a2[1:spans + 1], a1[2:spans + 2], a0[3:spans + 3]]
     h = (t[4:k + 1] - t[3:k]) / 6.0
-    entries = np.zeros((k, k))
+    band = np.zeros((k, 4))
     for d in range(4):
-        diag = np.zeros(k - d)
         for p in range(4 - d):
-            diag[p:p + spans] += h * ((2.0 * left[p] + right[p]) * left[p + d]
-                                      + (left[p] + 2.0 * right[p]) * right[p + d])
-        rows = np.arange(k - d)
-        entries[rows, rows + d] = diag
-        entries[rows + d, rows] = diag
-    entries.flags.writeable = False
-    return PenaltyMatrix(entries)
+            band[p:p + spans, d] += h * ((2.0 * left[p] + right[p]) * left[p + d]
+                                         + (left[p] + 2.0 * right[p]) * right[p + d])
+    return PenaltyMatrix(band)

@@ -5,11 +5,12 @@ design is a Kronecker product of a small concentration block with the
 basis design, the normal equations split, in the eigenvectors of the
 concentration Gram ``M = Q diag(d) Q'``, into blocks ``d_j C + lam R`` of
 basis dimension K.  The basis Gram ``C = B'B`` and the curvature penalty
-``R`` are banded (half-bandwidth ``p = 3`` for cubic splines), so
-``_FactoredSystem`` keeps only their bands and solves each block with a
-banded Cholesky factorization in ``O(K p^2)``: ``m + 1`` of them per
-lambda and per leave-one-out fold, after an eigendecomposition of the
-``(m+1)``-square ``M``.  GCV takes the hat trace from the band of each
+``R`` are banded (half-bandwidth ``p = 3`` for cubic splines), ``R``
+arrives as its band (:class:`PenaltyMatrix`), and ``_FactoredSystem``
+keeps only bands and solves each block with a banded Cholesky
+factorization in ``O(K p^2)``: ``m + 1`` of them per lambda and per
+leave-one-out fold, after an eigendecomposition of the ``(m+1)``-square
+``M``.  GCV takes the hat trace from the band of each
 block's inverse (the Takahashi recursion of ``_selected_inverse``) and
 sums the RSS from residual curves, so scoring the whole lambda grid costs
 ``O(L (m+1) K p^2)`` and forms no K-by-K array.  At ``lam = 0`` every
@@ -111,7 +112,7 @@ class CovarianceModel:
         return cov
 
 
-def _bands(b: np.ndarray, r: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _bands(b: np.ndarray, band: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Lower bands of ``C = B'B`` and of the penalty ``R``, in LAPACK storage.
 
     Row ``i`` of each ``(K, p + 1)`` array holds entries ``(i + q, i)`` for
@@ -121,21 +122,22 @@ def _bands(b: np.ndarray, r: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]
     nonzero columns in a row of ``B`` (3 for a cubic basis, 2 when every
     site is a knot), and diagonal ``q`` of ``C`` is the product of ``B``
     with itself shifted by ``q`` columns, summed over the sites; ``C`` is
-    never formed.  An all-zero row counts as full width.  ``R = None``
-    stands for zero.
+    never formed.  An all-zero row counts as full width.  ``band`` is the
+    penalty's band (:class:`PenaltyMatrix`), padded with zero columns to
+    the pair's width; None stands for zero.
     """
     k = b.shape[1]
     seen = b != 0
     spans = k - 1 - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1)
     width = max(int(spans.max()), 1)
-    if r is not None:
-        width = max(width, int(np.max(np.arange(k) - (r != 0).argmax(axis=1))))
+    if band is not None:
+        width = max(width, band.shape[1] - 1)
     gram = np.zeros((k, width + 1))
     penalty = np.zeros((k, width + 1))
     for q in range(width + 1):
         gram[:k - q, q] = np.einsum("tk,tk->k", b[:, q:], b[:, :k - q])
-        if r is not None:
-            penalty[:k - q, q] = np.diagonal(r, -q)
+        if band is not None and q < band.shape[1]:
+            penalty[:k - q, q] = band[:k - q, q]
     return gram, penalty
 
 
@@ -347,17 +349,28 @@ class _FactoredSystem:
         return out
 
 
-def _factored(design: AggregatedDesign, penalty: np.ndarray | None) -> _FactoredSystem:
-    """The design's factored system for ``penalty``, built once per pair.
+def _factored(design: AggregatedDesign, band: np.ndarray | None,
+              lams: float | np.ndarray = 0.0) -> _FactoredSystem:
+    """The design's factored system for the penalty ``band``, built once
+    per pair, after the solver's one check: ``lams``, the lambda to use
+    (finite, >= 0) or a grid array (finite, > 0), and the band's row count.
 
     The design keeps the latest system, so a GCV search followed by the
     fit or the leave-one-out folds at the chosen lambda takes the bands
-    (and, at ``lam = 0``, the Cholesky factor of ``C``) once.
-    Penalty entries are read-only, so the same array is the same penalty.
+    (and, at ``lam = 0``, the Cholesky factor of ``C``) once.  A
+    PenaltyMatrix band is a read-only copy: the same array, the same penalty.
     """
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim == 0 and not 0.0 <= lams < np.inf:
+        raise InvalidParameterError(
+            f"smoothing parameter must be finite and >= 0, got {lams}")
+    if lams.ndim > 0 and not np.all((lams > 0.0) & (lams < np.inf)):
+        raise InvalidParameterError("lambda grid entries must be finite and positive")
+    if band is not None and band.shape[0] != design.num_basis:
+        raise ShapeError("penalty dimension does not match basis dimension")
     system = design.__dict__.get("_factored")
-    if system is None or system.penalty is not penalty:
-        system = _FactoredSystem(design, penalty)
+    if system is None or system.penalty is not band:
+        system = _FactoredSystem(design, band)
         object.__setattr__(design, "_factored", system)
     return system
 
@@ -403,12 +416,7 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
     All coefficient blocks, the baseline included, are penalized alike.
     ``lam = 0`` reduces to :func:`fit_ols` when the design has full rank.
     """
-    if lam < 0:
-        raise InvalidParameterError(f"smoothing parameter must be >= 0, got {lam}")
-    r = penalty.entries
-    if r.shape != (design.num_basis, design.num_basis):
-        raise ShapeError("penalty dimension does not match basis dimension")
-    system = _factored(design, r)
+    system = _factored(design, penalty.band, lam)
     coef = system.solve(lam=lam)
     diag = None
     if diagnostics:
@@ -426,9 +434,7 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
 
 def gcv_score(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float) -> float:
     """Generalized cross-validation score ``n RSS / (n - tr H)^2``."""
-    if lam < 0:
-        raise InvalidParameterError(f"smoothing parameter must be >= 0, got {lam}")
-    system = _factored(design, penalty.entries)
+    system = _factored(design, penalty.band, lam)
     _, trace, score = system.gcv(lam)[0]
     if score is None:
         raise DegenerateGcvError(
@@ -444,10 +450,8 @@ def select_lambda(design: AggregatedDesign, penalty: PenaltyMatrix,
     grid = DEFAULT_LAMBDA_GRID if lam_grid is None else np.asarray(lam_grid, float)
     if grid.size == 0:
         raise InvalidParameterError("lambda grid is empty")
-    if np.any(grid <= 0):
-        raise InvalidParameterError("lambda grid entries must be positive")
     grid = np.sort(grid)
-    system = _factored(design, penalty.entries)
+    system = _factored(design, penalty.band, grid)
     best_lam, best_score = None, np.inf
     for lam, (_, _, score) in zip(grid, system.gcv(grid)):
         if score is not None and score <= best_score:
@@ -464,7 +468,7 @@ def loo_coefficients(design: AggregatedDesign, penalty: PenaltyMatrix | None = N
     Yields ``(sample_index, coefficients)`` exactly matching a refit on the
     dataset with that sample removed.
     """
-    system = _factored(design, None if penalty is None else penalty.entries)
+    system = _factored(design, None if penalty is None else penalty.band, lam)
     for i in range(design.num_samples):
         m, f = system.downdated(i)
         yield i, system.solve(lam=lam, m=m, f=f)

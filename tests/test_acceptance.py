@@ -44,6 +44,8 @@ from specal.simulate import (
     sample_dirichlet,
 )
 
+from test_basis import dense_penalty
+
 JOBS = min(2, os.cpu_count() or 1)
 
 
@@ -81,7 +83,7 @@ def test_criterion_1_basis_correctness():
 
         # Fine-grid trapezoid oracle on an evenly spaced knot vector.
         kv = make_knots((0.0, 10.0), 12)
-        entries = penalty_matrix(kv).entries
+        entries = dense_penalty(penalty_matrix(kv))
         dense = np.linspace(0.0, 10.0, 100_001)
         d2 = derivative_matrix(kv, dense, deriv=2)
         weights = np.full(dense.size, dense[1] - dense[0])
@@ -101,7 +103,7 @@ def test_criterion_1_basis_correctness():
         order = np.argsort(nodes, kind="stable")
         d2 = derivative_matrix(kv, nodes[order], deriv=2)
         simpson = (d2 * weights[order][:, None]).T @ d2
-        entries = penalty_matrix(kv).entries
+        entries = dense_penalty(penalty_matrix(kv))
         npt.assert_allclose(entries, simpson,
                             atol=1e-8 * max(1.0, np.abs(entries).max()))
 
@@ -140,7 +142,7 @@ def test_criterion_2_estimator_identities():
             lam = 3.0
             pm = fit_penalized(design, pen, lam)
             gram = design.x_plus.T @ design.x_plus
-            full_pen = np.kron(np.eye(3), pen.entries)
+            full_pen = np.kron(np.eye(3), dense_penalty(pen))
             lhs = (gram + lam * full_pen) @ pm.coefficients.ravel()
             rhs = design.x_plus.T @ design.w_plus
             assert np.abs(lhs - rhs).max() < 1e-8 * max(np.abs(rhs).max(), 1.0)

@@ -51,6 +51,18 @@ def repeated_knot_vector(rng, num_basis=24):
     return KnotVector(np.concatenate([np.zeros(4), interior, np.full(4, 10.0)]))
 
 
+def dense_penalty(penalty):
+    """The K-by-K matrix held by a PenaltyMatrix, from its lower band."""
+    band = penalty.band
+    k = band.shape[0]
+    r = np.zeros((k, k))
+    for q in range(band.shape[1]):
+        rows = np.arange(k - q)
+        r[rows + q, rows] = band[:k - q, q]
+        r[rows, rows + q] = band[:k - q, q]
+    return r
+
+
 def dense_gauss_penalty(kv):
     """Penalty from a dense table of second derivatives at two Gauss nodes
     per span, weighted and multiplied out in full."""
@@ -224,7 +236,7 @@ class TestDerivatives:
 class TestPenaltyMatrix:
     def test_constant_and_linear_null_space(self):
         kv = random_knots(np.random.default_rng(9), 12)
-        r = penalty_matrix(kv).entries
+        r = dense_penalty(penalty_matrix(kv))
         ones = np.ones(kv.num_basis)
         line = greville_points(kv)
         scale = np.abs(r).max() * line @ line
@@ -233,37 +245,35 @@ class TestPenaltyMatrix:
 
     def test_positive_on_curved_coefficients(self):
         kv = make_knots((0.0, 1.0), 8)
-        r = penalty_matrix(kv).entries
+        r = dense_penalty(penalty_matrix(kv))
         curved = greville_points(kv) ** 2
         assert curved @ r @ curved > 1e-6
 
     def test_matches_fine_grid_trapezoid_oracle(self):
         kv = random_knots(np.random.default_rng(10), 9)
-        r = penalty_matrix(kv).entries
+        r = dense_penalty(penalty_matrix(kv))
         a, b = kv.domain
         dense = np.linspace(a, b, 60001)
         d2 = derivative_matrix(kv, dense, deriv=2)
         oracle = np.trapezoid(d2[:, :, None] * d2[:, None, :], dense, axis=0)
         npt.assert_allclose(r, oracle, atol=1e-8 * max(1.0, np.abs(r).max()))
 
-    def test_entries_never_alias_a_writable_array(self):
-        source = np.eye(4)
+    def test_band_is_a_read_only_copy(self):
+        source = np.ones((5, 4))
         penalty = PenaltyMatrix(source)
-        assert not penalty.entries.flags.writeable
+        assert not penalty.band.flags.writeable
         source[0, 0] = 5.0
-        assert penalty.entries[0, 0] == 1.0
-        frozen = np.eye(4)
-        frozen.flags.writeable = False
-        assert PenaltyMatrix(frozen).entries is frozen
-        view = frozen[:, ::-1]
-        assert PenaltyMatrix(view).entries.flags.owndata
+        assert penalty.band[0, 0] == 1.0
+        for shape in ((5,), (5, 0), (5, 6)):
+            with pytest.raises(InvalidBasisError):
+                PenaltyMatrix(np.ones(shape))
 
-    def test_building_holds_one_matrix(self):
-        # The band-by-band assembly fills one K-by-K array and hands it to
-        # PenaltyMatrix read-only, without a second copy.
+    def test_building_holds_no_square_matrix(self):
+        # The assembly writes the (K, 4) band directly; a K-by-K array
+        # alone would be 8 K^2 bytes.
         import tracemalloc
 
-        kv = knots_from_grid(np.linspace(350.0, 750.0, 401))
+        kv = knots_from_grid(np.linspace(350.0, 750.0, 1001))
         k = kv.num_basis
         tracemalloc.start()
         try:
@@ -271,12 +281,12 @@ class TestPenaltyMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert k == 403
-        assert peak < 1.5 * k * k * 8
+        assert k == 1003
+        assert peak < 0.02 * k * k * 8
 
     def test_symmetric_psd_banded(self):
         kv = random_knots(np.random.default_rng(12), 14)
-        r = penalty_matrix(kv).entries
+        r = dense_penalty(penalty_matrix(kv))
         assert np.abs(r - r.T).max() < 1e-14
         assert np.linalg.eigvalsh(r).min() > -1e-10 * np.abs(r).max()
         k = kv.num_basis
@@ -291,7 +301,7 @@ class TestPenaltyMatrix:
         repeated_knot_vector(np.random.default_rng(13)),
     ], ids=["K403", "K14", "repeated-knot"])
     def test_matches_dense_gauss_quadrature(self, kv):
-        r = penalty_matrix(kv).entries
+        r = dense_penalty(penalty_matrix(kv))
         oracle = dense_gauss_penalty(kv)
         npt.assert_allclose(r, oracle, rtol=1e-12,
                             atol=1e-12 * np.abs(oracle).max())

@@ -29,6 +29,7 @@ from specal.errors import (
     DegenerateCovarianceError,
     DegenerateGcvError,
     InvalidParameterError,
+    ShapeError,
     SingularDesignError,
 )
 from specal.model import (
@@ -39,6 +40,7 @@ from specal.model import (
 )
 from specal.simulate import STRONG_PHI, WEAK_PHI, gp_cholesky
 
+from test_basis import dense_penalty
 from test_model import make_dataset
 
 
@@ -134,7 +136,7 @@ class TestFitPenalized:
     def test_is_minimizer(self):
         rng = np.random.default_rng(5)
         design, kv = small_design(rng)
-        pen = penalty_matrix(kv).entries
+        pen = dense_penalty(penalty_matrix(kv))
         lam = 0.3
         coef = fit_penalized(design, penalty_matrix(kv), lam).coefficients
 
@@ -151,7 +153,7 @@ class TestFitPenalized:
     def test_penalized_normal_equations(self):
         rng = np.random.default_rng(6)
         design, kv = small_design(rng)
-        pen = penalty_matrix(kv).entries
+        pen = dense_penalty(penalty_matrix(kv))
         lam = 2.5
         coef = fit_penalized(design, penalty_matrix(kv), lam).coefficients
         g = design.x_plus.T @ design.x_plus
@@ -173,11 +175,29 @@ class TestFitPenalized:
         coarse_slope = np.abs(coarse - base).max() / 0.1
         assert slope < 10 * max(coarse_slope, 1.0)
 
-    def test_rejects_negative_lambda(self):
-        rng = np.random.default_rng(8)
-        design, kv = small_design(rng)
+    # Every penalized entry point, called at one lambda (a one-entry grid
+    # for select_lambda).
+    ENTRY_POINTS = {
+        "fit_penalized": fit_penalized,
+        "gcv_score": gcv_score,
+        "select_lambda": lambda design, pen, lam: select_lambda(design, pen, [lam]),
+        "loo_coefficients": lambda design, pen, lam: list(
+            loo_coefficients(design, pen, lam)),
+    }
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_bad_lambda(self, entry, lam):
+        design, kv = small_design(np.random.default_rng(8))
         with pytest.raises(InvalidParameterError):
-            fit_penalized(design, penalty_matrix(kv), -1.0)
+            self.ENTRY_POINTS[entry](design, penalty_matrix(kv), lam)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_penalty_of_another_size(self, entry):
+        design, _ = small_design(np.random.default_rng(8))
+        pen = penalty_matrix(make_knots((0.0, 1.0), 14))
+        with pytest.raises(ShapeError, match="penalty dimension"):
+            self.ENTRY_POINTS[entry](design, pen, 1.0)
 
 
 class TestGcv:
@@ -196,7 +216,7 @@ class TestGcv:
         lam = 0.7
         model = fit_penalized(design, pen, lam)
         x = design.x_plus
-        g = x.T @ x + lam * np.kron(np.eye(2), pen.entries)
+        g = x.T @ x + lam * np.kron(np.eye(2), dense_penalty(pen))
         leverage = np.einsum("ij,ji->i", x, np.linalg.solve(g, x.T))
         assert model.diagnostics.hat_trace == pytest.approx(
             leverage.sum(), abs=1e-6
@@ -295,8 +315,9 @@ class TestGcv:
         pen = penalty_matrix(kv)
         with pytest.raises(InvalidParameterError):
             select_lambda(design, pen, np.array([]))
-        with pytest.raises(InvalidParameterError):
-            select_lambda(design, pen, np.array([0.0, 1.0]))
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                select_lambda(design, pen, np.array([1.0, bad]))
 
     def test_degenerate_gcv_when_trace_reaches_rows(self):
         # Two grid points cannot out-number eight coefficients: at tiny
@@ -371,7 +392,7 @@ class TestBandedSolver:
             b = mpmath.matrix(design.b.tolist())
             gram = _mp_kron(mpmath, conc.T * conc, b.T * b)
             penalty = _mp_kron(mpmath, mpmath.eye(conc.cols),
-                               mpmath.matrix(pen.entries.tolist()))
+                               mpmath.matrix(dense_penalty(pen).tolist()))
             inverse = mpmath.inverse(gram + mpmath.mpf(lam) * penalty)
             hat = float(mpmath.fsum(inverse[i, k] * gram[k, i]
                                     for i in range(gram.rows)
@@ -386,8 +407,8 @@ class TestBandedSolver:
         # it has computed, so each single lambda gets a fresh system.
         design, pen = self.make()
         grid = np.logspace(-4, 8, 25)
-        scores = _FactoredSystem(design, pen.entries).gcv(grid)
-        assert scores == [_FactoredSystem(design, pen.entries).gcv(lam)[0]
+        scores = _FactoredSystem(design, pen.band).gcv(grid)
+        assert scores == [_FactoredSystem(design, pen.band).gcv(lam)[0]
                           for lam in grid]
 
     def test_fit_after_selection_reuses_the_grid_scores(self, monkeypatch):
@@ -431,7 +452,7 @@ class TestBandedSolver:
         x, w = design.x_plus, design.w_plus
         assert np.linalg.matrix_rank(design.b.T @ design.b) < design.num_basis
         for lam in (1e-4, 1.0, 1e8):
-            gram = x.T @ x + lam * np.kron(np.eye(3), pen.entries)
+            gram = x.T @ x + lam * np.kron(np.eye(3), dense_penalty(pen))
             theta = np.linalg.solve(gram, x.T @ w)
             model = fit_penalized(design, pen, lam)
             npt.assert_allclose(model.coefficients.ravel(), theta, rtol=0,
