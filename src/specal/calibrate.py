@@ -447,7 +447,9 @@ def gcv_score(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float) -> f
 def select_lambda(design: AggregatedDesign, penalty: PenaltyMatrix,
                   lam_grid: np.ndarray | None = None) -> float:
     """Grid minimizer of the GCV score; ties go to the smoother fit."""
-    grid = DEFAULT_LAMBDA_GRID if lam_grid is None else np.asarray(lam_grid, float)
+    # A scalar is a one-entry grid.
+    grid = DEFAULT_LAMBDA_GRID if lam_grid is None else np.atleast_1d(
+        np.asarray(lam_grid, float))
     if grid.size == 0:
         raise InvalidParameterError("lambda grid is empty")
     grid = np.sort(grid)

@@ -54,8 +54,8 @@ def _write_table(path, header: list[str], ids, values) -> None:
 _UNPLAIN = '"\0\x1c\x1d\x1e\x1f'
 
 
-def _read_table(path, numeric=None, numeric_header: bool = False
-                ) -> tuple[list[str], list[str], np.ndarray]:
+def _read_table(path, numeric=None, numeric_header: bool = False,
+                wide: bool = False):
     """Header names, row ids and float cells of a CSV table.
 
     Blank rows are skipped, a table has at least two columns, every row is
@@ -64,13 +64,17 @@ def _read_table(path, numeric=None, numeric_header: bool = False
     0-based columns to convert (default: all after the ids) before any
     cell is converted.  Those cells of every data row, and of the header too with
     ``numeric_header`` (whose id then leads the ids), go through
-    ``float()`` into one finite array of shape (rows, columns).  A bad cell
+    ``float()`` into one finite array of shape (rows, columns).  With
+    ``wide`` the cells come by column instead, as the first column's
+    (rows,) array and a C-contiguous (columns - 1, rows) array of the
+    others: a wide spectra file's grid and its J×T absorbance.  A bad cell
     raises ParseError with its 1-based row and column, blank rows not
     counted.
 
-    Tables that numpy's C reader takes whole are read by it: its cells
-    parse with the same routine as ``float()``, to the same bits.  Any
-    other table (quoted cells, ragged rows, cells such as ``1_0`` that only
+    Tables that numpy's C reader takes whole are read by it, a chunk of
+    rows at a time into arrays allocated once: its cells parse with the
+    same routine as ``float()``, to the same bits.  Any other table
+    (quoted cells, ragged rows, cells such as ``1_0`` that only
     ``float()`` accepts, or a bad cell) is read again by the cell scan,
     so accepted inputs and error messages do not depend on the reader.
     """
@@ -78,33 +82,43 @@ def _read_table(path, numeric=None, numeric_header: bool = False
         with open(path, newline="", encoding="utf-8") as handle:
             table = None
             if handle.seekable():  # the scan rereads what numpy refuses
-                table = _read_plain(handle, numeric, numeric_header)
+                table = _read_plain(handle, numeric, numeric_header, wide)
                 if table is None:
                     handle.seek(0)
             if table is None:
-                table = _scan(path, handle, numeric, numeric_header)
+                table = _scan(path, handle, numeric, numeric_header, wide)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     header, ids, columns, values = table
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, k = bad[0]
+    parts = values if wide else [values]
+    if not all(np.isfinite(part).all() for part in parts):
+        cells = np.column_stack([values[0], values[1].T]) if wide else values
+        i, k = np.argwhere(~np.isfinite(cells))[0]
         row = i + (1 if numeric_header else 2)
         raise ParseError(f"{path}: non-finite cell at row {row}, "
                          f"column {columns[k] + 1}")
     return header, ids, values
 
 
-def _read_plain(handle, numeric, numeric_header: bool):
+# Rows per np.loadtxt call: a chunk of a wide spectra file is small beside
+# the table it fills.
+_CHUNK_ROWS = 32
+
+
+def _read_plain(handle, numeric, numeric_header: bool, wide: bool):
     """``_scan``'s table through ``np.loadtxt``, or None where it may differ.
 
     Only lines without quotes and with exactly the header's cell count
-    reach numpy, so splitting at commas gives csv's cells.
+    reach numpy, so splitting at commas gives csv's cells.  The rows are
+    counted first; the output is allocated once and numpy fills it
+    ``_CHUNK_ROWS`` rows at a time, so no second table is held.
     """
     # A line holds one terminator, at its end, so one that starts with it
     # is a terminator alone: a row csv reads as empty.
+    count = sum(line[0] not in "\r\n" for line in handle) - (not numeric_header)
+    handle.seek(0)
     lines = (line for line in handle if line[0] not in "\r\n")
     head = next(lines, "")
     first = next(lines, None)
@@ -112,8 +126,9 @@ def _read_plain(handle, numeric, numeric_header: bool):
     if first is None or len(header) < 2 or not _plain(head):
         return None
     columns = range(1, len(header)) if numeric is None else numeric(header)
-    # Reading every column, numpy checks that each row is as long as the
-    # first; with usecols it drops extra cells, so rows are counted here.
+    # Reading every column, numpy checks that each row of a chunk is as
+    # long as its first, and the shape check below compares the chunks;
+    # with usecols it drops extra cells, so cells are counted here.
     usecols = None if columns == range(len(header)) else columns
     ids = []
 
@@ -125,21 +140,34 @@ def _read_plain(handle, numeric, numeric_header: bool):
             ids.append(line.partition(",")[0].strip())
             yield line
 
-    try:
-        values = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2,
-                            usecols=usecols)
-    except ValueError:
-        return None
-    if values.shape[1] != len(columns):
-        return None
-    return header, ids, columns, values
+    feed = rows()
+    if wide:
+        lead, values = np.empty(count), np.empty((len(columns) - 1, count))
+    else:
+        values = np.empty((count, len(columns)))
+    for start in range(0, count, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, count)
+        try:
+            chunk = np.loadtxt(feed, delimiter=",", comments=None, ndmin=2,
+                               usecols=usecols, max_rows=_CHUNK_ROWS)
+        except ValueError:
+            return None
+        if chunk.shape != (stop - start, len(columns)):
+            return None
+        if wide:
+            lead[start:stop] = chunk[:, 0]
+            values[:, start:stop] = chunk[:, 1:].T
+        else:
+            values[start:stop] = chunk
+        del chunk  # before numpy parses the next one
+    return header, ids, columns, (lead, values) if wide else values
 
 
 def _plain(line: str) -> bool:
     return not any(char in line for char in _UNPLAIN)
 
 
-def _scan(path, handle, numeric, numeric_header: bool):
+def _scan(path, handle, numeric, numeric_header: bool, wide: bool):
     """``_read_table``'s cells through csv and ``float()``, one row at a time."""
     rows = filter(None, csv.reader(handle))
     header = next(rows, None)
@@ -171,7 +199,7 @@ def _scan(path, handle, numeric, numeric_header: bool):
                         f"{path}: non-numeric cell at row {number}, "
                         f"column {j + 1}: {row[j]!r}") from None
     values = np.frombuffer(cells, dtype=float).reshape(len(ids), len(columns))
-    return header, ids, columns, values
+    return header, ids, columns, (values[:, 0], values[:, 1:].T) if wide else values
 
 
 def _unique_ids(path, ids) -> None:
@@ -184,8 +212,11 @@ def _unique_ids(path, ids) -> None:
 def load_spectra(path, transpose: bool = False) -> SpectraSet:
     """Wide-format CSV: ``wavelength`` column then one column per sample.
 
+    The reader fills the J×T absorbance array directly, chunk by chunk,
+    and ``SpectraSet`` adopts it read-only, so the spectra are held once.
     ``transpose=True`` accepts the flipped layout (one row per sample,
-    header of wavelengths with a leading ``sample`` column).
+    header of wavelengths with a leading ``sample`` column), whose
+    absorbance is a view of the table and is copied.
     """
     if transpose:
         _, ids, values = _read_table(path, numeric_header=True)
@@ -197,9 +228,9 @@ def load_spectra(path, transpose: bool = False) -> SpectraSet:
                                  f"'wavelength', got {header[0]!r}")
             return range(len(header))
 
-        header, _, values = _read_table(path, wide)
+        header, _, (grid, matrix) = _read_table(path, wide, wide=True)
         ids = header[1:]
-        grid, matrix = values[:, 0], values[:, 1:].T
+        matrix.flags.writeable = False
     _unique_ids(path, ids)
     diffs = np.diff(grid)
     if np.any(diffs <= 0):

@@ -38,11 +38,19 @@ def closure_total(values) -> float | None:
 
 
 def _frozen_array(values, dtype=float, ndim=None, name="array") -> np.ndarray:
+    """``values`` as a read-only array the caller cannot change.
+
+    A read-only array that owns its data (such as the absorbance
+    ``io.load_spectra`` fills) is adopted as is: its maker has handed it
+    over, and no view makes it writable.  A writable array, or a view
+    whose base may be writable, is copied.
+    """
     arr = np.asarray(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.flags.writeable = False
     return arr
 
 

@@ -168,9 +168,13 @@ def _blocked_estimates(model: CalibrationModel, spectra: SpectraSet,
     for start in range(0, len(w), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         y = solve(w[block])
-        fitted = baseline[None, :] + y @ a.T
         y_hat[block] = y
-        residual_norms[block] = np.linalg.norm(w[block] - fitted, axis=1)
+        # In place, the residual needs no block-sized temporary beside the
+        # fit: with the spectra held once this loop sets the predict peak.
+        fitted = y @ a.T
+        fitted += baseline
+        fitted -= w[block]
+        residual_norms[block] = np.linalg.norm(fitted, axis=1)
     return y_hat, residual_norms
 
 

@@ -245,6 +245,14 @@ class TestGcv:
         design, kv = small_design(rng)
         assert select_lambda(design, penalty_matrix(kv), np.array([3.0])) == 3.0
 
+    def test_scalar_grid_is_one_entry(self):
+        rng = np.random.default_rng(13)
+        design, kv = small_design(rng)
+        pen = penalty_matrix(kv)
+        assert select_lambda(design, pen, 5.0) == 5.0
+        with pytest.raises(InvalidParameterError):
+            select_lambda(design, pen, np.nan)
+
     def test_decreasing_scores_pick_last(self):
         # A noisy linear truth smooths without penalty cost, so GCV keeps
         # improving over a short increasing grid.

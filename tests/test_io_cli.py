@@ -91,6 +91,46 @@ class TestSpectraIo:
         assert loaded.absorbance.shape == (240, 100)
         assert elapsed < 1.0
 
+    def test_loader_holds_a_batch_once(self, tmp_path):
+        import tracemalloc
+
+        # 2000 spectra of 401 wavelengths, the size of a prediction batch:
+        # a second table or a copy of the absorbance would pass 2x.
+        rng = np.random.default_rng(1)
+        path = tmp_path / "batch.csv"
+        with open(path, "w", newline="") as handle:
+            handle.write(",".join(["wavelength", *(f"p{j}" for j in range(2000))])
+                         + "\n")
+            np.savetxt(handle, np.column_stack([np.arange(350.0, 751.0),
+                                                rng.random((401, 2000))]),
+                       fmt="%.6f", delimiter=",")
+        tracemalloc.start()
+        try:
+            loaded = io.load_spectra(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.absorbance.shape == (2000, 401)
+        assert peak < 1.4 * (loaded.absorbance.nbytes + loaded.grid.nbytes)
+
+    def test_loaded_absorbance_is_adopted(self, tmp_path, monkeypatch):
+        filled = []
+
+        def read_table(*args, **kwargs):
+            table = read(*args, **kwargs)
+            filled.append(table[2][1])
+            return table
+
+        read = io._read_table
+        monkeypatch.setattr(io, "_read_table", read_table)
+        path = tmp_path / "spectra.csv"
+        path.write_text("wavelength,s1,s2\n"
+                        + "".join(f"{w},0.5,0.25\n" for w in range(1, 80)))
+        absorbance = io.load_spectra(path).absorbance
+        assert absorbance is filled[0]
+        assert absorbance.flags.c_contiguous and not absorbance.flags.writeable
+        assert absorbance.base is None
+
 
 class TestConcentrationIo:
     def test_permuted_ids_realign(self, dataset, tmp_path):

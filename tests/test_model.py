@@ -47,6 +47,30 @@ class TestContainers:
         with pytest.raises(ShapeError):
             SpectraSet(grid=np.array([1.0, 2.0, 3.0]), absorbance=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("build, held", [
+        (lambda w: SpectraSet(grid=np.arange(3.0), absorbance=w),
+         lambda made: made.absorbance),
+        (lambda w: ConcentrationMatrix(values=w), lambda made: made.values),
+    ], ids=["spectra", "concentrations"])
+    @pytest.mark.parametrize("source", [
+        lambda base: base,
+        lambda base: base[:, :],
+        lambda base: np.lib.stride_tricks.as_strided(base, writeable=False),
+    ], ids=["writable", "writable-view", "read-only-view"])
+    def test_containers_copy_what_the_caller_can_change(self, build, held,
+                                                        source):
+        base = np.full((2, 3), 0.25)
+        made = build(source(base))
+        base[0, 0] = 0.5
+        assert held(made)[0, 0] == 0.25
+        assert not held(made).flags.writeable
+
+    def test_read_only_array_owning_its_data_is_adopted(self):
+        w = np.full((2, 3), 0.25)
+        w.flags.writeable = False
+        assert SpectraSet(grid=np.arange(3.0), absorbance=w).absorbance is w
+        assert ConcentrationMatrix(values=w).values is w
+
     def test_negative_concentrations_warn_but_load(self):
         with pytest.warns(UserWarning):
             conc = ConcentrationMatrix(values=np.array([[0.2, -0.1], [0.4, 0.3]]))

@@ -126,7 +126,7 @@ def _concentration_bits(conc):
 
 def _value_table_bits(path):
     with open(path, encoding="utf-8") as handle:
-        names = handle.readline().strip().split(",")[2:]
+        names = next(filter(str.strip, handle)).strip().split(",")[2:]
     ids, columns, values = io.load_value_table(path, columns=tuple(reversed(names)))
     return ids, columns, np.ascontiguousarray(values).tobytes()
 
@@ -138,16 +138,23 @@ def _outcome(load, path):
         return "ParseError", str(exc)
 
 
+# Short tables, and tables that numpy reads in several chunks.
+ROW_COUNTS = st.integers(2, 6) | st.integers(io._CHUNK_ROWS - 1,
+                                             3 * io._CHUNK_ROWS + 1)
+
+
 @pytest.mark.filterwarnings("ignore:negative concentration values")
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @settings(max_examples=40, deadline=None)
-@given(values=arrays(float, st.tuples(st.integers(2, 6), st.integers(2, 5)),
+@given(values=arrays(float, st.tuples(ROW_COUNTS, st.integers(2, 5)),
                      elements=st.floats(-1e300, 1e300)),
        fmt=st.sampled_from(FORMATS), pad=st.sampled_from(["", " ", "  "]),
        newline=st.sampled_from(["\n", "\r\n"]),
-       corrupt=st.none() | st.tuples(st.integers(0, 35), st.integers(0, 35),
-                                     st.sampled_from(CORRUPT)))
-def test_numpy_reader_matches_cell_scan(layout, values, fmt, pad, newline, corrupt):
+       corrupt=st.none() | st.tuples(st.integers(0, 200), st.integers(0, 35),
+                                     st.sampled_from(CORRUPT)),
+       blanks=st.lists(st.integers(0, 200), max_size=3))
+def test_numpy_reader_matches_cell_scan(layout, values, fmt, pad, newline,
+                                        corrupt, blanks):
     table, load = LAYOUTS[layout]
     header, rows = table(*values.shape)
     for row, numbers in zip(rows, values.tolist()):
@@ -155,7 +162,10 @@ def test_numpy_reader_matches_cell_scan(layout, values, fmt, pad, newline, corru
     if corrupt is not None:
         i, j, cell = corrupt
         rows[i % len(rows)][-1 - j % values.shape[1]] = cell
-    text = "".join(",".join(row) + newline for row in [header, *rows])
+    lines = [",".join(row) + newline for row in [header, *rows]]
+    for at in blanks:  # blank lines anywhere, the first line included
+        lines.insert(at % (len(lines) + 1), newline)
+    text = "".join(lines)
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "table.csv"
         path.write_text(text, encoding="utf-8", newline="")
