@@ -22,7 +22,8 @@ downdates) all go through it.
 GLS fits and their leave-one-out refits share one whitened assembly,
 ``_WhitenedSystem``, which applies each sample's inverse Cholesky factor
 by the innovations (Kalman) recursion of its noise process, with no
-T-by-T matrix.  No dense inverse is formed: the solves are Cholesky
+T-by-T matrix, in one pass along the grid that keeps only each sample's
+whitened Gram.  No dense inverse is formed: the solves are Cholesky
 factorizations and symmetric eigendecompositions, and GCV uses only the
 band of each block's inverse.
 """
@@ -76,7 +77,7 @@ class CovarianceModel:
     Sample ``i``'s covariance ``sum_k y_ik^2 sigma2_k exp(-phi_k |t - t'|)``
     is that of ``m`` independent exponential (Ornstein-Uhlenbeck)
     processes, an ``m``-state Markov process along the grid; GLS whitens
-    with its recursion (``_whiten``), never with the dense matrix.
+    with its recursion (``_whitened_blocks``), never with the dense matrix.
     """
 
     sigma2: np.ndarray
@@ -604,86 +605,102 @@ def fit_covariance(residuals: np.ndarray, concentrations,
     return CovarianceModel(sigma2=sigma2, phi=PHI_GRID[best_picks], clipped=clipped)
 
 
-def _innovation_gains(variances: np.ndarray, rates: np.ndarray, noise: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kalman gains and innovation variances of each sample's noise process.
+# Sites per block of the whitening pass, whatever the grid length.  A
+# longer block makes fewer Gram products but holds 8 I J bytes more a site.
+_BLOCK_SITES = 8
 
-    State ``k`` of sample ``i`` has stationary variance ``c = variances[i,
-    k]`` and decays by ``a = exp(-rates[n, k])`` into site ``n`` (rate
-    ``inf`` at the first site: the stationary law).  The noise is the sum
-    of the states plus white noise of variance ``noise``.  At each site the
-    state covariance ``P`` (m, m, I) is predicted, ``P <- a a' o P +
-    diag(c (1 - a^2))``, then updated: ``S = 1'P1 + noise``, ``g = P1 / S``,
-    ``P <- P - g (P1)'``.  Returns ``g`` (T, m, I), ``S`` (T, I) and, per
-    sample, whether every ``S`` is finite and positive.
+
+def _whitened_blocks(columns, grid: np.ndarray, y: np.ndarray,
+                     cov: CovarianceModel, noise: float = 0.0
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``L_i^-1`` times sample ``i``'s columns, a block of sites at a time.
+
+    ``L_i`` is the Cholesky factor of sample ``i``'s noise covariance plus
+    ``noise`` on the diagonal, on the increasing ``grid``; its columns are
+    the ``(T, I or 1, J_p)`` arrays ``columns`` side by side (1: shared).
+    State ``k`` has variance ``c = y_ik^2 sigma2_k`` and decays by ``a =
+    exp(-phi_k (t_n - t_(n-1)))`` into site ``n``.  Per site, the state
+    covariance ``P`` (m, m, I) goes ``P <- a a' o P + diag(c (1 - a^2))``,
+    ``S = 1'P1 + noise``, ``g = P1 / S``, ``P <- P - g (P1)'``, and each
+    column's filter states move by ``g`` times its innovation, which over
+    ``sqrt(S)`` is the whitened column: the Cholesky factorization in grid
+    order, at ``O(T m^2)`` per column.  Yields the whitened columns (n, I,
+    J) of up to ``_BLOCK_SITES`` sites, a view the next block overwrites,
+    and per sample whether every ``S`` among them is finite and positive.
     """
-    num, m = variances.shape
+    num, m = y.shape
+    variances = ((y * y) * cov.sigma2).T                         # (m, I)
+    rates = np.vstack([np.full(m, np.inf), np.outer(np.diff(grid), cov.phi)])
+    # The grid's own constants, (T, m) and (T, m, m): no sample axis.
     decay = np.exp(-rates)
     steps = (decay[:, :, None] * decay[:, None, :])[..., None]      # (T, m, m, 1)
-    fresh = -np.expm1(-2.0 * rates)[:, :, None] * variances.T       # (T, m, I)
-    gains = np.empty(fresh.shape)
-    scales = np.empty((decay.shape[0], num))
-    # Samples run along the last axis, so the sums over states add whole rows.
+    kept = -np.expm1(-2.0 * rates)[:, :, None]                      # 1 - a^2
+    decay = decay[:, :, None, None]
+    buffer = np.empty((_BLOCK_SITES, num, sum(c.shape[2] for c in columns)))
+    scale_buffer = np.empty((_BLOCK_SITES, num))
+    # Samples run along the last axis of P, so the sums over states add
+    # whole rows; the filters hold the (m, I, J) predicted states.
     state = np.zeros((m, m, num))
     diagonal = state.reshape(m * m, num)[::m + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for n in range(decay.shape[0]):
-            state *= steps[n]
-            diagonal += fresh[n]
-            p1 = state.sum(axis=1)
-            s = p1.sum(axis=0) + noise
-            g = p1 / s
-            state -= g[:, None, :] * p1[None, :, :]
-            gains[n] = g
-            scales[n] = s
-    ok = np.all(np.isfinite(scales) & (scales > 0), axis=0)
-    return gains, scales, ok
+    filters = np.zeros((m,) + buffer.shape[1:])
+    for start in range(0, len(rates), _BLOCK_SITES):
+        stop = min(start + _BLOCK_SITES, len(rates))
+        block, scales = buffer[:stop - start], scale_buffer[:stop - start]
+        np.concatenate([np.broadcast_to(c[start:stop], block.shape[:2] + c.shape[2:])
+                        for c in columns], axis=2, out=block)
+        fresh = kept[start:stop] * variances                        # (n, m, I)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for n, site in enumerate(range(start, stop)):
+                state *= steps[site]
+                diagonal += fresh[n]
+                p1 = state.sum(axis=1)
+                s = p1.sum(axis=0, out=scales[n])
+                if noise:
+                    s += noise
+                g = p1 / s
+                state -= g[:, None, :] * p1[None, :, :]
+                filters *= decay[site]
+                np.subtract(block[n], filters.sum(axis=0), out=block[n])
+                filters += g[:, :, None] * block[n]
+            block /= np.sqrt(scales)[:, :, None]
+            ok = np.all(np.isfinite(scales) & (scales > 0), axis=0)
+        yield block, ok
 
 
-def _whiten(cols: np.ndarray, grid: np.ndarray, y: np.ndarray,
-            cov: CovarianceModel) -> None:
-    """Replace ``cols[:, i]`` (T, I, J) by ``L_i^-1 cols[:, i]``, in place.
+def _whitened_grams(columns, grid: np.ndarray, y: np.ndarray,
+                    cov: CovarianceModel, noise: float | None = None) -> np.ndarray:
+    """Each sample's Gram (I, J, J) of its :func:`_whitened_blocks` columns.
 
-    ``L_i`` is the Cholesky factor of sample ``i``'s noise covariance on
-    the increasing ``grid``.  The filter of :func:`_innovation_gains` run
-    over a column gives its innovations; scaled by ``1/sqrt(S)`` they are
-    ``L_i^-1`` times the column (the innovations are the Cholesky
-    factorization in grid order), at ``O(T m^2)`` per column.  A sample
-    whose ``S`` is not positive somewhere (a blank sample's covariance is
-    zero) is filtered again against its covariance plus ``1e-8
-    mean(sigma2)`` on the diagonal; if that fails too,
-    ``CovarianceConditioningError``.
+    The samples whose ``S`` fails (a blank sample's covariance is zero) are
+    whitened again, by themselves, with ``noise = 1e-8 mean(sigma2)``, and
+    their Grams replaced; if that fails too, ``CovarianceConditioningError``.
     """
-    variances = (y * y) * cov.sigma2
-    rates = np.vstack([np.full(cov.num_analytes, np.inf),
-                       np.outer(np.diff(grid), cov.phi)])
-    gains, scales, ok = _innovation_gains(variances, rates, 0.0)
+    grams = np.zeros((len(y),) + (sum(c.shape[2] for c in columns),) * 2)
+    product = np.empty_like(grams)
+    ok = np.ones(len(y), dtype=bool)
+    # A failed sample's columns are not finite; its Grams are replaced.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block, fine in _whitened_blocks(columns, grid, y, cov, noise or 0.0):
+            ok &= fine
+            np.matmul(block.transpose(1, 2, 0), block.transpose(1, 0, 2), out=product)
+            grams += product
     if not np.all(ok):
-        retry = ~ok
-        jitter = 1e-8 * float(np.mean(cov.sigma2))
-        gains[:, :, retry], scales[:, retry], ok = _innovation_gains(
-            variances[retry], rates, jitter)
-        if not np.all(ok):
+        if noise is not None:
             raise CovarianceConditioningError(
                 "per-sample covariance block is not positive definite even "
                 "after diagonal jitter"
             )
-    decay = np.exp(-rates)[:, :, None, None]
-    gains = gains[..., None]
-    roots = np.sqrt(scales)[..., None]
-    state = np.zeros((cov.num_analytes,) + cols.shape[1:])        # (m, I, J)
-    for n in range(cols.shape[0]):
-        state *= decay[n]
-        innovation = cols[n] - state.sum(axis=0)
-        state += gains[n] * innovation
-        np.divide(innovation, roots[n], out=cols[n])
+        own = [c if c.shape[1] == 1 else c[:, ~ok] for c in columns]
+        grams[~ok] = _whitened_grams(own, grid, y[~ok], cov,
+                                     1e-8 * float(np.mean(cov.sigma2)))
+    return grams
 
 
 class _WhitenedSystem:
     """Whitened GLS normal equations, kept per sample and in total.
 
-    Each sample's basis columns and spectrum are whitened by
-    :func:`_whiten`.  Holds each sample's whitened K-by-K Gram ``G_i`` and
+    :func:`_whitened_grams` whitens each sample's basis columns and
+    spectrum; only their Grams are kept: each sample's K-by-K ``G_i`` and
     K-vector ``h_i``, the totals ``sum_i (r_i r_i') kron G_i`` and
     ``sum_i r_i kron h_i`` (``r_i = (1, y_i)``) and, with ``augment``, the
     sum-to-zero constraint Gram (identity noise weight) added to the total.
@@ -703,12 +720,8 @@ class _WhitenedSystem:
         b = cached_design_matrix(kv, spectra.grid)
         y = concentrations.values
         k = kv.num_basis
-        cols = np.empty((spectra.num_wavelengths, y.shape[0], k + 1))
-        cols[:, :, :k] = b[:, None, :]
-        cols[:, :, k] = spectra.absorbance.T
-        _whiten(cols, spectra.grid, y, cov)
-        cols = cols.transpose(1, 2, 0)                        # (I, K+1, T)
-        full = cols @ cols.transpose(0, 2, 1)                 # (I, K+1, K+1)
+        full = _whitened_grams((b[:, None, :], spectra.absorbance.T[:, :, None]),
+                               spectra.grid, y, cov)         # (I, K+1, K+1)
         self.grams = full[:, :k, :k]
         self.rhs_parts = full[:, :k, k]
         rows = np.column_stack([np.ones(y.shape[0]), y])

@@ -207,10 +207,8 @@ class _HeldOutErrors:
         self.sq_sum = np.zeros(concentrations.num_analytes)
         self.error: SpecalError | None = None
 
-    def add(self, i: int, fitted) -> None:
-        """Predict held-out sample ``i`` from ``fitted``, the fold-``i`` model."""
-        held_out = SpectraSet(grid=self.spectra.grid,
-                              absorbance=self.spectra.absorbance[i:i + 1])
+    def add(self, i: int, fitted, held_out: SpectraSet) -> None:
+        """Predict ``held_out``, sample ``i``, from ``fitted``, the fold-``i`` model."""
         try:
             y_hat = self.strategy.predict_fitted(fitted, held_out)
         except Exception as exc:  # noqa: BLE001 - rewrapped with fold context
@@ -251,13 +249,17 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
             continue
         try:
             for i, fitted in acc.strategy.jackknife_fits(spectra, concentrations):
-                acc.add(i, fitted)
+                acc.add(i, fitted, _held_out(spectra, i))
         except SpecalError as exc:
             acc.error = exc
     if shared:
         _shared_fold_pass(shared, fold_decompositions(spectra.absorbance,
                                                       concentrations.values))
     return [acc.spread() for acc in sums]
+
+
+def _held_out(spectra: SpectraSet, i: int) -> SpectraSet:
+    return SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[i:i + 1])
 
 
 def _shared_fold_pass(sums: list[_HeldOutErrors], folds) -> None:
@@ -267,6 +269,7 @@ def _shared_fold_pass(sums: list[_HeldOutErrors], folds) -> None:
             live = [acc for acc in sums if acc.error is None]
             if not live:
                 return
+            held_out = _held_out(live[0].spectra, i)
             for acc in live:
                 try:
                     fitted = acc.strategy.fit_decomposition(dec)
@@ -275,7 +278,7 @@ def _shared_fold_pass(sums: list[_HeldOutErrors], folds) -> None:
                     acc.error.__cause__ = exc
                     continue
                 try:
-                    acc.add(i, fitted)
+                    acc.add(i, fitted, held_out)
                 except SpecalError as exc:
                     acc.error = exc
     except SpecalError as exc:

@@ -326,6 +326,25 @@ class TestSharedFoldPass:
                                jackknife_sd(spectra, conc, methods["MLR"]))
 
 
+def test_shared_pass_builds_each_held_out_spectrum_once(monkeypatch):
+    from specal import predict
+
+    built = []
+
+    def held_out(spectra, i):
+        built.append(i)
+        return build(spectra, i)
+
+    build = predict._held_out
+    monkeypatch.setattr(predict, "_held_out", held_out)
+    cfg = SimConfig(seed=23, num_samples=20, phi=STRONG_PHI)
+    spectra, conc, _ = generate_dataset(cfg)
+    spreads = jackknife_spreads(spectra, conc,
+                                [STUDY_METHODS[name] for name in BASELINES])
+    assert not any(isinstance(s, Exception) for s in spreads)
+    assert built == list(range(20))
+
+
 BASELINE_SPECS = [FitSpec(method="mlr"), FitSpec(method="pcr", components=2),
                   FitSpec(method="pcr", variance_fraction=0.8),
                   FitSpec(method="pls", components=3),

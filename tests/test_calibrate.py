@@ -12,7 +12,7 @@ from specal.calibrate import (
     _FactoredSystem,
     _selected_inverse,
     _uniform_lags,
-    _whiten,
+    _whitened_blocks,
     _WhitenedSystem,
     empirical_covariogram,
     fit_covariance,
@@ -815,6 +815,28 @@ class TestGls:
         with pytest.raises(InvalidParameterError, match="constraint weight"):
             fit_gls(spectra, conc, kv, cov, augment=True, constraint_weight=weight)
 
+    def test_whitening_memory_does_not_grow_with_the_grid(self):
+        # The pass keeps each sample's (K+1)-square whitened Gram; the
+        # (T, I, K+1) whitened cube it replaces would take 8 T I (K+1) bytes.
+        import tracemalloc
+
+        rng = np.random.default_rng(32)
+        num_points, num_samples, k = 1601, 20, 14
+        grid = np.linspace(350.0, 750.0, num_points)
+        spectra = SpectraSet(grid=grid,
+                             absorbance=rng.standard_normal((num_samples, num_points)))
+        conc = ConcentrationMatrix(values=rng.dirichlet(np.ones(3), num_samples))
+        kv = make_knots((350.0, 750.0), k)
+        cov = CovarianceModel(sigma2=np.array([0.5, 1.0, 2.0]),
+                              phi=np.array([0.01, 0.3, 3.0]))
+        tracemalloc.start()
+        try:
+            _WhitenedSystem(spectra, conc, kv, cov, True, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * num_points * num_samples * (k + 1) * 8
+
     @pytest.mark.parametrize("eigenvalues, singular", [
         ([4.0, 1e-9], False), ([4.0, 1e-14], True), ([1e-3, 1e-11], False),
         ([1e-3, 1e-13], True), ([1e-20, 1e-20], True), ([4.0, 0.0], True),
@@ -844,9 +866,8 @@ def dense_whitened(cov, grid, y, cols):
 
 
 def recursion_whitened(cov, grid, y, cols):
-    out = cols.copy()
-    _whiten(out, grid, y, cov)
-    return out
+    return np.concatenate([block.copy()
+                           for block, _ in _whitened_blocks((cols,), grid, y, cov)])
 
 
 FINE_GRID = np.arange(350.0, 751.0, 1.0)
