@@ -37,6 +37,8 @@ class KnotVector:
         knots = np.asarray(self.knots, dtype=float)
         if knots.ndim != 1:
             raise InvalidBasisError("knots must be a one-dimensional sequence")
+        if not np.all(np.isfinite(knots)):
+            raise InvalidBasisError("knots must be finite")
         if self.order < 1:
             raise InvalidBasisError("order must be a positive integer")
         if knots.size < 2 * self.order:

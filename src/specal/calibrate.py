@@ -51,6 +51,7 @@ from .model import (
     CalibrationModel,
     ConcentrationMatrix,
     SpectraSet,
+    check_constraint_weight,
     closure_total,
 )
 
@@ -376,11 +377,6 @@ def _factored(design: AggregatedDesign, band: np.ndarray | None,
     return system
 
 
-def _data_rss(w: np.ndarray, rows: np.ndarray, coef: np.ndarray,
-              b: np.ndarray) -> float:
-    return float(np.sum((w - (rows @ coef) @ b.T) ** 2))
-
-
 def _diagnostics(coef: np.ndarray, b: np.ndarray, rss: float, trace: float,
                  gcv: float | None = None) -> FitDiagnostics:
     constraint_curve = coef[1:].sum(axis=0) @ b.T
@@ -392,22 +388,30 @@ def _diagnostics(coef: np.ndarray, b: np.ndarray, rss: float, trace: float,
     )
 
 
+def _model(kv: KnotVector, coef: np.ndarray, method: str, lam: float,
+           concentrations: ConcentrationMatrix,
+           diagnostics: FitDiagnostics | None) -> CalibrationModel:
+    """The fitted model, labelled with the calibration's analytes and closure."""
+    return CalibrationModel(
+        basis=kv, coefficients=coef, method=method, lam=float(lam),
+        analytes=concentrations.analyte_names(), diagnostics=diagnostics,
+        closed_total=closure_total(concentrations.values),
+    )
+
+
+def _factored_fit(design: AggregatedDesign, band: np.ndarray | None, lam: float,
+                  method: str, diagnostics: bool) -> CalibrationModel:
+    """The fit at ``lam`` with penalty ``band`` (None: none), and its GCV
+    numbers as diagnostics."""
+    system = _factored(design, band, lam)
+    coef = system.solve(lam=lam)
+    diag = _diagnostics(coef, design.b, *system.gcv(lam)[0]) if diagnostics else None
+    return _model(design.basis, coef, method, lam, design.concentrations, diag)
+
+
 def fit_ols(design: AggregatedDesign, diagnostics: bool = True) -> CalibrationModel:
     """Ordinary least squares on the augmented system (correlation ignored)."""
-    system = _factored(design, None)
-    coef = system.solve()
-    diag = None
-    if diagnostics:
-        diag = _diagnostics(coef, design.b, *system.gcv(0.0)[0])
-    return CalibrationModel(
-        basis=design.basis,
-        coefficients=coef,
-        method="OLS-K",
-        lam=0.0,
-        analytes=design.concentrations.analyte_names(),
-        diagnostics=diag,
-        closed_total=closure_total(design.concentrations.values),
-    )
+    return _factored_fit(design, None, 0.0, "OLS-K", diagnostics)
 
 
 def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
@@ -417,20 +421,7 @@ def fit_penalized(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float,
     All coefficient blocks, the baseline included, are penalized alike.
     ``lam = 0`` reduces to :func:`fit_ols` when the design has full rank.
     """
-    system = _factored(design, penalty.band, lam)
-    coef = system.solve(lam=lam)
-    diag = None
-    if diagnostics:
-        diag = _diagnostics(coef, design.b, *system.gcv(lam)[0])
-    return CalibrationModel(
-        basis=design.basis,
-        coefficients=coef,
-        method="OLS-SS",
-        lam=float(lam),
-        analytes=design.concentrations.analyte_names(),
-        diagnostics=diag,
-        closed_total=closure_total(design.concentrations.values),
-    )
+    return _factored_fit(design, penalty.band, lam, "OLS-SS", diagnostics)
 
 
 def gcv_score(design: AggregatedDesign, penalty: PenaltyMatrix, lam: float) -> float:
@@ -713,10 +704,8 @@ class _WhitenedSystem:
                  constraint_weight: float):
         if concentrations.num_analytes != cov.num_analytes:
             raise ShapeError("covariance model analyte count does not match Y")
-        if augment and not 0 <= constraint_weight < np.inf:
-            raise InvalidParameterError(
-                "constraint weight must be finite and nonnegative, got "
-                f"{constraint_weight}")
+        if augment:
+            check_constraint_weight(constraint_weight)
         b = cached_design_matrix(kv, spectra.grid)
         y = concentrations.values
         k = kv.num_basis
@@ -779,17 +768,10 @@ def fit_gls(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     coef = system.solve()
     diag = None
     if diagnostics:
-        rss = _data_rss(spectra.absorbance, system.rows, coef, system.b)
+        fitted = (system.rows @ coef) @ system.b.T
+        rss = float(np.sum((spectra.absorbance - fitted) ** 2))
         diag = _diagnostics(coef, system.b, rss, float(coef.size))
-    return CalibrationModel(
-        basis=kv,
-        coefficients=coef,
-        method="GLS-K",
-        lam=0.0,
-        analytes=concentrations.analyte_names(),
-        diagnostics=diag,
-        closed_total=closure_total(concentrations.values),
-    )
+    return _model(kv, coef, "GLS-K", 0.0, concentrations, diag)
 
 
 def gls_loo_coefficients(spectra: SpectraSet, concentrations: ConcentrationMatrix,

@@ -17,7 +17,14 @@ import numpy as np
 from . import _blas, io
 from .baselines import MultivariateModel
 from .errors import AlignmentError, InvalidParameterError, SpecalError
-from .methods import STUDY_METHODS, FitSpec, make_strategy, resolve_sum_to
+from .methods import (
+    FUNCTIONAL_METHODS,
+    MULTIVARIATE_METHODS,
+    STUDY_METHODS,
+    FitSpec,
+    make_strategy,
+    resolve_sum_to,
+)
 from .model import CalibrationModel, ConcentrationMatrix, SpectraSet
 from .predict import (
     jackknife_sd,
@@ -172,7 +179,7 @@ def _spec_from_model(model, args) -> FitSpec:
     """Rebuild a fit configuration matching a stored model for jackknifing."""
     if isinstance(model, CalibrationModel):
         method = model.method.lower()
-        if method not in ("ols-k", "ols-ss", "gls-k"):
+        if method not in FUNCTIONAL_METHODS:
             raise InvalidParameterError(f"cannot jackknife method {model.method!r}")
         lam = model.lam if method == "ols-ss" else None
         return FitSpec(
@@ -372,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--spectra", required=True)
     p_cal.add_argument("--concentrations", required=True)
     p_cal.add_argument("--transpose", action="store_true")
-    _add_fit_options(p_cal, ("ols-k", "ols-ss", "gls-k"))
+    _add_fit_options(p_cal, FUNCTIONAL_METHODS)
     p_cal.add_argument("--model-out", required=True)
     p_cal.add_argument("--curves-out", default=None)
     p_cal.add_argument("--curve-points", type=int, default=201)
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--spectra", required=True)
     p_base.add_argument("--concentrations", required=True)
     p_base.add_argument("--transpose", action="store_true")
-    _add_fit_options(p_base, ("mlr", "pcr", "pls"))
+    _add_fit_options(p_base, MULTIVARIATE_METHODS)
     p_base.add_argument("--model-out", required=True)
     p_base.set_defaults(func=_cmd_baselines)
 
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jack.add_argument("--spectra", required=True)
     p_jack.add_argument("--concentrations", required=True)
     p_jack.add_argument("--transpose", action="store_true")
-    _add_fit_options(p_jack, ("ols-k", "ols-ss", "gls-k", "mlr", "pcr", "pls"))
+    _add_fit_options(p_jack, FUNCTIONAL_METHODS + MULTIVARIATE_METHODS)
     p_jack.add_argument("--out", required=True)
     p_jack.set_defaults(func=_cmd_jackknife)
 

@@ -285,7 +285,8 @@ def save_concentrations(conc: ConcentrationMatrix, path) -> None:
 
 def load_value_table(path, columns: tuple[str, ...] | None = None
                      ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Generic id-plus-columns table (truth or prediction values).
+    """Generic id-plus-columns table (truth or prediction values), one row
+    per sample id.
 
     With ``columns`` given, only those named columns are parsed, so tables
     carrying extra non-numeric columns (intervals, flags) still load.
@@ -299,6 +300,7 @@ def load_value_table(path, columns: tuple[str, ...] | None = None
         return [available.index(name) + 1 for name in wanted]
 
     header, ids, values = _read_table(path, picks)
+    _unique_ids(path, ids)
     return tuple(ids), tuple(header[1:] if columns is None else columns), values
 
 

@@ -1,9 +1,10 @@
 """Method registry: uniform fit/predict strategies for every estimator.
 
 The jackknife harness and the simulation studies treat calibration methods
-as interchangeable fit/predict pairs.  Functional methods get dedicated
-leave-one-out paths that downdate the factored Gram system instead of
-rebuilding the design per fold; a naive refit path remains the reference
+as interchangeable fit/predict pairs.  A functional method is resolved
+once (knots, pilot covariance, design, penalty, lambda) into a fit and its
+leave-one-out refits, which downdate the same factored Gram system instead
+of rebuilding the design per fold; a naive refit path remains the reference
 behaviour and the two are interchangeable by construction.
 """
 
@@ -115,23 +116,18 @@ class Strategy:
 
 
 class FunctionalStrategy(Strategy):
-    """Basis-smoothing, smoothing-spline and GLS calibration methods."""
+    """Basis-smoothing, smoothing-spline and GLS calibration methods.
+
+    One resolution (:meth:`_calibration`) serves :meth:`fit` and
+    :meth:`jackknife_fits`: the folds use the fit's knots, covariance and
+    lambda, and carry its method label, analytes and closure.
+    """
 
     def _knots(self, spectra: SpectraSet):
         if self.spec.method == "ols-ss":
             return knots_from_grid(spectra.grid)
         domain = (float(spectra.grid[0]), float(spectra.grid[-1]))
         return make_knots(domain, self.spec.num_basis)
-
-    def _resolve_lambda(self, design, penalty) -> float:
-        if self.spec.lam is not None:
-            return float(self.spec.lam)
-        return select_lambda(design, penalty, self.spec.lam_grid)
-
-    def _resolve_augment(self, concentrations: ConcentrationMatrix) -> bool:
-        if self.spec.gls_augment == "auto":
-            return closure_total(concentrations.values) is not None
-        return bool(self.spec.gls_augment)
 
     def _pilot_covariance(self, spectra: SpectraSet,
                           concentrations: ConcentrationMatrix,
@@ -145,22 +141,42 @@ class FunctionalStrategy(Strategy):
         )
         return fit_covariance(resid, concentrations, spectra.grid)
 
-    def fit(self, spectra: SpectraSet,
-            concentrations: ConcentrationMatrix) -> CalibrationModel:
+    def _calibration(self, spectra: SpectraSet,
+                     concentrations: ConcentrationMatrix, folds: bool = False):
+        """``(knots, lambda, fit, leave_one_out, args)`` for this method.
+
+        ``fit(*args)`` is the calibration and ``leave_one_out(*args)`` its
+        downdated folds.  The functions are the module's own names, read
+        when this runs.  With ``folds``, None when the jackknife takes the
+        reference path (a covariance or lambda per fold).  It switches
+        where the knots, or the design and penalty, have been made, so
+        their errors surface as they do for the fit.
+        """
         spec = self.spec
         kv = self._knots(spectra)
         if spec.method == "gls-k":
+            if folds and spec.covariance_per_fold:
+                return None
             cov = self._pilot_covariance(spectra, concentrations, kv)
-            return fit_gls(spectra, concentrations, kv, cov,
-                           augment=self._resolve_augment(concentrations),
-                           constraint_weight=spec.constraint_weight)
+            augment = (closure_total(concentrations.values) is not None
+                       if spec.gls_augment == "auto" else bool(spec.gls_augment))
+            return kv, 0.0, fit_gls, gls_loo_coefficients, (
+                spectra, concentrations, kv, cov, augment, spec.constraint_weight)
         design = assemble_design(spectra, concentrations, kv,
                                  spec.constraint_weight)
         if spec.method == "ols-k":
-            return fit_ols(design)
+            return kv, 0.0, fit_ols, loo_coefficients, (design,)
         pen = penalty_matrix(kv)
-        lam = self._resolve_lambda(design, pen)
-        return fit_penalized(design, pen, lam)
+        if folds and spec.reselect_lambda:
+            return None
+        lam = (float(spec.lam) if spec.lam is not None
+               else select_lambda(design, pen, spec.lam_grid))
+        return kv, lam, fit_penalized, loo_coefficients, (design, pen, lam)
+
+    def fit(self, spectra: SpectraSet,
+            concentrations: ConcentrationMatrix) -> CalibrationModel:
+        _, _, fit, _, args = self._calibration(spectra, concentrations)
+        return fit(*args)
 
     def predict_fitted(self, fitted: CalibrationModel,
                        spectra: SpectraSet) -> np.ndarray:
@@ -170,36 +186,15 @@ class FunctionalStrategy(Strategy):
 
     def jackknife_fits(self, spectra: SpectraSet,
                        concentrations: ConcentrationMatrix) -> Iterator:
-        spec = self.spec
-        kv = self._knots(spectra)
-        if spec.method == "gls-k":
-            if spec.covariance_per_fold:
-                yield from super().jackknife_fits(spectra, concentrations)
-                return
-            cov = self._pilot_covariance(spectra, concentrations, kv)
-            folds = gls_loo_coefficients(
-                spectra, concentrations, kv, cov,
-                augment=self._resolve_augment(concentrations),
-                constraint_weight=spec.constraint_weight,
-            )
-            yield from self._wrap_folds(folds, kv, concentrations, "GLS-K", 0.0)
+        resolved = self._calibration(spectra, concentrations, folds=True)
+        if resolved is None:
+            yield from super().jackknife_fits(spectra, concentrations)
             return
-        design = assemble_design(spectra, concentrations, kv,
-                                 spec.constraint_weight)
-        if spec.method == "ols-k":
-            folds, lam = loo_coefficients(design), 0.0
-        else:
-            pen = penalty_matrix(kv)
-            if spec.reselect_lambda:
-                # Reference path: every fold reselects its own lambda.
-                yield from super().jackknife_fits(spectra, concentrations)
-                return
-            lam = self._resolve_lambda(design, pen)
-            folds = loo_coefficients(design, pen, lam)
-        yield from self._wrap_folds(folds, kv, concentrations,
-                                    spec.method.upper(), lam)
+        kv, lam, _, leave_one_out, args = resolved
+        yield from self._wrap_folds(leave_one_out(*args), kv, concentrations, lam)
 
-    def _wrap_folds(self, folds, kv, concentrations, method, lam):
+    def _wrap_folds(self, folds, kv, concentrations, lam):
+        method = self.spec.method.upper()
         analytes = concentrations.analyte_names()
         closed_total = closure_total(concentrations.values)
         done = 0  # downdate generators yield folds in index order

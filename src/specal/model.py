@@ -37,6 +37,13 @@ def closure_total(values) -> float | None:
     return total
 
 
+def check_constraint_weight(weight: float) -> None:
+    """The sum-to-zero constraint weight must be finite and nonnegative."""
+    if not 0 <= weight < np.inf:
+        raise InvalidParameterError(
+            f"constraint weight must be finite and nonnegative, got {weight}")
+
+
 def _frozen_array(values, dtype=float, ndim=None, name="array") -> np.ndarray:
     """``values`` as a read-only array the caller cannot change.
 
@@ -256,10 +263,7 @@ def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
             f"{spectra.num_samples} spectra but "
             f"{concentrations.num_samples} concentration rows"
         )
-    if not 0 <= constraint_weight < np.inf:
-        raise InvalidParameterError(
-            "constraint weight must be finite and nonnegative, got "
-            f"{constraint_weight}")
+    check_constraint_weight(constraint_weight)
     y = concentrations.values
     m = concentrations.num_analytes
     b = cached_design_matrix(kv, spectra.grid)

@@ -309,7 +309,8 @@ def test_quoted_names_and_ids_are_unquoted(tmp_path):
     ("wavelength,s1,s2,s1\n1.0,0.5,0.1,0.2\n2.0,0.4,0.3,0.1\n", io.load_spectra),
     ("sample,1.0,2.0\ns1,0.5,0.1\n s1,0.4,0.3\n",
      lambda path: io.load_spectra(path, transpose=True)),
-], ids=["concentrations", "wide", "transposed"])
+    ("sample,a,b\ns1,0.5,0.5\ns2,0.2,0.8\ns1,0.9,0.1\n", io.load_value_table),
+], ids=["concentrations", "wide", "transposed", "value-table"])
 def test_repeated_sample_id_is_an_alignment_error(tmp_path, text, load):
     path = tmp_path / "table.csv"
     path.write_text(text)
@@ -645,6 +646,58 @@ def test_repeated_concentration_id_exits_with_alignment_error(dataset, tmp_path,
     assert code == 1
     assert capsys.readouterr().err.startswith(
         "error[alignment]: " + f"{repeated}: repeated sample ids ['s01']")
+
+
+@pytest.mark.parametrize("table", ["truth", "predictions"])
+def test_sep_with_a_repeated_id_exits_with_alignment_error(dataset, tmp_path,
+                                                            capsys, table):
+    # A repeated truth row would count twice; a repeated prediction row
+    # would silently replace the first.
+    _, _, _, spath, cpath = dataset
+    cal = ["--spectra", str(spath), "--concentrations", str(cpath),
+           "--method", "ols-k"]
+    model, spread, pred = (tmp_path / name for name in ("m.json", "s.csv", "p.csv"))
+    assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
+    assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+    assert main(["predict", "--model", str(model), "--spectra", str(spath),
+                 "--s-file", str(spread), "--out", str(pred)]) == 0
+    files = {"truth": cpath, "predictions": pred}
+    lines = files[table].read_text().splitlines()
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("\n".join([*lines, lines[1]]) + "\n")
+    files[table] = repeated
+    out = tmp_path / "sep.csv"
+    capsys.readouterr()
+    assert main(["sep", "--truth", str(files["truth"]), "--predictions",
+                 str(files["predictions"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error[alignment]: {repeated}: repeated sample ids ['s01']")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan-knot", "infinite-ends"])
+def test_predict_with_non_finite_knots_exits_with_invalid_basis(dataset, tmp_path,
+                                                                capsys, bad):
+    _, _, _, spath, cpath = dataset
+    cal = ["--spectra", str(spath), "--concentrations", str(cpath),
+           "--method", "ols-k"]
+    model, spread = tmp_path / "m.json", tmp_path / "s.csv"
+    assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
+    assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+    payload = json.loads(model.read_text())
+    if bad == "nan-knot":
+        payload["knots"][5] = float("nan")
+    else:
+        payload["knots"][:4] = [-float("inf")] * 4
+        payload["knots"][-4:] = [float("inf")] * 4
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "pred.csv"
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--spectra", str(spath),
+                 "--s-file", str(spread), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error[invalid-basis]: knots must be finite")
+    assert not out.exists()
 
 
 def test_non_utf8_inputs_exit_with_parse_error(dataset, tmp_path, capsys):

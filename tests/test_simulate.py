@@ -3,9 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from specal.calibrate import fit_ols
-from specal.errors import InvalidParameterError
+from specal.errors import (
+    CollinearConcentrationsError,
+    InvalidBasisError,
+    InvalidParameterError,
+)
 from specal.methods import FitSpec, Strategy, make_strategy
-from specal.model import assemble_design
+from specal.model import ConcentrationMatrix, assemble_design
 from specal.predict import jackknife_sd
 from specal.simulate import (
     STRONG_PHI,
@@ -339,3 +343,44 @@ class TestStrategyFastPaths:
         got = jackknife_sd(spectra, conc, FitSpec(method=method))
         assert len(calls) == evaluations
         npt.assert_array_equal(got, want)
+
+
+class TestJackknifeMatchesFit:
+    """The jackknife resolves its method as the fit does."""
+
+    @staticmethod
+    def _collinear():
+        cfg = SimConfig(seed=9, num_samples=8, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        values = conc.values.copy()
+        values[:, 2] = values[:, 1]
+        return spectra, ConcentrationMatrix(values=values)
+
+    @pytest.mark.parametrize("spec, error", [
+        (FitSpec(method="ols-k"), CollinearConcentrationsError),
+        (FitSpec(method="ols-ss"), CollinearConcentrationsError),
+        (FitSpec(method="ols-ss", reselect_lambda=True),
+         CollinearConcentrationsError),
+        (FitSpec(method="gls-k", num_basis=3), InvalidBasisError),
+        (FitSpec(method="gls-k", num_basis=3, covariance_per_fold=True),
+         InvalidBasisError),
+    ], ids=["ols-k", "ols-ss", "ols-ss-reselect", "gls-k", "gls-k-per-fold"])
+    def test_edge_inputs_keep_their_error_type(self, spec, error):
+        # The reference paths switch after the checks the fast paths make,
+        # so a bad input fails with its own error, not a fold failure.
+        spectra, conc = self._collinear()
+        with pytest.raises(error):
+            list(make_strategy(spec).jackknife_fits(spectra, conc))
+
+    @pytest.mark.parametrize("method", ["ols-k", "ols-ss", "gls-k"])
+    def test_fold_models_carry_the_fit_labels(self, method):
+        cfg = SimConfig(seed=9, num_samples=8, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        strategy = make_strategy(FitSpec(method=method, num_basis=10))
+        full = strategy.fit(spectra, conc)
+        folds = dict(strategy.jackknife_fits(spectra, conc))
+        assert sorted(folds) == list(range(8))
+        for fitted in folds.values():
+            assert (fitted.method, fitted.lam, fitted.analytes,
+                    fitted.closed_total) == (full.method, full.lam,
+                                             full.analytes, full.closed_total)
