@@ -4,8 +4,6 @@ from .basis import (
     KnotVector,
     PenaltyMatrix,
     design_matrix,
-    eval_basis,
-    greville_points,
     knots_from_grid,
     make_knots,
     penalty_matrix,
@@ -16,8 +14,6 @@ from .model import (
     ConcentrationMatrix,
     SpectraSet,
     assemble_design,
-    constraint_residual,
-    eval_model,
 )
 from .calibrate import (
     CovarianceModel,
@@ -61,10 +57,7 @@ __all__ = [
     "SpectraSet",
     "assemble_design",
     "confidence_intervals",
-    "constraint_residual",
     "design_matrix",
-    "eval_basis",
-    "eval_model",
     "fit_covariance",
     "fit_gls",
     "fit_mlr",
@@ -73,7 +66,6 @@ __all__ = [
     "fit_penalized",
     "fit_pls",
     "gcv_score",
-    "greville_points",
     "jackknife_sd",
     "knots_from_grid",
     "make_knots",

@@ -184,15 +184,6 @@ def _all_values(knots: np.ndarray, order: int, x: np.ndarray,
     return dense[:, pad:pad + (knots.size - order)]
 
 
-def eval_basis(kv: KnotVector, t: float) -> np.ndarray:
-    """All ``num_basis`` spline values at a single wavelength ``t``."""
-    a, b = kv.domain
-    t = float(t)
-    if not a <= t <= b:
-        raise DomainError(f"t={t} outside basis domain [{a}, {b}]")
-    return _all_values(kv.knots, kv.order, np.array([t]))[0]
-
-
 def design_matrix(kv: KnotVector, grid: np.ndarray) -> np.ndarray:
     """Row n holds the basis values at grid site n; rows sum to one."""
     grid = np.asarray(grid, dtype=float)
@@ -227,23 +218,6 @@ def cached_design_matrix(kv: KnotVector, grid: np.ndarray) -> np.ndarray:
         b.flags.writeable = False
         object.__setattr__(kv, "_design", (grid.copy(), weakref.ref(b)))
     return b
-
-
-def derivative_matrix(kv: KnotVector, grid: np.ndarray, deriv: int = 2) -> np.ndarray:
-    """Like :func:`design_matrix` but for derivative values of order ``deriv``."""
-    grid = np.asarray(grid, dtype=float)
-    a, b = kv.domain
-    if grid.size == 0 or np.min(grid) < a or np.max(grid) > b:
-        raise DomainError("derivative grid outside basis domain")
-    return _all_values(kv.knots, kv.order, grid, deriv=deriv)
-
-
-def greville_points(kv: KnotVector) -> np.ndarray:
-    """Knot averages; using them as coefficients reproduces the identity."""
-    r = kv.order
-    k = kv.num_basis
-    knots = kv.knots
-    return np.array([knots[i + 1:i + r].mean() for i in range(k)])
 
 
 def penalty_matrix(kv: KnotVector) -> PenaltyMatrix:

@@ -101,18 +101,6 @@ class CovarianceModel:
     def num_analytes(self) -> int:
         return self.sigma2.size
 
-    def sample_covariance(self, grid: np.ndarray, y_row: np.ndarray) -> np.ndarray:
-        """Noise covariance for one sample with concentrations ``y_row``."""
-        grid = np.asarray(grid, dtype=float)
-        y_row = np.asarray(y_row, dtype=float).ravel()
-        if y_row.size != self.num_analytes:
-            raise ShapeError("concentration row length does not match analytes")
-        dist = np.abs(grid[:, None] - grid[None, :])
-        cov = np.zeros_like(dist)
-        for s2, ph, y in zip(self.sigma2, self.phi, y_row):
-            cov += (y * y) * s2 * np.exp(-ph * dist)
-        return cov
-
 
 def _bands(b: np.ndarray, band: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Lower bands of ``C = B'B`` and of the penalty ``R``, in LAPACK storage.

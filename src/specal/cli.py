@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
-from . import _blas, io
+from . import _blas, io, simulate
 from .baselines import MultivariateModel
 from .errors import AlignmentError, InvalidParameterError, SpecalError
 from .methods import (
@@ -33,7 +33,6 @@ from .predict import (
 )
 from .simulate import (
     SCENARIO_PHI,
-    AnalyteCurveSpec,
     SimConfig,
     check_study,
     generate_dataset,
@@ -96,48 +95,51 @@ def _parse_sum_to(text: str) -> float | str | None:
         f"--sum-to must be 'auto', 'none' or a finite number, got {text!r}")
 
 
-def _add_fit_options(parser: argparse.ArgumentParser, methods: tuple[str, ...]) -> None:
+def _add_fit_options(parser: argparse.ArgumentParser, methods: tuple[str, ...],
+                     folds: bool = False) -> None:
+    """``--method`` and the tuning flags of ``methods``; with ``folds``, also
+    the flags only a jackknife reads.  Each flag's dest is its FitSpec field."""
     parser.add_argument("--method", choices=methods, required=True)
-    parser.add_argument("--num-basis", type=int, default=14,
-                        help="basis dimension for fixed-basis methods")
-    parser.add_argument("--lambda", dest="lam", default="gcv",
-                        help="smoothing parameter value, or 'gcv' to select")
-    parser.add_argument("--lambda-grid", default=None,
-                        help="log-spaced selection grid as MIN:MAX:COUNT")
-    parser.add_argument("--reselect-lambda", action="store_true",
-                        help="reselect the smoothing parameter inside each "
-                             "jackknife fold")
-    parser.add_argument("--components", type=int, default=None)
-    parser.add_argument("--variance-fraction", type=float, default=None)
-    parser.add_argument("--sum-to", default="auto",
-                        help="pin predicted concentration sums ('auto', "
-                             "'none' or a number)")
-    parser.add_argument("--constraint-weight", type=float, default=1.0)
-    parser.add_argument("--gls-augment", choices=["auto", "yes", "no"],
-                        default="auto")
-    parser.add_argument("--covariance-per-fold", action="store_true",
-                        help="refit the noise covariance inside each fold")
+    if set(methods) & set(FUNCTIONAL_METHODS):
+        parser.add_argument("--num-basis", type=int, default=14,
+                            help="basis dimension for fixed-basis methods")
+        parser.add_argument("--lambda", dest="lam", default="gcv",
+                            help="smoothing parameter value, or 'gcv' to select")
+        parser.add_argument("--lambda-grid", dest="lam_grid", default=None,
+                            help="log-spaced selection grid as MIN:MAX:COUNT")
+        parser.add_argument("--constraint-weight", type=float, default=1.0)
+        parser.add_argument("--gls-augment", choices=["auto", "yes", "no"],
+                            default="auto")
+    if set(methods) & set(MULTIVARIATE_METHODS):
+        parser.add_argument("--components", type=int, default=None)
+        parser.add_argument("--variance-fraction", type=float, default=None)
+    if folds:
+        parser.add_argument("--reselect-lambda", action="store_true",
+                            help="reselect the smoothing parameter inside each "
+                                 "jackknife fold")
+        parser.add_argument("--sum-to", default="auto",
+                            help="pin predicted concentration sums ('auto', "
+                                 "'none' or a number)")
+        parser.add_argument("--covariance-per-fold", action="store_true",
+                            help="refit the noise covariance inside each fold")
+
+
+# The fit flags whose text a parser turns into the FitSpec value.
+_FIT_PARSERS = {"lam": _parse_lambda, "lam_grid": _parse_lambda_grid,
+                "sum_to": _parse_sum_to,
+                "gls_augment": {"auto": "auto", "yes": True, "no": False}.get}
 
 
 def _fit_spec(args) -> FitSpec:
-    method = args.method
-    components = args.components
-    variance_fraction = args.variance_fraction
-    if method in ("pcr", "pls") and components is None and variance_fraction is None:
-        variance_fraction = 0.9
-    return FitSpec(
-        method=method,
-        num_basis=args.num_basis,
-        lam=_parse_lambda(args.lam),
-        lam_grid=_parse_lambda_grid(args.lambda_grid),
-        reselect_lambda=args.reselect_lambda,
-        components=components,
-        variance_fraction=variance_fraction,
-        sum_to=_parse_sum_to(args.sum_to),
-        constraint_weight=args.constraint_weight,
-        gls_augment={"auto": "auto", "yes": True, "no": False}[args.gls_augment],
-        covariance_per_fold=args.covariance_per_fold,
-    )
+    """The fit configuration from the flags the subcommand has; a choice
+    without a flag keeps its :class:`FitSpec` default."""
+    names = {f.name for f in fields(FitSpec)}
+    spec = {name: _FIT_PARSERS.get(name, lambda text: text)(value)
+            for name, value in vars(args).items() if name in names}
+    if (spec["method"] in ("pcr", "pls") and spec.get("components") is None
+            and spec.get("variance_fraction") is None):
+        spec["variance_fraction"] = 0.9
+    return FitSpec(**spec)
 
 
 def _load_pair(args) -> tuple[SpectraSet, ConcentrationMatrix]:
@@ -263,7 +265,6 @@ def _scenario_config(args) -> SimConfig:
         num_samples=args.samples,
         sigma2=args.sigma2,
         phi=phi,
-        curves=AnalyteCurveSpec(),
     )
 
 
@@ -277,12 +278,12 @@ def _manifest_payload(cfg: SimConfig, args, extra: dict) -> dict:
         "phi": cfg.phi,
         "scenario": args.scenario,
         "curves": {
-            "centers": list(cfg.curves.centers),
-            "widths": list(cfg.curves.widths),
-            "heights": list(cfg.curves.heights),
-            "baseline_level": cfg.curves.baseline_level,
-            "num_basis": cfg.curves.num_basis,
-            "project_sum_zero": cfg.curves.project_sum_zero,
+            "centers": list(simulate.CURVE_CENTERS),
+            "widths": list(simulate.CURVE_WIDTHS),
+            "heights": list(simulate.CURVE_HEIGHTS),
+            "baseline_level": simulate.BASELINE_LEVEL,
+            "num_basis": simulate.CURVE_NUM_BASIS,
+            "project_sum_zero": True,
         },
     }
     payload.update(extra)
@@ -410,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_jack.add_argument("--spectra", required=True)
     p_jack.add_argument("--concentrations", required=True)
     p_jack.add_argument("--transpose", action="store_true")
-    _add_fit_options(p_jack, FUNCTIONAL_METHODS + MULTIVARIATE_METHODS)
+    _add_fit_options(p_jack, FUNCTIONAL_METHODS + MULTIVARIATE_METHODS,
+                     folds=True)
     p_jack.add_argument("--out", required=True)
     p_jack.set_defaults(func=_cmd_jackknife)
 

@@ -30,6 +30,16 @@ MODEL_SCHEMA_VERSION = 1
 _floats = partial(np.asarray, dtype=float)
 
 
+def _finite(value, nonnegative: bool = False) -> float:
+    """``float(value)`` for a model number that must be finite (and, with
+    ``nonnegative``, at least zero); JSON admits ``NaN`` and ``Infinity``."""
+    value = float(value)
+    if not np.isfinite(value) or (nonnegative and value < 0):
+        raise ValueError(
+            f"must be finite{' and nonnegative' * nonnegative}, got {value}")
+    return value
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -367,14 +377,14 @@ def load_model(path):
     kind = payload.get("kind")
     if kind == "functional":
         if "closed_total" in payload:
-            closed_total = field("closed_total", float, optional=True)
+            closed_total = field("closed_total", _finite, optional=True)
         else:  # written before closed_total existed: only the flag
             closed_total = 1.0 if payload.get("closed_calibration") else None
         return CalibrationModel(
             basis=KnotVector(field("knots", _floats), field("order", operator.index)),
             coefficients=field("coefficients", _floats),
             method=field("method", str),
-            lam=field("lambda", float),
+            lam=field("lambda", partial(_finite, nonnegative=True)),
             analytes=field("analytes", tuple),
             diagnostics=field("diagnostics", lambda diag: FitDiagnostics(**diag),
                               optional=True),

@@ -190,8 +190,8 @@ class AggregatedDesign:
 
     ``conc_aug`` holds the intercept-plus-concentration rows with the
     appended constraint row, so the full design is its Kronecker product
-    with the basis design ``b``.  The dense matrix is materialised on
-    demand; fitting code works on the factored form.
+    with the basis design ``b``.  That product is never formed: fitting
+    code works on the factored pair.
     """
 
     b: np.ndarray
@@ -205,46 +205,12 @@ class AggregatedDesign:
         return self.spectra.num_samples
 
     @property
-    def num_wavelengths(self) -> int:
-        return self.spectra.num_wavelengths
-
-    @property
     def num_basis(self) -> int:
         return self.b.shape[1]
 
     @property
-    def num_analytes(self) -> int:
-        return self.concentrations.num_analytes
-
-    @property
     def num_rows(self) -> int:
-        return (self.num_samples + 1) * self.num_wavelengths
-
-    @property
-    def num_coefficients(self) -> int:
-        return (self.num_analytes + 1) * self.num_basis
-
-    @property
-    def x_plus(self) -> np.ndarray:
-        return np.kron(self.conc_aug, self.b)
-
-    @property
-    def w_plus(self) -> np.ndarray:
-        return np.concatenate(
-            [stack_samples(self.spectra.absorbance), np.zeros(self.num_wavelengths)]
-        )
-
-
-def stack_samples(curves: np.ndarray) -> np.ndarray:
-    """Sample-major, wavelength-minor stacking of an (I, T) curve matrix."""
-    return np.asarray(curves).ravel(order="C")
-
-
-def unstack_samples(stacked: np.ndarray, num_wavelengths: int) -> np.ndarray:
-    stacked = np.asarray(stacked)
-    if stacked.size % num_wavelengths:
-        raise ShapeError("stacked length is not a multiple of the grid size")
-    return stacked.reshape(-1, num_wavelengths)
+        return (self.num_samples + 1) * self.spectra.num_wavelengths
 
 
 def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
@@ -290,19 +256,3 @@ def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
         basis=kv,
     )
 
-
-def eval_model(model: CalibrationModel, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Predicted spectrum for concentrations ``y`` on ``grid``."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.num_analytes,):
-        raise ShapeError(
-            f"expected {model.num_analytes} concentrations, got shape {y.shape}"
-        )
-    curves = model.curve_values(grid)
-    return curves[0] + y @ curves[1:]
-
-
-def constraint_residual(model: CalibrationModel, grid: np.ndarray) -> np.ndarray:
-    """Pointwise sum of the fitted analyte curves (zero under the restriction)."""
-    curves = model.curve_values(grid)
-    return curves[1:].sum(axis=0)

@@ -14,7 +14,7 @@ twenty samples of a hundred-sample set equal the twenty-sample set.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -53,53 +53,40 @@ def _stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *[int(p) for p in path]])
 
 
-@dataclass(frozen=True)
-class AnalyteCurveSpec:
-    """True curves: one Gaussian bump per analyte over a flat baseline.
+# True curves: one Gaussian bump per analyte over a flat baseline,
+# projected onto a cubic spline space of ``CURVE_NUM_BASIS`` functions.
+CURVE_CENTERS = (450.0, 550.0, 650.0)
+CURVE_WIDTHS = (45.0, 55.0, 50.0)
+CURVE_HEIGHTS = (16.0, 20.0, 18.0)
+BASELINE_LEVEL = 2.0
+CURVE_NUM_BASIS = 14
+NUM_ANALYTES = len(CURVE_CENTERS)
 
-    The bumps are projected onto a cubic spline space of ``num_basis``
-    functions; with ``project_sum_zero`` the analyte coefficient rows are
-    recentred so the analyte curves sum to zero identically, matching the
-    representative the constrained fit converges to for closed samples.
+
+def true_curves(domain: tuple[float, float]) -> tuple[KnotVector, np.ndarray]:
+    """Spline representation (knots, coefficient matrix) of the true curves.
+
+    The analyte coefficient rows are recentred so the analyte curves sum
+    to zero identically, matching the representative the constrained fit
+    converges to for closed samples.
     """
-
-    centers: tuple[float, ...] = (450.0, 550.0, 650.0)
-    widths: tuple[float, ...] = (45.0, 55.0, 50.0)
-    heights: tuple[float, ...] = (16.0, 20.0, 18.0)
-    baseline_level: float = 2.0
-    num_basis: int = 14
-    project_sum_zero: bool = True
-
-    def __post_init__(self) -> None:
-        if not (len(self.centers) == len(self.widths) == len(self.heights)):
-            raise ShapeError("centers, widths and heights must align")
-        if any(w <= 0 for w in self.widths):
-            raise InvalidParameterError("bump widths must be positive")
-
-    @property
-    def num_analytes(self) -> int:
-        return len(self.centers)
-
-    def realize(self, domain: tuple[float, float]) -> tuple[KnotVector, np.ndarray]:
-        """Spline representation (knots, coefficient matrix) of the curves."""
-        kv = make_knots(domain, self.num_basis)
-        dense = np.linspace(domain[0], domain[1], 25 * self.num_basis)
-        b = design_matrix(kv, dense)
-        coef = np.zeros((self.num_analytes + 1, self.num_basis))
-        coef[0] = self.baseline_level  # partition of unity: exact constant
-        for ell, (c, w, h) in enumerate(
-            zip(self.centers, self.widths, self.heights), start=1
-        ):
-            bump = h * np.exp(-0.5 * ((dense - c) / w) ** 2)
-            coef[ell], *_ = np.linalg.lstsq(b, bump, rcond=None)
-        if self.project_sum_zero:
-            coef[1:] -= coef[1:].mean(axis=0, keepdims=True)
-        return kv, coef
+    kv = make_knots(domain, CURVE_NUM_BASIS)
+    dense = np.linspace(domain[0], domain[1], 25 * CURVE_NUM_BASIS)
+    b = design_matrix(kv, dense)
+    coef = np.zeros((NUM_ANALYTES + 1, CURVE_NUM_BASIS))
+    coef[0] = BASELINE_LEVEL  # partition of unity: exact constant
+    for ell, (c, w, h) in enumerate(
+        zip(CURVE_CENTERS, CURVE_WIDTHS, CURVE_HEIGHTS), start=1
+    ):
+        bump = h * np.exp(-0.5 * ((dense - c) / w) ** 2)
+        coef[ell], *_ = np.linalg.lstsq(b, bump, rcond=None)
+    coef[1:] -= coef[1:].mean(axis=0, keepdims=True)
+    return kv, coef
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation scenario (grid, sizes, noise law, curves, seed)."""
+    """One simulation scenario (grid, sizes, noise law, seed)."""
 
     seed: int = 1
     num_samples: int = 20
@@ -109,7 +96,6 @@ class SimConfig:
     alpha: float = 1.0
     sigma2: float = 4.0
     phi: float = WEAK_PHI
-    curves: AnalyteCurveSpec = field(default_factory=AnalyteCurveSpec)
 
     def __post_init__(self) -> None:
         if self.grid_step <= 0 or self.grid_end <= self.grid_start:
@@ -117,14 +103,14 @@ class SimConfig:
         if not all(0 < v < np.inf for v in (self.alpha, self.sigma2, self.phi)):
             raise InvalidParameterError(
                 "alpha, sigma2 and phi must be finite and positive")
-        if self.num_samples < self.curves.num_analytes + 1:
+        if self.num_samples < NUM_ANALYTES + 1:
             raise InvalidParameterError(
                 "need more samples than analytes for calibration"
             )
 
     @property
     def num_analytes(self) -> int:
-        return self.curves.num_analytes
+        return NUM_ANALYTES
 
     @property
     def grid(self) -> np.ndarray:
@@ -169,13 +155,6 @@ def gp_cholesky(grid: np.ndarray, sigma2: float, phi: float) -> np.ndarray:
         ) from None
 
 
-def sample_gp(rng: np.random.Generator, grid: np.ndarray, sigma2: float,
-              phi: float) -> np.ndarray:
-    """One mean-zero noise curve with covariance ``sigma2 exp(-phi |dt|)``."""
-    chol = gp_cholesky(grid, sigma2, phi)
-    return chol @ rng.standard_normal(len(np.asarray(grid)))
-
-
 def _noise(cfg: SimConfig, rows: int, *path: int) -> np.ndarray:
     """``rows`` noise curves on ``cfg.grid``; row ``j`` is the GP Cholesky
     factor times the normal draws of stream ``(seed, *path, j)``."""
@@ -196,7 +175,7 @@ def generate_dataset(cfg: SimConfig, noise_stream: int = 0,
     count therefore extends the dataset without changing existing rows.
     """
     grid = cfg.grid
-    kv, coef = cfg.curves.realize((cfg.grid_start, cfg.grid_end))
+    kv, coef = true_curves((cfg.grid_start, cfg.grid_end))
     curve_values = coef @ design_matrix(kv, grid).T
     m = cfg.num_analytes
     y = np.vstack([

@@ -1,0 +1,47 @@
+"""Dense reference forms that tests compare the factored solvers against.
+
+The program never builds these: the stacked Kronecker system, a sample's
+full wavelength-by-wavelength noise covariance and tables of basis
+derivatives are what the banded and recursive paths exist to avoid.
+"""
+
+import numpy as np
+
+from specal.basis import _all_values
+from specal.errors import DomainError, ShapeError
+
+
+def dense_system(design):
+    """The stacked system ``(X+, w+)`` of an aggregated design.
+
+    ``X+`` is the Kronecker product of the augmented concentration rows
+    with the basis design; ``w+`` stacks the spectra sample-major,
+    wavelength-minor, followed by one zero per grid site for the
+    constraint block.
+    """
+    x_plus = np.kron(design.conc_aug, design.b)
+    w_plus = np.concatenate([design.spectra.absorbance.ravel(order="C"),
+                             np.zeros(design.spectra.num_wavelengths)])
+    return x_plus, w_plus
+
+
+def dense_covariance(cov, grid, y_row):
+    """Noise covariance of one sample with concentrations ``y_row``."""
+    grid = np.asarray(grid, dtype=float)
+    y_row = np.asarray(y_row, dtype=float).ravel()
+    if y_row.size != cov.num_analytes:
+        raise ShapeError("concentration row length does not match analytes")
+    dist = np.abs(grid[:, None] - grid[None, :])
+    out = np.zeros_like(dist)
+    for s2, ph, y in zip(cov.sigma2, cov.phi, y_row):
+        out += (y * y) * s2 * np.exp(-ph * dist)
+    return out
+
+
+def derivative_matrix(kv, grid, deriv=2):
+    """(len(grid), K) table of basis derivative values of order ``deriv``."""
+    grid = np.asarray(grid, dtype=float)
+    a, b = kv.domain
+    if grid.size == 0 or np.min(grid) < a or np.max(grid) > b:
+        raise DomainError("derivative grid outside basis domain")
+    return _all_values(kv.knots, kv.order, grid, deriv=deriv)

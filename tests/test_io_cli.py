@@ -352,6 +352,9 @@ class TestModelIo:
         payload = json.loads(path.read_text())
         assert payload["closed_total"] == 1.0
         assert payload["closed_calibration"] is True
+        # closure_total reports 0.0 for rows that all sum to exactly zero.
+        path.write_text(json.dumps({**payload, "closed_total": 0.0}))
+        assert io.load_model(path).closed_total == 0.0
         for flag, total in ((True, 1.0), (False, None)):
             # Files written before closed_total existed carry only the flag.
             legacy = {k: v for k, v in payload.items() if k != "closed_total"}
@@ -404,7 +407,8 @@ class TestModelIo:
         io.save_model(fit_ols(assemble_design(spectra, conc, truth.basis)), path)
         payload = json.loads(path.read_text())
         for key, value in (("knots", ["a", "b"]), ("order", None),
-                           ("lambda", "big"), ("diagnostics", {"rss": 1.0})):
+                           ("lambda", "big"), ("lambda", -1.0),
+                           ("diagnostics", {"rss": 1.0})):
             path.write_text(json.dumps({**payload, key: value}))
             with pytest.raises(ParseError, match=f"model field '{key}'"):
                 io.load_model(path)
@@ -486,6 +490,19 @@ class TestCli:
                   str(tmp_path / "m.json"), "--frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--method", "ols-k", "--components", "3"],
+        ["baselines", "--method", "pls", "--num-basis", "14"],
+    ], ids=" ".join)
+    def test_flag_the_subcommand_does_not_read_exits_two(self, dataset, tmp_path,
+                                                         argv):
+        _, _, _, spath, cpath = dataset
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--spectra", str(spath), "--concentrations", str(cpath),
+                  "--model-out", str(tmp_path / "m.json")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_cli_is_a_thin_shell(self, dataset, tmp_path):
         # Values written by predict must equal the library computation.
         spectra, conc, truth, spath, cpath = dataset
@@ -556,9 +573,12 @@ class TestCli:
     def test_malformed_number_is_invalid_parameter(self, dataset, tmp_path,
                                                     capsys, flag):
         _, _, _, spath, cpath = dataset
-        code = main(["calibrate", "--spectra", str(spath), "--concentrations",
+        # Only the jackknife reads --sum-to.
+        command, out = (("jackknife", "--out") if flag[0] == "--sum-to"
+                        else ("calibrate", "--model-out"))
+        code = main([command, "--spectra", str(spath), "--concentrations",
                      str(cpath), "--method", "ols-ss", *flag,
-                     "--model-out", str(tmp_path / "m.json")])
+                     out, str(tmp_path / "m.json")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error[invalid-parameter]:")
 
@@ -675,9 +695,9 @@ def test_sep_with_a_repeated_id_exits_with_alignment_error(dataset, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["nan-knot", "infinite-ends"])
-def test_predict_with_non_finite_knots_exits_with_invalid_basis(dataset, tmp_path,
-                                                                capsys, bad):
+def predict_with_edited_model(dataset, tmp_path, capsys, edit):
+    """stderr of ``predict`` on an ols-k model file that ``edit`` changed,
+    once it has exited with status 1 and written no prediction file."""
     _, _, _, spath, cpath = dataset
     cal = ["--spectra", str(spath), "--concentrations", str(cpath),
            "--method", "ols-k"]
@@ -685,19 +705,38 @@ def test_predict_with_non_finite_knots_exits_with_invalid_basis(dataset, tmp_pat
     assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
     assert main(["jackknife", *cal, "--out", str(spread)]) == 0
     payload = json.loads(model.read_text())
-    if bad == "nan-knot":
-        payload["knots"][5] = float("nan")
-    else:
-        payload["knots"][:4] = [-float("inf")] * 4
-        payload["knots"][-4:] = [float("inf")] * 4
+    edit(payload)
     model.write_text(json.dumps(payload))
     out = tmp_path / "pred.csv"
     capsys.readouterr()
     assert main(["predict", "--model", str(model), "--spectra", str(spath),
                  "--s-file", str(spread), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error[invalid-basis]: knots must be finite")
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan-knot", "infinite-ends"])
+def test_predict_with_non_finite_knots_exits_with_invalid_basis(dataset, tmp_path,
+                                                                capsys, bad):
+    def edit(payload):
+        if bad == "nan-knot":
+            payload["knots"][5] = float("nan")
+        else:
+            payload["knots"][:4] = [-float("inf")] * 4
+            payload["knots"][-4:] = [float("inf")] * 4
+
+    err = predict_with_edited_model(dataset, tmp_path, capsys, edit)
+    assert err.startswith("error[invalid-basis]: knots must be finite")
+
+
+@pytest.mark.parametrize("field", ["lambda", "closed_total"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_predict_with_non_finite_model_number_exits_with_parse_error(
+        dataset, tmp_path, capsys, field, value):
+    err = predict_with_edited_model(dataset, tmp_path, capsys,
+                                    lambda payload: payload.update({field: value}))
+    assert err.startswith(
+        f"error[parse]: {tmp_path / 'm.json'}: model field '{field}': must be finite")
 
 
 def test_non_utf8_inputs_exit_with_parse_error(dataset, tmp_path, capsys):

@@ -14,7 +14,6 @@ from specal.predict import jackknife_sd
 from specal.simulate import (
     STRONG_PHI,
     WEAK_PHI,
-    AnalyteCurveSpec,
     SimConfig,
     generate_dataset,
     gp_cholesky,
@@ -22,7 +21,7 @@ from specal.simulate import (
     run_bias_variance_study,
     run_jackknife_study,
     sample_dirichlet,
-    sample_gp,
+    true_curves,
     _stream,
 )
 
@@ -47,12 +46,6 @@ class TestDirichlet:
 
 
 class TestGpSampler:
-    def test_deterministic_for_fixed_seed(self):
-        grid = np.arange(350.0, 751.0, 5.0)
-        a = sample_gp(np.random.default_rng(42), grid, 4.0, 0.5)
-        b = sample_gp(np.random.default_rng(42), grid, 4.0, 0.5)
-        npt.assert_array_equal(a, b)
-
     @pytest.mark.parametrize("phi,expected", [(0.002, np.exp(-0.01)),
                                               (0.5, np.exp(-2.5))])
     def test_lag_five_correlation(self, phi, expected):
@@ -131,7 +124,7 @@ class TestGenerateDataset:
         assert abs(mean_rss - 4.0) / 4.0 < 0.20
 
     def test_sum_zero_projection_is_exact(self):
-        kv, coef = AnalyteCurveSpec().realize((350.0, 750.0))
+        kv, coef = true_curves((350.0, 750.0))
         npt.assert_allclose(coef[1:].sum(axis=0), 0.0, atol=1e-12)
 
     def test_config_validation(self):
