@@ -51,7 +51,6 @@ from .model import (
     CalibrationModel,
     ConcentrationMatrix,
     SpectraSet,
-    check_constraint_weight,
     closure_total,
 )
 
@@ -681,19 +680,16 @@ class _WhitenedSystem:
     :func:`_whitened_grams` whitens each sample's basis columns and
     spectrum; only their Grams are kept: each sample's K-by-K ``G_i`` and
     K-vector ``h_i``, the totals ``sum_i (r_i r_i') kron G_i`` and
-    ``sum_i r_i kron h_i`` (``r_i = (1, y_i)``) and, with ``augment``, the
+    ``sum_i r_i kron h_i`` (``r_i = (1, y_i)``) and, for closed rows, the
     sum-to-zero constraint Gram (identity noise weight) added to the total.
     Fold downdates subtract one sample's term, the GLS counterpart of
     :meth:`_FactoredSystem.downdated`.
     """
 
     def __init__(self, spectra: SpectraSet, concentrations: ConcentrationMatrix,
-                 kv: KnotVector, cov: CovarianceModel, augment: bool,
-                 constraint_weight: float):
+                 kv: KnotVector, cov: CovarianceModel):
         if concentrations.num_analytes != cov.num_analytes:
             raise ShapeError("covariance model analyte count does not match Y")
-        if augment:
-            check_constraint_weight(constraint_weight)
         b = cached_design_matrix(kv, spectra.grid)
         y = concentrations.values
         k = kv.num_basis
@@ -706,9 +702,8 @@ class _WhitenedSystem:
         self.gram = np.einsum("ia,ib,ikl->akbl", rows, rows, self.grams,
                               optimize=True).reshape(size, size)
         self.rhs = (rows.T @ self.rhs_parts).ravel()
-        if augment:
-            e = np.zeros(concentrations.num_analytes + 1)
-            e[1:] = np.sqrt(constraint_weight)
+        if closure_total(y) is not None:
+            e = np.r_[0.0, np.ones(concentrations.num_analytes)]
             self.gram = self.gram + np.kron(np.outer(e, e), b.T @ b)
         self.b = b
         self.rows = rows
@@ -734,25 +729,23 @@ class _WhitenedSystem:
         if (chol is None or sla.lapack.dpocon(chol[0], norm, uplo="L")[0] * norm
                 <= 1e-12 * max(norm, 1.0)):
             raise SingularDesignError(
-                "whitened system is singular; closed concentration rows need "
-                "the augmented constraint block (augment=True)"
+                "whitened system is singular: the concentration rows are rank "
+                "deficient, or the grid cannot resolve the basis"
             )
         beta = sla.cho_solve(chol, rhs, check_finite=False)
         return beta.reshape(-1, self.num_basis)
 
 
 def fit_gls(spectra: SpectraSet, concentrations: ConcentrationMatrix,
-            kv: KnotVector, cov: CovarianceModel, augment: bool = False,
-            constraint_weight: float = 1.0,
+            kv: KnotVector, cov: CovarianceModel,
             diagnostics: bool = True) -> CalibrationModel:
     """Generalized least squares with per-sample covariance blocks.
 
-    Follows the unaugmented estimator by default (no constraint rows).
-    ``augment=True`` appends the sum-to-zero block with identity noise
-    weight, which is required when the concentration rows are closed.
+    The sum-to-zero block, with identity noise weight, is appended exactly
+    when the concentration rows are closed (:func:`closure_total`); open
+    rows get the plain estimator.
     """
-    system = _WhitenedSystem(spectra, concentrations, kv, cov, augment,
-                             constraint_weight)
+    system = _WhitenedSystem(spectra, concentrations, kv, cov)
     coef = system.solve()
     diag = None
     if diagnostics:
@@ -763,11 +756,9 @@ def fit_gls(spectra: SpectraSet, concentrations: ConcentrationMatrix,
 
 
 def gls_loo_coefficients(spectra: SpectraSet, concentrations: ConcentrationMatrix,
-                         kv: KnotVector, cov: CovarianceModel, augment: bool = False,
-                         constraint_weight: float = 1.0
+                         kv: KnotVector, cov: CovarianceModel
                          ) -> Iterator[tuple[int, np.ndarray]]:
     """Leave-one-out GLS refits sharing the per-sample whitened blocks."""
-    system = _WhitenedSystem(spectra, concentrations, kv, cov, augment,
-                             constraint_weight)
+    system = _WhitenedSystem(spectra, concentrations, kv, cov)
     for i in range(concentrations.num_samples):
         yield i, system.solve(*system.downdated(i))

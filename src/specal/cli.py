@@ -20,6 +20,7 @@ from .errors import AlignmentError, InvalidParameterError, SpecalError
 from .methods import (
     FUNCTIONAL_METHODS,
     MULTIVARIATE_METHODS,
+    READ_FIELDS,
     STUDY_METHODS,
     FitSpec,
     make_strategy,
@@ -98,44 +99,50 @@ def _parse_sum_to(text: str) -> float | str | None:
 def _add_fit_options(parser: argparse.ArgumentParser, methods: tuple[str, ...],
                      folds: bool = False) -> None:
     """``--method`` and the tuning flags of ``methods``; with ``folds``, also
-    the flags only a jackknife reads.  Each flag's dest is its FitSpec field."""
+    the flags only a jackknife reads.  Each flag's dest is its FitSpec field;
+    its default None means "not given"."""
     parser.add_argument("--method", choices=methods, required=True)
     if set(methods) & set(FUNCTIONAL_METHODS):
-        parser.add_argument("--num-basis", type=int, default=14,
+        parser.add_argument("--num-basis", type=int, default=None,
                             help="basis dimension for fixed-basis methods")
-        parser.add_argument("--lambda", dest="lam", default="gcv",
+        parser.add_argument("--lambda", dest="lam", default=None,
                             help="smoothing parameter value, or 'gcv' to select")
         parser.add_argument("--lambda-grid", dest="lam_grid", default=None,
                             help="log-spaced selection grid as MIN:MAX:COUNT")
-        parser.add_argument("--constraint-weight", type=float, default=1.0)
-        parser.add_argument("--gls-augment", choices=["auto", "yes", "no"],
-                            default="auto")
     if set(methods) & set(MULTIVARIATE_METHODS):
         parser.add_argument("--components", type=int, default=None)
         parser.add_argument("--variance-fraction", type=float, default=None)
     if folds:
-        parser.add_argument("--reselect-lambda", action="store_true",
+        parser.add_argument("--reselect-lambda", action="store_true", default=None,
                             help="reselect the smoothing parameter inside each "
                                  "jackknife fold")
-        parser.add_argument("--sum-to", default="auto",
+        parser.add_argument("--sum-to", default=None,
                             help="pin predicted concentration sums ('auto', "
                                  "'none' or a number)")
-        parser.add_argument("--covariance-per-fold", action="store_true",
+        parser.add_argument("--covariance-per-fold", action="store_true", default=None,
                             help="refit the noise covariance inside each fold")
 
 
 # The fit flags whose text a parser turns into the FitSpec value.
 _FIT_PARSERS = {"lam": _parse_lambda, "lam_grid": _parse_lambda_grid,
-                "sum_to": _parse_sum_to,
-                "gls_augment": {"auto": "auto", "yes": True, "no": False}.get}
+                "sum_to": _parse_sum_to}
+_FLAG_NAMES = {"lam": "--lambda", "lam_grid": "--lambda-grid"}
 
 
 def _fit_spec(args) -> FitSpec:
-    """The fit configuration from the flags the subcommand has; a choice
-    without a flag keeps its :class:`FitSpec` default."""
+    """The fit configuration from the fit flags given; a choice without a
+    flag keeps its :class:`FitSpec` default.  A flag the method does not
+    read (:data:`methods.READ_FIELDS`) is refused."""
     names = {f.name for f in fields(FitSpec)}
+    given = {name: value for name, value in vars(args).items()
+             if name in names and value is not None}
+    for name in given:
+        if name != "method" and name not in READ_FIELDS[args.method]:
+            flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+            raise InvalidParameterError(
+                f"{flag} is not read by method {args.method}")
     spec = {name: _FIT_PARSERS.get(name, lambda text: text)(value)
-            for name, value in vars(args).items() if name in names}
+            for name, value in given.items()}
     if (spec["method"] in ("pcr", "pls") and spec.get("components") is None
             and spec.get("variance_fraction") is None):
         spec["variance_fraction"] = 0.9
@@ -177,7 +184,7 @@ def _cmd_baselines(args) -> int:
     return 0
 
 
-def _spec_from_model(model, args) -> FitSpec:
+def _spec_from_model(model, sum_to: float | str | None) -> FitSpec:
     """Rebuild a fit configuration matching a stored model for jackknifing."""
     if isinstance(model, CalibrationModel):
         method = model.method.lower()
@@ -188,7 +195,7 @@ def _spec_from_model(model, args) -> FitSpec:
             method=method,
             num_basis=model.basis.num_basis,
             lam=lam,
-            sum_to=_parse_sum_to(args.sum_to),
+            sum_to=sum_to,
         )
     if isinstance(model, MultivariateModel):
         return FitSpec(method=model.method.lower(), components=model.components)
@@ -207,6 +214,10 @@ def _match_analytes(model, names: tuple[str, ...], source) -> None:
 
 def _cmd_predict(args) -> int:
     model = io.load_model(args.model)
+    sum_to = _parse_sum_to(args.sum_to)
+    if isinstance(model, MultivariateModel) and sum_to != "auto":
+        raise InvalidParameterError(
+            f"--sum-to is not read by method {model.method.lower()}")
     spectra = io.load_spectra(args.spectra, transpose=args.transpose)
     if args.s_file:
         s_names, s = io.load_spread(args.s_file)
@@ -220,7 +231,7 @@ def _cmd_predict(args) -> int:
         cal_conc = io.load_concentrations(args.cal_concentrations, cal_spectra)
         s_names = cal_conc.analyte_names()
         _match_analytes(model, s_names, args.cal_concentrations)
-        s = jackknife_sd(cal_spectra, cal_conc, _spec_from_model(model, args))
+        s = jackknife_sd(cal_spectra, cal_conc, _spec_from_model(model, sum_to))
     else:
         raise InvalidParameterError(
             "predict needs --s-file or --jackknife with calibration data"
@@ -229,7 +240,7 @@ def _cmd_predict(args) -> int:
         # A multivariate model file from before analyte names were stored.
         model = replace(model, analytes=tuple(s_names))
     sum_to = (None if isinstance(model, MultivariateModel)
-              else resolve_sum_to(_parse_sum_to(args.sum_to), model))
+              else resolve_sum_to(sum_to, model))
     report = prediction_report(model, spectra, s, c=args.c, sum_to=sum_to)
     io.save_predictions(report, spectra.sample_ids, args.out)
     return 0

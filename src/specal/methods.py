@@ -45,10 +45,9 @@ MULTIVARIATE_METHODS = ("mlr", "pcr", "pls")
 class FitSpec:
     """Method name plus every tuning choice needed to refit from scratch.
 
-    ``sum_to`` and ``gls_augment`` default to "auto": closure and the GLS
-    constraint block switch on exactly when the calibration concentrations
-    are closed (every row summing to one total, such as 1 or 100), where
-    the plain estimators are not identifiable.
+    ``sum_to`` defaults to "auto": predictions are closed exactly when the
+    calibration concentrations are (every row summing to one total, such
+    as 1 or 100).  :data:`READ_FIELDS` lists the fields each method reads.
     """
 
     method: str = "ols-k"
@@ -59,8 +58,6 @@ class FitSpec:
     components: int | None = None
     variance_fraction: float | None = None
     sum_to: float | str | None = "auto"
-    constraint_weight: float = 1.0
-    gls_augment: bool | str = "auto"
     covariance_per_fold: bool = False
 
     def __post_init__(self) -> None:
@@ -68,6 +65,18 @@ class FitSpec:
         if method not in FUNCTIONAL_METHODS + MULTIVARIATE_METHODS:
             raise InvalidParameterError(f"unknown method '{self.method}'")
         object.__setattr__(self, "method", method)
+
+
+# The FitSpec fields besides ``method`` that each method's fit or jackknife
+# reads; the others keep their defaults and change nothing.
+READ_FIELDS: dict[str, tuple[str, ...]] = {
+    "ols-k": ("num_basis", "sum_to"),
+    "ols-ss": ("lam", "lam_grid", "reselect_lambda", "sum_to"),
+    "gls-k": ("num_basis", "covariance_per_fold", "sum_to"),
+    "mlr": (),
+    "pcr": ("components", "variance_fraction"),
+    "pls": ("components", "variance_fraction"),
+}
 
 
 def resolve_sum_to(sum_to: float | str | None,
@@ -133,8 +142,7 @@ class FunctionalStrategy(Strategy):
                           concentrations: ConcentrationMatrix,
                           kv) -> CovarianceModel:
         """Noise covariance fitted to the residuals of a pilot OLS fit."""
-        design = assemble_design(spectra, concentrations, kv,
-                                 self.spec.constraint_weight)
+        design = assemble_design(spectra, concentrations, kv)
         pilot = fit_ols(design, diagnostics=False)
         resid = spectra.absorbance - (
             (design.conc_aug[:-1] @ pilot.coefficients) @ design.b.T
@@ -158,12 +166,9 @@ class FunctionalStrategy(Strategy):
             if folds and spec.covariance_per_fold:
                 return None
             cov = self._pilot_covariance(spectra, concentrations, kv)
-            augment = (closure_total(concentrations.values) is not None
-                       if spec.gls_augment == "auto" else bool(spec.gls_augment))
             return kv, 0.0, fit_gls, gls_loo_coefficients, (
-                spectra, concentrations, kv, cov, augment, spec.constraint_weight)
-        design = assemble_design(spectra, concentrations, kv,
-                                 spec.constraint_weight)
+                spectra, concentrations, kv, cov)
+        design = assemble_design(spectra, concentrations, kv)
         if spec.method == "ols-k":
             return kv, 0.0, fit_ols, loo_coefficients, (design,)
         pen = penalty_matrix(kv)

@@ -3,8 +3,9 @@
 A measured spectrum is modelled as a baseline curve plus a concentration-
 weighted sum of per-analyte curves, every curve expanded in a shared
 B-spline basis.  The least-squares system stacks all samples (sample-major,
-wavelength-minor) and appends one block of zero-response rows that softly
-push the analyte curves to sum to zero at every grid site.
+wavelength-minor) and appends one block of zero-response rows that, for
+closed concentration rows only, softly push the analyte curves to sum to
+zero at every grid site.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import KnotVector, cached_design_matrix
-from .errors import CollinearConcentrationsError, InvalidParameterError, ShapeError
+from .errors import CollinearConcentrationsError, ShapeError
 
 
 def closure_total(values) -> float | None:
@@ -35,13 +36,6 @@ def closure_total(values) -> float | None:
     if not np.allclose(sums, total, rtol=1e-5, atol=1e-9 * abs(total)):
         return None
     return total
-
-
-def check_constraint_weight(weight: float) -> None:
-    """The sum-to-zero constraint weight must be finite and nonnegative."""
-    if not 0 <= weight < np.inf:
-        raise InvalidParameterError(
-            f"constraint weight must be finite and nonnegative, got {weight}")
 
 
 def _frozen_array(values, dtype=float, ndim=None, name="array") -> np.ndarray:
@@ -111,8 +105,8 @@ class ConcentrationMatrix:
             raise ShapeError("concentrations contain non-finite values")
         if np.any(values < 0):
             # Negative reference concentrations are physically suspect but
-            # occur in practice (unit quirks); flag rather than reject.
-            warnings.warn("negative concentration values present", stacklevel=2)
+            # occur in practice (unit quirks): warn the caller of __init__.
+            warnings.warn("negative concentration values present", stacklevel=3)
         if self.analytes is not None and len(self.analytes) != values.shape[1]:
             raise ShapeError("analyte label count does not match column count")
         if self.sample_ids is not None and len(self.sample_ids) != values.shape[0]:
@@ -214,22 +208,20 @@ class AggregatedDesign:
 
 
 def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
-                    kv: KnotVector, constraint_weight: float = 1.0) -> AggregatedDesign:
+                    kv: KnotVector) -> AggregatedDesign:
     """Build the augmented system from spectra, concentrations and a basis.
 
-    The constraint block only enters through the augmented concentration
-    rows: scaling that row by ``sqrt(constraint_weight)`` scales the
-    sum-to-zero residual's contribution to the objective by the weight.
-    Identifiability is checked on the augmented rows: for closed samples
-    (rows of Y summing to one) the plain intercept-plus-Y rows are always
-    collinear and only the constraint row pins the decomposition.
+    The constraint block enters only through the last augmented
+    concentration row: ones on the analyte columns when the rows are closed
+    (:func:`closure_total`), where the intercept-plus-Y rows are collinear
+    and only that row pins the decomposition; zeros otherwise.
+    Identifiability is checked on the augmented rows.
     """
     if spectra.num_samples != concentrations.num_samples:
         raise ShapeError(
             f"{spectra.num_samples} spectra but "
             f"{concentrations.num_samples} concentration rows"
         )
-    check_constraint_weight(constraint_weight)
     y = concentrations.values
     m = concentrations.num_analytes
     b = cached_design_matrix(kv, spectra.grid)
@@ -241,7 +233,7 @@ def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     conc_aug = np.zeros((spectra.num_samples + 1, m + 1))
     conc_aug[:-1, 0] = 1.0
     conc_aug[:-1, 1:] = y
-    conc_aug[-1, 1:] = np.sqrt(constraint_weight)
+    conc_aug[-1, 1:] = float(closure_total(y) is not None)
     if np.linalg.matrix_rank(conc_aug) < m + 1:
         raise CollinearConcentrationsError(
             "concentration rows (with the constraint row) do not have full "

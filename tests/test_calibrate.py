@@ -793,7 +793,9 @@ class TestGls:
             )
             npt.assert_allclose(fast[i], naive.coefficients, atol=1e-9)
 
-    def test_closed_rows_need_augmentation(self):
+    def test_closed_rows_fit_with_no_flag(self):
+        # Closed rows make the intercept collinear with Y; the fit adds the
+        # sum-to-zero block by itself and recovers the zero-sum curves.
         rng = np.random.default_rng(27)
         grid = np.linspace(0.0, 10.0, 31)
         kv = make_knots((0.0, 10.0), 6)
@@ -805,17 +807,8 @@ class TestGls:
         spectra = SpectraSet(grid=grid, absorbance=w)
         conc = ConcentrationMatrix(values=y)
         cov = CovarianceModel(sigma2=np.array([1.0, 1.0]), phi=np.array([0.5, 0.5]))
-        with pytest.raises(SingularDesignError):
-            fit_gls(spectra, conc, kv, cov)
-        model = fit_gls(spectra, conc, kv, cov, augment=True)
+        model = fit_gls(spectra, conc, kv, cov)
         npt.assert_allclose(model.coefficients, coef, atol=0.5)
-
-    @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
-    def test_augment_weight_must_be_finite_and_nonnegative(self, weight):
-        spectra, conc, kv, _, _ = self.make(31)
-        cov = CovarianceModel(sigma2=np.array([1.0, 1.0]), phi=np.array([0.5, 0.5]))
-        with pytest.raises(InvalidParameterError, match="constraint weight"):
-            fit_gls(spectra, conc, kv, cov, augment=True, constraint_weight=weight)
 
     def test_whitening_memory_does_not_grow_with_the_grid(self):
         # The pass keeps each sample's (K+1)-square whitened Gram; the
@@ -833,7 +826,7 @@ class TestGls:
                               phi=np.array([0.01, 0.3, 3.0]))
         tracemalloc.start()
         try:
-            _WhitenedSystem(spectra, conc, kv, cov, True, 1.0)
+            _WhitenedSystem(spectra, conc, kv, cov)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -851,7 +844,7 @@ class TestGls:
         system = _WhitenedSystem.__new__(_WhitenedSystem)
         system.num_basis = 2
         if singular:
-            with pytest.raises(SingularDesignError, match="augment=True"):
+            with pytest.raises(SingularDesignError, match="rank deficient"):
                 system.solve(gram, np.ones(4))
         else:
             npt.assert_allclose(system.solve(gram, np.ones(4)).ravel(),

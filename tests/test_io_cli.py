@@ -493,6 +493,9 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["calibrate", "--method", "ols-k", "--components", "3"],
         ["baselines", "--method", "pls", "--num-basis", "14"],
+        # Removed: the data decide whether the sum-to-zero block is used.
+        ["calibrate", "--method", "ols-k", "--constraint-weight", "0"],
+        ["calibrate", "--method", "gls-k", "--gls-augment", "no"],
     ], ids=" ".join)
     def test_flag_the_subcommand_does_not_read_exits_two(self, dataset, tmp_path,
                                                          argv):
@@ -614,9 +617,6 @@ class TestCli:
 
 @pytest.mark.parametrize("argv", [
     ["predict", "--c", "nan"], ["predict", "--c", "inf"],
-    ["calibrate", "--constraint-weight", "nan"],
-    ["calibrate", "--constraint-weight", "inf"],
-    ["calibrate", "--constraint-weight", "-1"],
     ["calibrate", "--curve-points", "-1"],
     ["simulate", "--prediction-samples", "0"],
     ["simulate", "--prediction-samples", "-1"],
@@ -652,6 +652,71 @@ def test_out_of_range_number_exits_before_writing(dataset, tmp_path, capsys, arg
     assert main([command, *required, *flag]) == 1
     assert capsys.readouterr().err.startswith("error[invalid-parameter]:")
     assert sorted(tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("command, method, flag", [
+    ("calibrate", "ols-k", ["--lambda", "330"]),
+    ("calibrate", "gls-k", ["--lambda-grid", "1:10:3"]),
+    ("calibrate", "ols-ss", ["--num-basis", "10"]),
+    ("jackknife", "ols-k", ["--lambda", "gcv"]),
+    ("jackknife", "gls-k", ["--reselect-lambda"]),
+    ("jackknife", "ols-ss", ["--covariance-per-fold"]),
+    ("jackknife", "pls", ["--sum-to", "1"]),
+    ("baselines", "mlr", ["--components", "2"]),
+    ("baselines", "mlr", ["--variance-fraction", "0.9"]),
+    ("predict", "pls", ["--sum-to", "5"]),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_flag_the_method_does_not_read_is_refused(dataset, tmp_path, capsys,
+                                                  command, method, flag):
+    _, _, _, spath, cpath = dataset
+    cal = ["--spectra", str(spath), "--concentrations", str(cpath)]
+    out = tmp_path / "out"
+    if command == "predict":
+        model, spread = tmp_path / "model.json", tmp_path / "s.csv"
+        assert main(["baselines", *cal, "--method", method, "--components", "3",
+                     "--model-out", str(model)]) == 0
+        io.save_spread(("a", "b", "c"), [0.1, 0.2, 0.3], spread)
+        argv = ["predict", "--model", str(model), "--spectra", str(spath),
+                "--s-file", str(spread), *flag, "--out", str(out)]
+    else:
+        argv = [command, *cal, "--method", method, *flag,
+                "--out" if command == "jackknife" else "--model-out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error[invalid-parameter]: {flag[0]} is not read by method {method}\n")
+    assert not out.exists()
+
+
+def test_open_rounded_walkthrough_predicts_near_truth(tmp_path):
+    # The walkthrough data with concentrations rounded to 4 decimals: rows
+    # sum to 0.9999 or 1, so they are open and the fit leaves the
+    # sum-to-zero block out.  With the block, every p1 estimate was about
+    # -10,892.  The jackknife that predict runs refits the same model.
+    data = tmp_path / "data"
+    assert main(["simulate", "--study", "dataset", "--scenario", "weak",
+                 "--samples", "20", "--seed", "1", "--out-dir", str(data)]) == 0
+    ids, analytes, y = io.load_value_table(data / "cal_concentrations.csv")
+    rounded = tmp_path / "rounded.csv"
+    io.save_concentrations(ConcentrationMatrix(values=np.round(y, 4), sample_ids=ids,
+                                               analytes=analytes), rounded)
+    cal = ["--spectra", str(data / "cal_spectra.csv"), "--concentrations",
+           str(rounded), "--method", "ols-k", "--num-basis", "14"]
+    model, spread, pred, pred_jack = (
+        tmp_path / name for name in ("m.json", "s.csv", "p.csv", "pj.csv"))
+    assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
+    assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+    predict = ["predict", "--model", str(model), "--spectra",
+               str(data / "pred_spectra.csv")]
+    assert main([*predict, "--s-file", str(spread), "--out", str(pred)]) == 0
+    assert main([*predict, "--jackknife", "--cal-spectra", str(data / "cal_spectra.csv"),
+                 "--cal-concentrations", str(rounded), "--out", str(pred_jack)]) == 0
+    assert pred_jack.read_bytes() == pred.read_bytes()
+    assert io.load_model(model).closed_total is None
+    pred_ids, _, y_hat = io.load_value_table(pred, columns=analytes)
+    assert pred_ids[0] == "p1"
+    npt.assert_allclose(y_hat[0], [0.633, 0.044, 0.323], atol=1e-3)
+    assert np.all((y_hat > -1) & (y_hat < 2))
 
 
 def test_repeated_concentration_id_exits_with_alignment_error(dataset, tmp_path,

@@ -71,9 +71,11 @@ class TestContainers:
         assert ConcentrationMatrix(values=w).values is w
 
     def test_negative_concentrations_warn_but_load(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             conc = ConcentrationMatrix(values=np.array([[0.2, -0.1], [0.4, 0.3]]))
         assert conc.num_analytes == 2
+        # The warning points at the caller, not the generated __init__.
+        assert record[0].filename == __file__
 
 
 class TestAssembleDesign:
@@ -172,8 +174,9 @@ class TestAssembleDesign:
             assemble_design(spectra, short, kv)
 
     def test_constraint_rows_add_exactly_sum_penalty(self):
+        # Closed rows, so the block is present.
         rng = np.random.default_rng(5)
-        spectra, conc, kv, _ = make_dataset(rng)
+        spectra, conc, kv, _ = make_dataset(rng, closed=True)
         design = assemble_design(spectra, conc, kv)
         coef = rng.standard_normal((conc.num_analytes + 1, kv.num_basis))
         x_plus, w_plus = dense_system(design)

@@ -295,15 +295,14 @@ class TestJackknife:
             )
 
     def test_fold_failure_is_reported(self):
-        # Three samples with two identical concentration rows: dropping the
-        # distinct one (fold 2) leaves a rank-deficient fold.  The pinned sum
-        # keeps folds 0 and 1 predictable: their two-sample fits leave the
-        # analyte curves summing to zero.
+        # Four open samples, two with identical concentration rows: the full
+        # fit has rank 3, and dropping either distinct row (fold 2 or 3)
+        # leaves a rank-deficient fold; folds 0 and 1 succeed.
         rng = np.random.default_rng(15)
         grid = np.linspace(0.0, 1.0, 20)
         kv_dim = 4
-        y = np.array([[0.2, 0.3], [0.2, 0.3], [0.6, 0.1]])
-        w = rng.standard_normal((3, 20))
+        y = np.array([[0.2, 0.3], [0.2, 0.3], [0.6, 0.1], [0.1, 0.5]])
+        w = rng.standard_normal((4, 20))
         spectra = SpectraSet(grid=grid, absorbance=w)
         conc = ConcentrationMatrix(values=y)
         with pytest.raises(FoldFailureError):

@@ -272,7 +272,7 @@ class TestStrategyFastPaths:
             naive = fit_gls(
                 SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[keep]),
                 ConcentrationMatrix(values=conc.values[keep]),
-                kv, cov, augment=True, diagnostics=False,
+                kv, cov, diagnostics=False,
             )
             npt.assert_allclose(
                 fast_fits[i].coefficients, naive.coefficients,

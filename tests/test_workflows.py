@@ -3,10 +3,9 @@ a coarse-grid many-analyte calibration set and a fine-grid three-analyte
 one, both with open (non-closed) reference concentrations.
 
 Open-sample data with all-positive analyte curves conflict with the
-sum-to-zero block, so these workflows drop it (``constraint_weight=0``;
-the system is identifiable without it when (1|Y) has full rank).  One
-test pins the tradeoff: the default unit weight biases predictions on
-such data, the zero weight does not.
+sum-to-zero block, and the system is identifiable without it when (1|Y)
+has full rank, so the fits leave it out on such rows by themselves.  One
+test pins that the default fit is unbiased on such data.
 """
 
 import numpy as np
@@ -43,9 +42,8 @@ def test_coarse_grid_ten_analyte_workflow():
     spectra = SpectraSet(grid=grid, absorbance=w_cal)
     conc = ConcentrationMatrix(values=y_cal)
     for spec in (
-        FitSpec(method="ols-k", num_basis=14, constraint_weight=0.0),
-        FitSpec(method="ols-ss", lam_grid=np.logspace(-4, 4, 9),
-                constraint_weight=0.0),
+        FitSpec(method="ols-k", num_basis=14),
+        FitSpec(method="ols-ss", lam_grid=np.logspace(-4, 4, 9)),
     ):
         strategy = make_strategy(spec)
         model = strategy.fit(spectra, conc)
@@ -54,17 +52,15 @@ def test_coarse_grid_ten_analyte_workflow():
         y_hat = strategy.predict_fitted(model, target)
         report = sep(y_pred, y_hat)
         assert report.overall < 0.05
-    s = jackknife_sd(
-        spectra, conc,
-        FitSpec(method="ols-k", num_basis=14, constraint_weight=0.0),
-    )
+    s = jackknife_sd(spectra, conc, FitSpec(method="ols-k", num_basis=14))
     assert s.shape == (10,)
     assert np.all(s < 0.1)
 
 
-def test_unit_constraint_weight_biases_open_positive_curves():
+def test_default_fit_is_unbiased_on_open_positive_curves():
     # All-positive analyte curves cannot sum to zero; with open samples
-    # the block then acts as a (mis)specification prior and inflates SEP.
+    # the sum-to-zero block would act as a (mis)specification prior and
+    # inflate SEP (0.55 with it, 0.008 without), so the fit leaves it out.
     rng = np.random.default_rng(43)
     grid = np.arange(220.0, 351.0, 5.0)
     w_cal, y_cal, w_pred, y_pred = synthetic_mixture(
@@ -72,14 +68,9 @@ def test_unit_constraint_weight_biases_open_positive_curves():
     spectra = SpectraSet(grid=grid, absorbance=w_cal)
     conc = ConcentrationMatrix(values=y_cal)
     target = SpectraSet(grid=grid, absorbance=w_pred)
-    seps = {}
-    for weight in (1.0, 0.0):
-        spec = FitSpec(method="ols-k", num_basis=14, constraint_weight=weight)
-        strategy = make_strategy(spec)
-        model = strategy.fit(spectra, conc)
-        seps[weight] = sep(y_pred, strategy.predict_fitted(model, target)).overall
-    assert seps[0.0] < 0.05
-    assert seps[1.0] > seps[0.0]
+    strategy = make_strategy(FitSpec(method="ols-k", num_basis=14))
+    model = strategy.fit(spectra, conc)
+    assert sep(y_pred, strategy.predict_fitted(model, target)).overall < 0.05
 
 
 def test_fine_grid_three_analyte_workflow(tmp_path):
@@ -92,7 +83,7 @@ def test_fine_grid_three_analyte_workflow(tmp_path):
     spectra = SpectraSet(grid=grid, absorbance=w_cal, sample_ids=ids)
     conc = ConcentrationMatrix(values=y_cal, sample_ids=ids,
                                analytes=("moist", "fat", "protein"))
-    spec = FitSpec(method="ols-ss", lam=330.0, constraint_weight=0.0)
+    spec = FitSpec(method="ols-ss", lam=330.0)
     model = make_strategy(spec).fit(spectra, conc)
     assert model.lam == 330.0
     path = tmp_path / "model.json"
