@@ -26,7 +26,7 @@ from .methods import (
     make_strategy,
     resolve_sum_to,
 )
-from .model import CalibrationModel, ConcentrationMatrix, SpectraSet
+from .model import ConcentrationMatrix, SpectraSet
 from .predict import (
     jackknife_sd,
     prediction_report,
@@ -65,9 +65,7 @@ def _parse_lambda(text: str) -> float | None:
     return value
 
 
-def _parse_lambda_grid(text: str | None) -> np.ndarray | None:
-    if text is None:
-        return None
+def _parse_lambda_grid(text: str) -> np.ndarray:
     try:
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -129,20 +127,31 @@ _FIT_PARSERS = {"lam": _parse_lambda, "lam_grid": _parse_lambda_grid,
 _FLAG_NAMES = {"lam": "--lambda", "lam_grid": "--lambda-grid"}
 
 
+def _flag(name: str) -> str:
+    """The command line flag of a FitSpec field."""
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+
+
 def _fit_spec(args) -> FitSpec:
     """The fit configuration from the fit flags given; a choice without a
     flag keeps its :class:`FitSpec` default.  A flag the method does not
-    read (:data:`methods.READ_FIELDS`) is refused."""
+    read (:data:`methods.READ_FIELDS`) is refused, and so are the selection
+    flags beside a fixed ``--lambda``."""
     names = {f.name for f in fields(FitSpec)}
     given = {name: value for name, value in vars(args).items()
              if name in names and value is not None}
     for name in given:
         if name != "method" and name not in READ_FIELDS[args.method]:
-            flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
             raise InvalidParameterError(
-                f"{flag} is not read by method {args.method}")
+                f"{_flag(name)} is not read by method {args.method}")
     spec = {name: _FIT_PARSERS.get(name, lambda text: text)(value)
             for name, value in given.items()}
+    if spec.get("lam") is not None:
+        # A fixed lambda is used as given: no grid or fold reselects it.
+        for name in ("lam_grid", "reselect_lambda"):
+            if name in spec:
+                raise InvalidParameterError(
+                    f"{_flag(name)} is not read with a fixed --lambda")
     if (spec["method"] in ("pcr", "pls") and spec.get("components") is None
             and spec.get("variance_fraction") is None):
         spec["variance_fraction"] = 0.9
@@ -184,34 +193,6 @@ def _cmd_baselines(args) -> int:
     return 0
 
 
-def _spec_from_model(model, sum_to: float | str | None) -> FitSpec:
-    """Rebuild a fit configuration matching a stored model for jackknifing."""
-    if isinstance(model, CalibrationModel):
-        method = model.method.lower()
-        if method not in FUNCTIONAL_METHODS:
-            raise InvalidParameterError(f"cannot jackknife method {model.method!r}")
-        lam = model.lam if method == "ols-ss" else None
-        return FitSpec(
-            method=method,
-            num_basis=model.basis.num_basis,
-            lam=lam,
-            sum_to=sum_to,
-        )
-    if isinstance(model, MultivariateModel):
-        return FitSpec(method=model.method.lower(), components=model.components)
-    raise InvalidParameterError("unsupported model type")
-
-
-def _match_analytes(model, names: tuple[str, ...], source) -> None:
-    # A model applies spreads by position, not by name.  A multivariate
-    # model file written before analyte names were stored has none to check.
-    if model.analytes is not None and tuple(names) != model.analytes:
-        raise AlignmentError(
-            f"{source}: analytes {list(names)} do not match the model's "
-            f"{list(model.analytes)}"
-        )
-
-
 def _cmd_predict(args) -> int:
     model = io.load_model(args.model)
     sum_to = _parse_sum_to(args.sum_to)
@@ -219,26 +200,17 @@ def _cmd_predict(args) -> int:
         raise InvalidParameterError(
             f"--sum-to is not read by method {model.method.lower()}")
     spectra = io.load_spectra(args.spectra, transpose=args.transpose)
-    if args.s_file:
-        s_names, s = io.load_spread(args.s_file)
-        _match_analytes(model, s_names, args.s_file)
-    elif args.jackknife:
-        if not (args.cal_spectra and args.cal_concentrations):
-            raise InvalidParameterError(
-                "--jackknife needs --cal-spectra and --cal-concentrations"
-            )
-        cal_spectra = io.load_spectra(args.cal_spectra)
-        cal_conc = io.load_concentrations(args.cal_concentrations, cal_spectra)
-        s_names = cal_conc.analyte_names()
-        _match_analytes(model, s_names, args.cal_concentrations)
-        s = jackknife_sd(cal_spectra, cal_conc, _spec_from_model(model, sum_to))
-    else:
-        raise InvalidParameterError(
-            "predict needs --s-file or --jackknife with calibration data"
-        )
+    s_names, s = io.load_spread(args.s_file)
+    # A model applies spreads by position, not by name.  A multivariate
+    # model file written before analyte names were stored has none to
+    # check, and takes the spread file's.
     if model.analytes is None:
-        # A multivariate model file from before analyte names were stored.
-        model = replace(model, analytes=tuple(s_names))
+        model = replace(model, analytes=s_names)
+    elif s_names != model.analytes:
+        raise AlignmentError(
+            f"{args.s_file}: analytes {list(s_names)} do not match the "
+            f"model's {list(model.analytes)}"
+        )
     sum_to = (None if isinstance(model, MultivariateModel)
               else resolve_sum_to(sum_to, model))
     report = prediction_report(model, spectra, s, c=args.c, sum_to=sum_to)
@@ -288,6 +260,7 @@ def _manifest_payload(cfg: SimConfig, args, extra: dict) -> dict:
         "sigma2": cfg.sigma2,
         "phi": cfg.phi,
         "scenario": args.scenario,
+        "study": args.study,
         "curves": {
             "centers": list(simulate.CURVE_CENTERS),
             "widths": list(simulate.CURVE_WIDTHS),
@@ -314,23 +287,21 @@ def _cmd_simulate(args) -> int:
     out_dir = io.ensure_dir(args.out_dir)
     if args.study == "dataset":
         spectra, conc, truth = generate_dataset(cfg)
-        io.save_spectra(spectra, out_dir / "cal_spectra.csv")
-        io.save_concentrations(conc, out_dir / "cal_concentrations.csv")
         pred_y = sample_dirichlet(
             _stream(cfg.seed, 9), args.prediction_samples, cfg.alpha,
             cfg.num_analytes,
         )
-        pred_spectra = prediction_spectra(truth, pred_y, 0, 0)
         pred_ids = tuple(f"p{j + 1}" for j in range(args.prediction_samples))
-        io.save_spectra(
-            SpectraSet(grid=pred_spectra.grid,
-                       absorbance=pred_spectra.absorbance, sample_ids=pred_ids),
-            out_dir / "pred_spectra.csv",
-        )
-        io.save_concentrations(
-            ConcentrationMatrix(values=pred_y, sample_ids=pred_ids),
-            out_dir / "pred_concentrations.csv",
-        )
+        pairs = {
+            "cal": (spectra, conc),
+            "pred": (replace(prediction_spectra(truth, pred_y, 0, 0),
+                             sample_ids=pred_ids),
+                     ConcentrationMatrix(values=pred_y, sample_ids=pred_ids)),
+        }
+        for prefix, (pair_spectra, pair_conc) in pairs.items():
+            io.save_spectra(pair_spectra, out_dir / f"{prefix}_spectra.csv")
+            io.save_concentrations(pair_conc,
+                                   out_dir / f"{prefix}_concentrations.csv")
         io.save_study_rows(
             ["wavelength", "baseline",
              *(f"analyte_{k + 1}" for k in range(cfg.num_analytes))],
@@ -338,45 +309,25 @@ def _cmd_simulate(args) -> int:
              for n, g in enumerate(cfg.grid)],
             out_dir / "truth_curves.csv",
         )
-        io.save_manifest(
-            _manifest_payload(cfg, args, {
-                "study": "dataset",
-                "prediction_samples": args.prediction_samples,
-            }),
-            out_dir / "manifest.json",
-        )
-        return 0
-    if args.study == "jackknife":
+        extra = {"prediction_samples": args.prediction_samples}
+    elif args.study == "jackknife":
         result = run_jackknife_study(cfg, methods, args.replicates,
                                      jobs=args.jobs)
         io.save_study_rows(["method", "component", "median_sd", "iqr_sd"],
                            result.rows(), out_dir / "jackknife_study.csv")
-        io.save_manifest(
-            _manifest_payload(cfg, args, {
-                "study": "jackknife",
-                "methods": methods,
-                "replicates": args.replicates,
-                "failures": result.failures,
-            }),
-            out_dir / "manifest.json",
+        extra = {"methods": methods, "replicates": args.replicates,
+                 "failures": result.failures}
+    else:
+        result = run_bias_variance_study(
+            cfg, methods, learning_sets=args.learning_sets,
+            prediction_reps=args.prediction_reps, jobs=args.jobs,
         )
-        return 0
-    result = run_bias_variance_study(
-        cfg, methods, learning_sets=args.learning_sets,
-        prediction_reps=args.prediction_reps, jobs=args.jobs,
-    )
-    io.save_study_rows(["method", "component", "squared_bias", "variability"],
-                       result.rows(), out_dir / "bias_variance_study.csv")
-    io.save_manifest(
-        _manifest_payload(cfg, args, {
-            "study": "bias-variance",
-            "methods": methods,
-            "learning_sets": args.learning_sets,
-            "prediction_reps": args.prediction_reps,
-            "failures": result.failures,
-        }),
-        out_dir / "manifest.json",
-    )
+        io.save_study_rows(["method", "component", "squared_bias", "variability"],
+                           result.rows(), out_dir / "bias_variance_study.csv")
+        extra = {"methods": methods, "learning_sets": args.learning_sets,
+                 "prediction_reps": args.prediction_reps,
+                 "failures": result.failures}
+    io.save_json(_manifest_payload(cfg, args, extra), out_dir / "manifest.json")
     return 0
 
 
@@ -409,10 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--spectra", required=True)
     p_pred.add_argument("--transpose", action="store_true")
-    p_pred.add_argument("--s-file", default=None)
-    p_pred.add_argument("--jackknife", action="store_true")
-    p_pred.add_argument("--cal-spectra", default=None)
-    p_pred.add_argument("--cal-concentrations", default=None)
+    p_pred.add_argument("--s-file", required=True,
+                        help="spread file written by jackknife")
     p_pred.add_argument("--c", type=float, default=1.96)
     p_pred.add_argument("--sum-to", default="auto")
     p_pred.add_argument("--out", required=True)

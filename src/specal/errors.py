@@ -93,3 +93,9 @@ class ParseError(SpecalError):
 
 class AlignmentError(SpecalError):
     category = "alignment"
+
+
+class OutputError(SpecalError):
+    """An output file or directory that cannot be created or written."""
+
+    category = "output"

@@ -12,6 +12,7 @@ import json
 import operator
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from itertools import chain
@@ -22,7 +23,7 @@ import numpy as np
 from .baselines import MultivariateModel
 from .basis import KnotVector
 from .calibrate import FitDiagnostics
-from .errors import AlignmentError, ParseError, ShapeError
+from .errors import AlignmentError, OutputError, ParseError, ShapeError
 from .model import CalibrationModel, ConcentrationMatrix, SpectraSet
 
 MODEL_SCHEMA_VERSION = 1
@@ -44,8 +45,26 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def _writing(path, **options):
+    """``path`` opened for text writing; an OS error opening or writing it
+    raises OutputError."""
+    try:
+        with open(path, "w", **options) as handle:
+            yield handle
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def save_json(payload: dict, path) -> None:
+    """One JSON object, keys sorted, two-space indent, final newline."""
+    with _writing(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _write_rows(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
+    with _writing(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -344,9 +363,7 @@ def save_model(model, path) -> None:
             payload["analytes"] = list(model.analytes)
     else:
         raise ShapeError(f"cannot serialize model of type {type(model).__name__}")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    save_json(payload, path)
 
 
 def load_model(path):
@@ -454,13 +471,11 @@ def save_study_rows(header: list[str], rows, path) -> None:
     _write_rows(path, header, formatted)
 
 
-def save_manifest(payload: dict, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def ensure_dir(path) -> Path:
     directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(
+            f"cannot create directory {path}: {exc.strerror or exc}") from exc
     return directory

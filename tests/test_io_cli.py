@@ -556,17 +556,30 @@ class TestCli:
         npt.assert_allclose(outputs["pct"][2].sum(axis=1), 100.0, rtol=1e-12)
         npt.assert_allclose(outputs["pct"][1], 100.0 * outputs["frac"][1], rtol=1e-8)
 
-    def test_predict_with_jackknife_flag(self, dataset, tmp_path):
+    @pytest.mark.parametrize("source", [
+        ["--jackknife", "--cal-spectra", "SPECTRA", "--cal-concentrations", "CONC"],
+        [],
+        ["--s-file", "S", "--jackknife"],
+        ["--s-file", "S", "--cal-spectra", "SPECTRA"],
+        ["--s-file", "S", "--cal-concentrations", "CONC"],
+    ], ids=lambda source: " ".join(source) or "no spread file")
+    def test_predict_reads_spreads_only_from_s_file(self, dataset, tmp_path,
+                                                    source):
+        # Spreads come from the jackknife command; predict has no way to
+        # compute them itself.
         _, _, _, spath, cpath = dataset
-        model = tmp_path / "model.json"
+        cal = ["--spectra", str(spath), "--concentrations", str(cpath),
+               "--method", "ols-k"]
+        model, spread = tmp_path / "model.json", tmp_path / "s.csv"
+        assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
+        assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+        paths = {"SPECTRA": str(spath), "CONC": str(cpath), "S": str(spread)}
         pred = tmp_path / "pred.csv"
-        main(["calibrate", "--spectra", str(spath), "--concentrations",
-              str(cpath), "--method", "ols-k", "--model-out", str(model)])
-        assert main(["predict", "--model", str(model), "--spectra", str(spath),
-                     "--jackknife", "--cal-spectra", str(spath),
-                     "--cal-concentrations", str(cpath),
-                     "--out", str(pred)]) == 0
-        assert pred.exists()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["predict", "--model", str(model), "--spectra", str(spath),
+                  *(paths.get(arg, arg) for arg in source), "--out", str(pred)])
+        assert excinfo.value.code == 2
+        assert not pred.exists()
 
     @pytest.mark.parametrize("flag", [
         ["--lambda-grid", "a:b:c"], ["--lambda-grid", "1:2"],
@@ -587,7 +600,7 @@ class TestCli:
 
     def test_predict_rejects_spreads_of_other_analytes(self, dataset, tmp_path,
                                                        capsys):
-        _, conc, _, spath, cpath = dataset
+        _, _, _, spath, cpath = dataset
         model = tmp_path / "model.json"
         spread = tmp_path / "s.csv"
         cal = ["--spectra", str(spath), "--concentrations", str(cpath),
@@ -595,21 +608,14 @@ class TestCli:
         assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
         assert main(["jackknife", *cal, "--out", str(spread)]) == 0
         names, s = io.load_spread(spread)
-        relabelled = ConcentrationMatrix(values=conc.values[:, ::-1],
-                                         sample_ids=conc.sample_ids,
-                                         analytes=names[::-1])
-        reversed_conc = tmp_path / "reversed_conc.csv"
-        io.save_concentrations(relabelled, reversed_conc)
         bad_spreads = {"reversed": (names[::-1], s[::-1]),
                        "renamed": (("fat", "water", "protein"), s)}
         for key, (bad_names, bad_s) in bad_spreads.items():
             io.save_spread(bad_names, bad_s, tmp_path / f"{key}.csv")
-        for source in (["--s-file", str(tmp_path / "reversed.csv")],
-                       ["--s-file", str(tmp_path / "renamed.csv")],
-                       ["--jackknife", "--cal-spectra", str(spath),
-                        "--cal-concentrations", str(reversed_conc)]):
+        for key in bad_spreads:
             code = main(["predict", "--model", str(model), "--spectra", str(spath),
-                         *source, "--out", str(tmp_path / "pred.csv")])
+                         "--s-file", str(tmp_path / f"{key}.csv"),
+                         "--out", str(tmp_path / "pred.csv")])
             assert code == 1
             assert capsys.readouterr().err.startswith("error[alignment]:")
         assert not (tmp_path / "pred.csv").exists()
@@ -688,11 +694,65 @@ def test_flag_the_method_does_not_read_is_refused(dataset, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("calibrate", ["--lambda-grid", "1:10:3"]),
+    ("jackknife", ["--lambda-grid", "1:10:3"]),
+    ("jackknife", ["--reselect-lambda"]),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_selection_flag_beside_a_fixed_lambda_is_refused(dataset, tmp_path, capsys,
+                                                         command, flag):
+    # A fixed lambda is used as given, so a grid or a per-fold reselection
+    # would change nothing.
+    _, _, _, spath, cpath = dataset
+    out = tmp_path / "out"
+    argv = [command, "--spectra", str(spath), "--concentrations", str(cpath),
+            "--method", "ols-ss", "--lambda", "330", *flag,
+            "--out" if command == "jackknife" else "--model-out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error[invalid-parameter]: {flag[0]} is not read with a fixed --lambda\n")
+    assert not out.exists()
+    argv[argv.index("330")] = "gcv"
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--out", "missing/p.csv"],
+    ["predict", "--out", "."],
+    ["calibrate", "--model-out", "missing/m.json"],
+    ["jackknife", "--out", "missing/s.csv"],
+    ["sep", "--out", "missing/sep.csv"],
+    ["simulate", "--out-dir", "model.json"],
+], ids=" ".join)
+def test_unwritable_output_is_an_output_error(dataset, tmp_path, capsys, argv):
+    _, _, _, spath, cpath = dataset
+    cal = ["--spectra", str(spath), "--concentrations", str(cpath),
+           "--method", "ols-k"]
+    model, spread = tmp_path / "model.json", tmp_path / "s.csv"
+    assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
+    assert main(["jackknife", *cal, "--out", str(spread)]) == 0
+    command, flag, path = argv
+    required = {
+        "predict": ["--model", str(model), "--spectra", str(spath),
+                    "--s-file", str(spread)],
+        "calibrate": cal,
+        "jackknife": cal,
+        "sep": ["--truth", str(cpath), "--predictions", str(cpath)],
+        "simulate": ["--study", "dataset", "--samples", "6"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *required, flag, str(tmp_path / path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[output]: cannot ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_open_rounded_walkthrough_predicts_near_truth(tmp_path):
     # The walkthrough data with concentrations rounded to 4 decimals: rows
     # sum to 0.9999 or 1, so they are open and the fit leaves the
     # sum-to-zero block out.  With the block, every p1 estimate was about
-    # -10,892.  The jackknife that predict runs refits the same model.
+    # -10,892.
     data = tmp_path / "data"
     assert main(["simulate", "--study", "dataset", "--scenario", "weak",
                  "--samples", "20", "--seed", "1", "--out-dir", str(data)]) == 0
@@ -702,16 +762,12 @@ def test_open_rounded_walkthrough_predicts_near_truth(tmp_path):
                                                analytes=analytes), rounded)
     cal = ["--spectra", str(data / "cal_spectra.csv"), "--concentrations",
            str(rounded), "--method", "ols-k", "--num-basis", "14"]
-    model, spread, pred, pred_jack = (
-        tmp_path / name for name in ("m.json", "s.csv", "p.csv", "pj.csv"))
+    model, spread, pred = (tmp_path / name for name in ("m.json", "s.csv", "p.csv"))
     assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
     assert main(["jackknife", *cal, "--out", str(spread)]) == 0
     predict = ["predict", "--model", str(model), "--spectra",
                str(data / "pred_spectra.csv")]
     assert main([*predict, "--s-file", str(spread), "--out", str(pred)]) == 0
-    assert main([*predict, "--jackknife", "--cal-spectra", str(data / "cal_spectra.csv"),
-                 "--cal-concentrations", str(rounded), "--out", str(pred_jack)]) == 0
-    assert pred_jack.read_bytes() == pred.read_bytes()
     assert io.load_model(model).closed_total is None
     pred_ids, _, y_hat = io.load_value_table(pred, columns=analytes)
     assert pred_ids[0] == "p1"
