@@ -24,12 +24,10 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DegenerateSpectraError,
-    FoldFailureError,
     GridMismatchError,
     InvalidParameterError,
     InvalidComponentsError,
     ShapeError,
-    SpecalError,
 )
 
 
@@ -137,28 +135,34 @@ def fold_decompositions(w: np.ndarray, y: np.ndarray
     n = w.shape[0]
     for i in range(n):
         keep = np.arange(n) != i
-        try:
-            dec = decompose(w[keep], y[keep])
-        except SpecalError as exc:
-            raise FoldFailureError(f"refit failed on fold {i}: {exc}") from exc
-        yield i, dec
+        yield i, decompose(w[keep], y[keep])
 
 
-def _component_count(dec: Decomposition, components: int | None,
-                     variance_fraction: float | None) -> int:
+def check_component_choice(components: int | None,
+                           variance_fraction: float | None) -> None:
+    """Exactly one of a count of at least one (checked against the rank
+    when a fit is made) or a variance fraction in (0, 1)."""
     if (components is None) == (variance_fraction is None):
         raise InvalidParameterError(
             "select components with exactly one of a fixed count or a "
             "variance fraction"
         )
+    if components is not None and components < 1:
+        raise InvalidComponentsError(
+            f"component count must be at least one, got {components}")
+    if variance_fraction is not None and not 0 < variance_fraction < 1:
+        raise InvalidParameterError("variance fraction must lie in (0, 1)")
+
+
+def _component_count(dec: Decomposition, components: int | None,
+                     variance_fraction: float | None) -> int:
+    check_component_choice(components, variance_fraction)
     if components is not None:
-        if not 1 <= components <= dec.rank:
+        if components > dec.rank:
             raise InvalidComponentsError(
                 f"component count {components} outside [1, rank={dec.rank}]"
             )
         return components
-    if not 0 < variance_fraction < 1:
-        raise InvalidParameterError("variance fraction must lie in (0, 1)")
     var = dec.s[:dec.rank] ** 2
     cumulative = np.cumsum(var) / var.sum()
     return int(np.searchsorted(cumulative, variance_fraction - 1e-12) + 1)

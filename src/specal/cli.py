@@ -152,9 +152,6 @@ def _fit_spec(args) -> FitSpec:
             if name in spec:
                 raise InvalidParameterError(
                     f"{_flag(name)} is not read with a fixed --lambda")
-    if (spec["method"] in ("pcr", "pls") and spec.get("components") is None
-            and spec.get("variance_fraction") is None):
-        spec["variance_fraction"] = 0.9
     return FitSpec(**spec)
 
 
@@ -167,10 +164,9 @@ def _load_pair(args) -> tuple[SpectraSet, ConcentrationMatrix]:
 def _cmd_calibrate(args) -> int:
     if args.curve_points < 1:
         raise InvalidParameterError("--curve-points must be at least 1")
-    spectra, conc = _load_pair(args)
     spec = _fit_spec(args)
-    strategy = make_strategy(spec)
-    model = strategy.fit(spectra, conc)
+    io.check_outputs(args.model_out, args.curves_out)
+    model = make_strategy(spec).fit(*_load_pair(args))
     io.save_model(model, args.model_out)
     if args.curves_out:
         io.save_curves(model, args.curves_out, num_points=args.curve_points)
@@ -183,10 +179,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_baselines(args) -> int:
-    spectra, conc = _load_pair(args)
     spec = _fit_spec(args)
-    strategy = make_strategy(spec)
-    model = strategy.fit(spectra, conc)
+    io.check_outputs(args.model_out)
+    model = make_strategy(spec).fit(*_load_pair(args))
     io.save_model(model, args.model_out)
     _say(f"method={model.method} components={model.components} "
          f"variance_fraction={model.variance_fraction}")
@@ -194,6 +189,7 @@ def _cmd_baselines(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    io.check_outputs(args.out)
     model = io.load_model(args.model)
     sum_to = _parse_sum_to(args.sum_to)
     if isinstance(model, MultivariateModel) and sum_to != "auto":
@@ -219,14 +215,16 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_jackknife(args) -> int:
-    spectra, conc = _load_pair(args)
     spec = _fit_spec(args)
+    io.check_outputs(args.out)
+    spectra, conc = _load_pair(args)
     s = jackknife_sd(spectra, conc, spec)
     io.save_spread(conc.analyte_names(), s, args.out)
     return 0
 
 
 def _cmd_sep(args) -> int:
+    io.check_outputs(args.out)
     truth_ids, analytes, truth = io.load_value_table(args.truth)
     pred_ids, _, predictions = io.load_value_table(args.predictions,
                                                    columns=analytes)

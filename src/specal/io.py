@@ -56,6 +56,17 @@ def _writing(path, **options):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def check_outputs(*paths) -> None:
+    """Raise OutputError unless each path given (None is skipped) names a
+    file in an existing directory.  Commands check this before reading any
+    input, so a run that cannot write all its outputs writes none."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise OutputError(f"cannot write {path}: Is a directory")
+        if not Path(path).parent.is_dir():
+            raise OutputError(f"cannot write {path}: No such file or directory")
+
+
 def save_json(payload: dict, path) -> None:
     """One JSON object, keys sorted, two-space indent, final newline."""
     with _writing(path) as handle:

@@ -5,7 +5,8 @@ as interchangeable fit/predict pairs.  A functional method is resolved
 once (knots, pilot covariance, design, penalty, lambda) into a fit and its
 leave-one-out refits, which downdate the same factored Gram system instead
 of rebuilding the design per fold; a naive refit path remains the reference
-behaviour and the two are interchangeable by construction.
+behaviour and the two are interchangeable by construction.  Folds come
+in index order, and :func:`predict.jackknife_spreads` names a failing one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .calibrate import (
     loo_coefficients,
     select_lambda,
 )
-from .errors import FoldFailureError, InvalidParameterError, SpecalError
+from .errors import InvalidParameterError
 from .model import (
     CalibrationModel,
     ConcentrationMatrix,
@@ -65,6 +66,11 @@ class FitSpec:
         if method not in FUNCTIONAL_METHODS + MULTIVARIATE_METHODS:
             raise InvalidParameterError(f"unknown method '{self.method}'")
         object.__setattr__(self, "method", method)
+        if method in ("pcr", "pls"):  # by default 90% of the spectral variance
+            if self.components is None and self.variance_fraction is None:
+                object.__setattr__(self, "variance_fraction", 0.9)
+            baselines.check_component_choice(self.components,
+                                             self.variance_fraction)
 
 
 # The FitSpec fields besides ``method`` that each method's fit or jackknife
@@ -117,11 +123,7 @@ class Strategy:
         n = spectra.num_samples
         for i in range(n):
             keep = np.arange(n) != i
-            try:
-                fitted = self.fit(*_subset(spectra, concentrations, keep))
-            except SpecalError as exc:
-                raise FoldFailureError(f"refit failed on fold {i}: {exc}") from exc
-            yield i, fitted
+            yield i, self.fit(*_subset(spectra, concentrations, keep))
 
 
 class FunctionalStrategy(Strategy):
@@ -191,27 +193,17 @@ class FunctionalStrategy(Strategy):
 
     def jackknife_fits(self, spectra: SpectraSet,
                        concentrations: ConcentrationMatrix) -> Iterator:
+        """The fit's downdated folds; its resolution runs at once, so a
+        full-data failure keeps its own type."""
         resolved = self._calibration(spectra, concentrations, folds=True)
         if resolved is None:
-            yield from super().jackknife_fits(spectra, concentrations)
-            return
+            return super().jackknife_fits(spectra, concentrations)
         kv, lam, _, leave_one_out, args = resolved
-        yield from self._wrap_folds(leave_one_out(*args), kv, concentrations, lam)
-
-    def _wrap_folds(self, folds, kv, concentrations, lam):
-        method = self.spec.method.upper()
-        analytes = concentrations.analyte_names()
-        closed_total = closure_total(concentrations.values)
-        done = 0  # downdate generators yield folds in index order
-        try:
-            for i, coef in folds:
-                yield i, CalibrationModel(
-                    basis=kv, coefficients=coef, method=method, lam=lam,
-                    analytes=analytes, closed_total=closed_total,
-                )
-                done = i + 1
-        except SpecalError as exc:
-            raise FoldFailureError(f"refit failed on fold {done}: {exc}") from exc
+        labels = dict(basis=kv, method=self.spec.method.upper(), lam=lam,
+                      analytes=concentrations.analyte_names(),
+                      closed_total=closure_total(concentrations.values))
+        return ((i, CalibrationModel(coefficients=coef, **labels))
+                for i, coef in leave_one_out(*args))
 
 
 class MultivariateStrategy(Strategy):

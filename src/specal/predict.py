@@ -1,10 +1,13 @@
 """Concentration prediction, jackknife spread estimates, SEP metrics.
 
 Prediction inverts a fitted calibration: each new spectrum is regressed on
-the fitted analyte curves after subtracting the baseline.  The optional
-``sum_to`` closure resolves the direction that closed calibration samples
-leave unidentified (fitted analyte curves then sum to zero pointwise, so
-the plain normal equations are singular by construction).
+the fitted analyte curves after subtracting the baseline, in one blocked
+loop (:func:`_blocked_estimates`) that every functional prediction runs.
+The optional ``sum_to`` closure resolves the direction that closed
+calibration samples leave unidentified (fitted analyte curves then sum to
+zero pointwise, so the plain normal equations are singular by
+construction).  The jackknife (:func:`jackknife_spreads`) is the one place
+that numbers the leave-one-out folds and names a fold that fails.
 """
 
 from __future__ import annotations
@@ -57,12 +60,6 @@ class SepReport:
     num_analytes: int
 
 
-def _analyte_matrix(model: CalibrationModel,
-                    spectra: SpectraSet) -> tuple[np.ndarray, np.ndarray]:
-    curves = model.curve_values(spectra.grid)
-    return curves[0], curves[1:].T
-
-
 def predict_concentrations(model: CalibrationModel, spectra: SpectraSet,
                            sum_to: float | None = None) -> np.ndarray:
     """Per-sample least squares concentrations for new spectra.
@@ -72,46 +69,7 @@ def predict_concentrations(model: CalibrationModel, spectra: SpectraSet,
     pinned to that value, which also restores well-posedness when the
     analyte curves sum to zero.
     """
-    baseline, a = _analyte_matrix(model, spectra)
-    return _concentration_solver(baseline, a, sum_to)(spectra.absorbance)
-
-
-def _concentration_solver(baseline: np.ndarray, a: np.ndarray,
-                          sum_to: float | None):
-    """The map from absorbance rows to :func:`predict_concentrations`.
-
-    The rank of the analyte curves is checked here, once, and each call
-    solves only the rows it is given.
-    """
-    m = a.shape[1]
-    if sum_to is None:
-        singular = np.linalg.svd(a, compute_uv=False)
-        if not singular[-1] > _RANK_RTOL * singular[0]:
-            raise DegenerateAnalytesError(
-                "fitted analyte curves are collinear on this grid (they sum "
-                "to zero for closed calibration samples); supply sum_to to "
-                "resolve the unidentified direction"
-            )
-
-        def solve(rows: np.ndarray) -> np.ndarray:
-            resid = rows - baseline[None, :]
-            return np.linalg.lstsq(a, resid.T, rcond=None)[0].T
-        return solve
-    if m == 1:
-        return lambda rows: np.full((len(rows), 1), float(sum_to))
-    # Solve on the zero-sum subspace, then shift to the requested total.
-    ones = np.ones((m, 1))
-    q, _ = np.linalg.qr(ones, mode="complete")
-    v = q[:, 1:]
-    center = (float(sum_to) / m) * np.ones(m)
-    shift, av = a @ center, a @ v
-
-    def solve_closed(rows: np.ndarray) -> np.ndarray:
-        target = (rows - baseline[None, :]).T
-        target -= shift[:, None]
-        u_hat = np.linalg.lstsq(av, target, rcond=None)[0]
-        return (center[:, None] + v @ u_hat).T
-    return solve_closed
+    return _blocked_estimates(model, spectra, sum_to)[0]
 
 
 def prediction_report(model: CalibrationModel | MultivariateModel,
@@ -160,20 +118,44 @@ def _blocked_estimates(model: CalibrationModel, spectra: SpectraSet,
     estimates do not depend on the blocking (a tail block of a single row
     may take another kernel and move in the last bit).
     """
-    baseline, a = _analyte_matrix(model, spectra)
-    solve = _concentration_solver(baseline, a, sum_to)
+    curves = model.curve_values(spectra.grid)
+    baseline, a = curves[0], curves[1:].T
+    m = a.shape[1]
+    if sum_to is None:
+        singular = np.linalg.svd(a, compute_uv=False)
+        if not singular[-1] > _RANK_RTOL * singular[0]:
+            raise DegenerateAnalytesError(
+                "fitted analyte curves are collinear on this grid (they sum "
+                "to zero for closed calibration samples); supply sum_to to "
+                "resolve the unidentified direction"
+            )
+    elif m > 1:
+        # Solve on the zero-sum subspace, then shift to the requested total.
+        q, _ = np.linalg.qr(np.ones((m, 1)), mode="complete")
+        v = q[:, 1:]
+        center = (float(sum_to) / m) * np.ones(m)
+        shift, av = a @ center, a @ v
     w = spectra.absorbance
-    y_hat = np.empty((len(w), a.shape[1]))
+    y_hat = np.empty((len(w), m))
     residual_norms = np.empty(len(w))
     for start in range(0, len(w), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        y = solve(w[block])
+        rows = w[block]
+        if sum_to is None:
+            y = np.linalg.lstsq(a, (rows - baseline).T, rcond=None)[0].T
+        elif m == 1:
+            y = np.full((len(rows), 1), float(sum_to))
+        else:
+            target = (rows - baseline).T
+            target -= shift[:, None]
+            y = (center[:, None] + v @ np.linalg.lstsq(av, target, rcond=None)[0]).T
+            del target  # before the residual product, which sets the peak
         y_hat[block] = y
         # In place, the residual needs no block-sized temporary beside the
         # fit: with the spectra held once this loop sets the predict peak.
         fitted = y @ a.T
         fitted += baseline
-        fitted -= w[block]
+        fitted -= rows
         residual_norms[block] = np.linalg.norm(fitted, axis=1)
     return y_hat, residual_norms
 
@@ -193,32 +175,16 @@ def confidence_intervals(y_hat: np.ndarray, s: np.ndarray, c: float = 1.96) -> n
     return np.stack([y_hat - half, y_hat + half], axis=-1)
 
 
-class _HeldOutErrors:
-    """Running sum of one predictor's squared held-out errors.
-
-    ``error`` holds the failure that stopped the predictor, if any.
-    """
-
-    def __init__(self, strategy, spectra: SpectraSet,
-                 concentrations: ConcentrationMatrix):
-        self.strategy = strategy
-        self.spectra = spectra
-        self.y = concentrations.values
-        self.sq_sum = np.zeros(concentrations.num_analytes)
-        self.error: SpecalError | None = None
-
-    def add(self, i: int, fitted, held_out: SpectraSet) -> None:
-        """Predict ``held_out``, sample ``i``, from ``fitted``, the fold-``i`` model."""
-        try:
-            y_hat = self.strategy.predict_fitted(fitted, held_out)
-        except Exception as exc:  # noqa: BLE001 - rewrapped with fold context
-            raise FoldFailureError(f"prediction failed on fold {i}: {exc}") from exc
-        self.sq_sum += (self.y[i] - y_hat[0]) ** 2
-
-    def spread(self) -> np.ndarray | SpecalError:
-        if self.error is not None:
-            return self.error
-        return np.sqrt(self.sq_sum / self.spectra.num_samples)
+def _numbered(folds):
+    """Re-yield the ``(i, fit)`` pairs of a fold source, which yields them in
+    index order; an error making fold ``i`` becomes a FoldFailureError."""
+    i = 0
+    try:
+        for i, fit in folds:
+            yield i, fit
+            i += 1
+    except SpecalError as exc:
+        raise FoldFailureError(f"refit failed on fold {i}: {exc}") from exc
 
 
 def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
@@ -230,7 +196,8 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     failing configuration leaves the others running.  Functional methods
     run their own leave-one-out paths one after another.  The multivariate
     baselines share one pass over the folds, which decomposes each fold's
-    data once for all of them.
+    data once for all of them.  Only a failure inside a fold is a
+    FoldFailureError; one of the full-data fit keeps its own type.
     """
     from .methods import MultivariateStrategy, make_strategy
 
@@ -241,50 +208,54 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     if spectra.num_samples < 3:
         return [InvalidParameterError("jackknife needs at least three "
                                       "samples")] * len(strategies)
-    sums = [_HeldOutErrors(s, spectra, concentrations) for s in strategies]
+    y = concentrations.values
+    sq_sums = np.zeros((len(strategies), concentrations.num_analytes))
+    errors: list[SpecalError | None] = [None] * len(strategies)
+
+    def add(k: int, i: int, fitted, held_out: SpectraSet) -> None:
+        try:
+            y_hat = strategies[k].predict_fitted(fitted, held_out)
+        except Exception as exc:  # noqa: BLE001 - rewrapped with fold context
+            raise FoldFailureError(f"prediction failed on fold {i}: {exc}") from exc
+        sq_sums[k] += (y[i] - y_hat[0]) ** 2
+
     shared = []
-    for acc in sums:
-        if isinstance(acc.strategy, MultivariateStrategy):
-            shared.append(acc)
+    for k, strategy in enumerate(strategies):
+        if isinstance(strategy, MultivariateStrategy):
+            shared.append(k)
             continue
         try:
-            for i, fitted in acc.strategy.jackknife_fits(spectra, concentrations):
-                acc.add(i, fitted, _held_out(spectra, i))
+            for i, fitted in _numbered(strategy.jackknife_fits(spectra, concentrations)):
+                add(k, i, fitted, _held_out(spectra, i))
         except SpecalError as exc:
-            acc.error = exc
-    if shared:
-        _shared_fold_pass(shared, fold_decompositions(spectra.absorbance,
-                                                      concentrations.values))
-    return [acc.spread() for acc in sums]
+            errors[k] = exc
+    folds = _numbered(fold_decompositions(spectra.absorbance, y)) if shared else ()
+    try:
+        for i, dec in folds:
+            live = [k for k in shared if errors[k] is None]
+            if not live:
+                break
+            held_out = _held_out(spectra, i)
+            for k in live:
+                try:
+                    try:
+                        fitted = strategies[k].fit_decomposition(dec)
+                    except SpecalError as exc:
+                        raise FoldFailureError(
+                            f"refit failed on fold {i}: {exc}") from exc
+                    add(k, i, fitted, held_out)
+                except SpecalError as exc:
+                    errors[k] = exc
+    except SpecalError as exc:
+        for k in shared:
+            if errors[k] is None:
+                errors[k] = exc
+    return [np.sqrt(sq_sum / spectra.num_samples) if error is None else error
+            for sq_sum, error in zip(sq_sums, errors)]
 
 
 def _held_out(spectra: SpectraSet, i: int) -> SpectraSet:
     return SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[i:i + 1])
-
-
-def _shared_fold_pass(sums: list[_HeldOutErrors], folds) -> None:
-    """Refit every baseline in ``sums`` from each fold's one decomposition."""
-    try:
-        for i, dec in folds:
-            live = [acc for acc in sums if acc.error is None]
-            if not live:
-                return
-            held_out = _held_out(live[0].spectra, i)
-            for acc in live:
-                try:
-                    fitted = acc.strategy.fit_decomposition(dec)
-                except SpecalError as exc:
-                    acc.error = FoldFailureError(f"refit failed on fold {i}: {exc}")
-                    acc.error.__cause__ = exc
-                    continue
-                try:
-                    acc.add(i, fitted, held_out)
-                except SpecalError as exc:
-                    acc.error = exc
-    except SpecalError as exc:
-        for acc in sums:
-            if acc.error is None:
-                acc.error = exc
 
 
 def jackknife_sd(spectra: SpectraSet, concentrations: ConcentrationMatrix,

@@ -407,3 +407,26 @@ def test_constant_fold_fails_every_baseline():
         assert isinstance(error, FoldFailureError)
         assert "refit failed on fold 0" in str(error)
         assert isinstance(error.__cause__, DegenerateSpectraError)
+
+
+@pytest.mark.parametrize("method", ["pcr", "pls"])
+def test_spec_without_a_component_choice_keeps_the_variance_default(method):
+    # The 0.9 default belongs to the fit configuration, so a library
+    # jackknife needs no choice from its caller.
+    cfg = SimConfig(seed=24, num_samples=10, phi=STRONG_PHI)
+    spectra, conc, _ = generate_dataset(cfg)
+    assert FitSpec(method=method).variance_fraction == 0.9
+    npt.assert_array_equal(
+        jackknife_sd(spectra, conc, FitSpec(method=method)),
+        jackknife_sd(spectra, conc, FitSpec(method=method, variance_fraction=0.9)))
+
+
+@pytest.mark.parametrize("choice, error", [
+    ({"components": 3, "variance_fraction": 0.9}, InvalidParameterError),
+    ({"variance_fraction": 1.5}, InvalidParameterError),
+    ({"variance_fraction": float("nan")}, InvalidParameterError),
+    ({"components": 0}, InvalidComponentsError),
+], ids=["both", "fraction-above-one", "fraction-nan", "no-components"])
+def test_spec_checks_the_component_choice(choice, error):
+    with pytest.raises(error):
+        FitSpec(method="pcr", **choice)

@@ -694,6 +694,29 @@ def test_flag_the_method_does_not_read_is_refused(dataset, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["jackknife", "baselines"])
+@pytest.mark.parametrize("method, flag, category", [
+    ("pcr", ["--components", "3", "--variance-fraction", "0.9"],
+     "invalid-parameter"),
+    ("pcr", ["--variance-fraction", "1.5"], "invalid-parameter"),
+    ("pls", ["--variance-fraction", "0"], "invalid-parameter"),
+    ("pcr", ["--components", "0"], "invalid-components"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_component_choice_is_checked_before_any_fold(dataset, tmp_path, capsys,
+                                                     command, method, flag,
+                                                     category):
+    # The component rule belongs to the fit configuration, so a jackknife
+    # reports it as the fit does, not as a failure of its first fold.
+    _, _, _, spath, cpath = dataset
+    out = tmp_path / "out"
+    argv = [command, "--spectra", str(spath), "--concentrations", str(cpath),
+            "--method", method, *flag,
+            "--out" if command == "jackknife" else "--model-out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error[{category}]: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("calibrate", ["--lambda-grid", "1:10:3"]),
     ("jackknife", ["--lambda-grid", "1:10:3"]),
@@ -720,32 +743,40 @@ def test_selection_flag_beside_a_fixed_lambda_is_refused(dataset, tmp_path, caps
     ["predict", "--out", "missing/p.csv"],
     ["predict", "--out", "."],
     ["calibrate", "--model-out", "missing/m.json"],
+    ["calibrate", "--model-out", "m2.json", "--curves-out", "missing/c.csv"],
+    ["baselines", "--model-out", "missing/m.json"],
     ["jackknife", "--out", "missing/s.csv"],
     ["sep", "--out", "missing/sep.csv"],
     ["simulate", "--out-dir", "model.json"],
 ], ids=" ".join)
 def test_unwritable_output_is_an_output_error(dataset, tmp_path, capsys, argv):
+    # Every output path is checked before any input is read, so a run that
+    # cannot write one of its outputs writes none of them.
     _, _, _, spath, cpath = dataset
     cal = ["--spectra", str(spath), "--concentrations", str(cpath),
            "--method", "ols-k"]
     model, spread = tmp_path / "model.json", tmp_path / "s.csv"
     assert main(["calibrate", *cal, "--model-out", str(model)]) == 0
     assert main(["jackknife", *cal, "--out", str(spread)]) == 0
-    command, flag, path = argv
+    command, *flags = argv
     required = {
         "predict": ["--model", str(model), "--spectra", str(spath),
                     "--s-file", str(spread)],
         "calibrate": cal,
+        "baselines": [*cal[:-1], "mlr"],
         "jackknife": cal,
         "sep": ["--truth", str(cpath), "--predictions", str(cpath)],
         "simulate": ["--study", "dataset", "--samples", "6"],
     }[command]
+    outputs = [str(tmp_path / item) if k % 2 else item
+               for k, item in enumerate(flags)]
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert main([command, *required, flag, str(tmp_path / path)]) == 1
+    assert main([command, *required, *outputs]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[output]: cannot ")
     assert err.count("\n") == 1
-    assert not (tmp_path / "missing").exists()
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_open_rounded_walkthrough_predicts_near_truth(tmp_path):

@@ -294,22 +294,25 @@ class TestJackknife:
                 FitSpec(method="ols-k", num_basis=8),
             )
 
-    def test_fold_failure_is_reported(self):
+    @pytest.mark.parametrize("tuning", [
+        {"method": "ols-k", "num_basis": 4},
+        {"method": "ols-ss", "lam": 5.0},
+        {"method": "gls-k", "num_basis": 4},
+    ], ids=lambda tuning: tuning["method"])
+    def test_fold_failure_is_reported(self, tuning):
         # Four open samples, two with identical concentration rows: the full
         # fit has rank 3, and dropping either distinct row (fold 2 or 3)
         # leaves a rank-deficient fold; folds 0 and 1 succeed.
         rng = np.random.default_rng(15)
         grid = np.linspace(0.0, 1.0, 20)
-        kv_dim = 4
         y = np.array([[0.2, 0.3], [0.2, 0.3], [0.6, 0.1], [0.1, 0.5]])
         w = rng.standard_normal((4, 20))
         spectra = SpectraSet(grid=grid, absorbance=w)
         conc = ConcentrationMatrix(values=y)
         with pytest.raises(FoldFailureError):
-            jackknife_sd(spectra, conc, FitSpec(method="ols-k", num_basis=kv_dim))
+            jackknife_sd(spectra, conc, FitSpec(**tuning))
         with pytest.raises(FoldFailureError, match="refit failed on fold 2"):
-            jackknife_sd(spectra, conc,
-                         FitSpec(method="ols-k", num_basis=kv_dim, sum_to=1.0))
+            jackknife_sd(spectra, conc, FitSpec(**tuning, sum_to=1.0))
 
     def test_simulation_protocol_bands(self):
         spec = FitSpec(method="ols-k", num_basis=14)

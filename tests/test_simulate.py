@@ -358,12 +358,18 @@ class TestJackknifeMatchesFit:
         (FitSpec(method="gls-k", num_basis=3, covariance_per_fold=True),
          InvalidBasisError),
     ], ids=["ols-k", "ols-ss", "ols-ss-reselect", "gls-k", "gls-k-per-fold"])
-    def test_edge_inputs_keep_their_error_type(self, spec, error):
+    @pytest.mark.parametrize("run", [
+        lambda spectra, conc, spec: list(
+            make_strategy(spec).jackknife_fits(spectra, conc)),
+        jackknife_sd,
+    ], ids=["jackknife_fits", "jackknife_sd"])
+    def test_edge_inputs_keep_their_error_type(self, spec, error, run):
         # The reference paths switch after the checks the fast paths make,
-        # so a bad input fails with its own error, not a fold failure.
+        # so a bad input fails with its own error, not a fold failure, and
+        # keeps it through the loop that numbers the folds.
         spectra, conc = self._collinear()
         with pytest.raises(error):
-            list(make_strategy(spec).jackknife_fits(spectra, conc))
+            run(spectra, conc, spec)
 
     @pytest.mark.parametrize("method", ["ols-k", "ols-ss", "gls-k"])
     def test_fold_models_carry_the_fit_labels(self, method):
