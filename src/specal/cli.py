@@ -8,8 +8,8 @@ line ``error[<category>]: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -45,12 +45,6 @@ from .simulate import (
 )
 
 
-def _say(message: str) -> None:
-    """Informational stdout line; silenced by SPECAL_VERBOSE=0."""
-    if os.environ.get("SPECAL_VERBOSE", "1") != "0":
-        print(message)
-
-
 def _parse_lambda(text: str) -> float | None:
     if text.lower() == "gcv":
         return None
@@ -78,12 +72,9 @@ def _parse_lambda_grid(text: str) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
-def _parse_sum_to(text: str) -> float | str | None:
-    lowered = text.lower()
-    if lowered == "auto":
+def _parse_sum_to(text: str) -> float | str:
+    if text.lower() == "auto":
         return "auto"
-    if lowered == "none":
-        return None
     try:
         value = float(text)
         if np.isfinite(value):
@@ -91,7 +82,7 @@ def _parse_sum_to(text: str) -> float | str | None:
     except ValueError:
         pass
     raise InvalidParameterError(
-        f"--sum-to must be 'auto', 'none' or a finite number, got {text!r}")
+        f"--sum-to must be 'auto' or a finite number, got {text!r}")
 
 
 def _add_fit_options(parser: argparse.ArgumentParser, methods: tuple[str, ...],
@@ -115,8 +106,8 @@ def _add_fit_options(parser: argparse.ArgumentParser, methods: tuple[str, ...],
                             help="reselect the smoothing parameter inside each "
                                  "jackknife fold")
         parser.add_argument("--sum-to", default=None,
-                            help="pin predicted concentration sums ('auto', "
-                                 "'none' or a number)")
+                            help="pin predicted concentration sums ('auto' "
+                                 "or a number)")
         parser.add_argument("--covariance-per-fold", action="store_true", default=None,
                             help="refit the noise covariance inside each fold")
 
@@ -156,7 +147,7 @@ def _fit_spec(args) -> FitSpec:
 
 
 def _load_pair(args) -> tuple[SpectraSet, ConcentrationMatrix]:
-    spectra = io.load_spectra(args.spectra, transpose=args.transpose)
+    spectra = io.load_spectra(args.spectra)
     conc = io.load_concentrations(args.concentrations, spectra)
     return spectra, conc
 
@@ -172,9 +163,9 @@ def _cmd_calibrate(args) -> int:
         io.save_curves(model, args.curves_out, num_points=args.curve_points)
     diag = model.diagnostics
     if diag is not None:
-        _say(f"method={model.method} lambda={model.lam} rss={diag.rss:.6g} "
-             f"edf={diag.hat_trace:.3f} "
-             f"constraint_max_abs={diag.constraint_max_abs:.3g}")
+        print(f"method={model.method} lambda={model.lam} rss={diag.rss:.6g} "
+              f"edf={diag.hat_trace:.3f} "
+              f"constraint_max_abs={diag.constraint_max_abs:.3g}")
     return 0
 
 
@@ -183,8 +174,8 @@ def _cmd_baselines(args) -> int:
     io.check_outputs(args.model_out)
     model = make_strategy(spec).fit(*_load_pair(args))
     io.save_model(model, args.model_out)
-    _say(f"method={model.method} components={model.components} "
-         f"variance_fraction={model.variance_fraction}")
+    print(f"method={model.method} components={model.components} "
+          f"variance_fraction={model.variance_fraction}")
     return 0
 
 
@@ -195,7 +186,7 @@ def _cmd_predict(args) -> int:
     if isinstance(model, MultivariateModel) and sum_to != "auto":
         raise InvalidParameterError(
             f"--sum-to is not read by method {model.method.lower()}")
-    spectra = io.load_spectra(args.spectra, transpose=args.transpose)
+    spectra = io.load_spectra(args.spectra)
     s_names, s = io.load_spread(args.s_file)
     # A model applies spreads by position, not by name.  A multivariate
     # model file written before analyte names were stored has none to
@@ -235,7 +226,7 @@ def _cmd_sep(args) -> int:
     aligned = predictions[[row_index[sid] for sid in truth_ids]]
     report = sep(truth, aligned)
     io.save_sep(report, analytes, args.out)
-    _say(f"overall_sep={report.overall!r}")
+    print(f"overall_sep={report.overall!r}")
     return 0
 
 
@@ -339,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="fit analyte curves")
     p_cal.add_argument("--spectra", required=True)
     p_cal.add_argument("--concentrations", required=True)
-    p_cal.add_argument("--transpose", action="store_true")
     _add_fit_options(p_cal, FUNCTIONAL_METHODS)
     p_cal.add_argument("--model-out", required=True)
     p_cal.add_argument("--curves-out", default=None)
@@ -349,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_base = sub.add_parser("baselines", help="fit MLR/PCR/PLS baselines")
     p_base.add_argument("--spectra", required=True)
     p_base.add_argument("--concentrations", required=True)
-    p_base.add_argument("--transpose", action="store_true")
     _add_fit_options(p_base, MULTIVARIATE_METHODS)
     p_base.add_argument("--model-out", required=True)
     p_base.set_defaults(func=_cmd_baselines)
@@ -357,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred = sub.add_parser("predict", help="predict concentrations")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--spectra", required=True)
-    p_pred.add_argument("--transpose", action="store_true")
     p_pred.add_argument("--s-file", required=True,
                         help="spread file written by jackknife")
     p_pred.add_argument("--c", type=float, default=1.96)
@@ -368,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_jack = sub.add_parser("jackknife", help="leave-one-out spread estimates")
     p_jack.add_argument("--spectra", required=True)
     p_jack.add_argument("--concentrations", required=True)
-    p_jack.add_argument("--transpose", action="store_true")
     _add_fit_options(p_jack, FUNCTIONAL_METHODS + MULTIVARIATE_METHODS,
                      folds=True)
     p_jack.add_argument("--out", required=True)
@@ -406,7 +393,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _blas.one_thread():
+        with _blas.one_thread(), warnings.catch_warnings():
+            # A library warning is one stderr line, without its source.
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
             return args.func(args)
     except SpecalError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)

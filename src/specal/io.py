@@ -1,4 +1,4 @@
-"""File formats: wide spectra CSV, concentration tables, model JSON.
+"""File formats: spectra CSV in two layouts, concentration tables, model JSON.
 
 All writers emit comma-separated, LF-terminated, dot-decimal text with
 shortest round-trip float formatting, so identical inputs always produce
@@ -94,21 +94,19 @@ def _write_table(path, header: list[str], ids, values) -> None:
 _UNPLAIN = '"\0\x1c\x1d\x1e\x1f'
 
 
-def _read_table(path, numeric=None, numeric_header: bool = False,
-                wide: bool = False):
+def _read_table(path, numeric=None):
     """Header names, row ids and float cells of a CSV table.
 
     Blank rows are skipped, a table has at least two columns, every row is
     as long as the header, and header names and row ids (first cells) are
     stripped.  ``numeric(header)`` checks the header and returns the
     0-based columns to convert (default: all after the ids) before any
-    cell is converted.  Those cells of every data row, and of the header too with
-    ``numeric_header`` (whose id then leads the ids), go through
-    ``float()`` into one finite array of shape (rows, columns).  With
-    ``wide`` the cells come by column instead, as the first column's
-    (rows,) array and a C-contiguous (columns - 1, rows) array of the
-    others: a wide spectra file's grid and its J×T absorbance.  A bad cell
-    raises ParseError with its 1-based row and column, blank rows not
+    cell is converted.  Those cells of every data row go through
+    ``float()`` into one finite array of shape (rows, columns).  Where
+    they include column 0 the cells come by column instead, as the first
+    column's (rows,) array and a C-contiguous (columns - 1, rows) array of
+    the others: a wide spectra file's grid and its J×T absorbance.  A bad
+    cell raises ParseError with its 1-based row and column, blank rows not
     counted.
 
     Tables that numpy's C reader takes whole are read by it, a chunk of
@@ -122,22 +120,22 @@ def _read_table(path, numeric=None, numeric_header: bool = False,
         with open(path, newline="", encoding="utf-8") as handle:
             table = None
             if handle.seekable():  # the scan rereads what numpy refuses
-                table = _read_plain(handle, numeric, numeric_header, wide)
+                table = _read_plain(handle, numeric)
                 if table is None:
                     handle.seek(0)
             if table is None:
-                table = _scan(path, handle, numeric, numeric_header, wide)
+                table = _scan(path, handle, numeric)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     header, ids, columns, values = table
+    wide = 0 in columns[:1]
     parts = values if wide else [values]
     if not all(np.isfinite(part).all() for part in parts):
         cells = np.column_stack([values[0], values[1].T]) if wide else values
         i, k = np.argwhere(~np.isfinite(cells))[0]
-        row = i + (1 if numeric_header else 2)
-        raise ParseError(f"{path}: non-finite cell at row {row}, "
+        raise ParseError(f"{path}: non-finite cell at row {i + 2}, "
                          f"column {columns[k] + 1}")
     return header, ids, values
 
@@ -147,7 +145,7 @@ def _read_table(path, numeric=None, numeric_header: bool = False,
 _CHUNK_ROWS = 32
 
 
-def _read_plain(handle, numeric, numeric_header: bool, wide: bool):
+def _read_plain(handle, numeric):
     """``_scan``'s table through ``np.loadtxt``, or None where it may differ.
 
     Only lines without quotes and with exactly the header's cell count
@@ -157,7 +155,7 @@ def _read_plain(handle, numeric, numeric_header: bool, wide: bool):
     """
     # A line holds one terminator, at its end, so one that starts with it
     # is a terminator alone: a row csv reads as empty.
-    count = sum(line[0] not in "\r\n" for line in handle) - (not numeric_header)
+    count = sum(line[0] not in "\r\n" for line in handle) - 1
     handle.seek(0)
     lines = (line for line in handle if line[0] not in "\r\n")
     head = next(lines, "")
@@ -166,6 +164,7 @@ def _read_plain(handle, numeric, numeric_header: bool, wide: bool):
     if first is None or len(header) < 2 or not _plain(head):
         return None
     columns = range(1, len(header)) if numeric is None else numeric(header)
+    wide = 0 in columns[:1]
     # Reading every column, numpy checks that each row of a chunk is as
     # long as its first, and the shape check below compares the chunks;
     # with usecols it drops extra cells, so cells are counted here.
@@ -173,7 +172,7 @@ def _read_plain(handle, numeric, numeric_header: bool, wide: bool):
     ids = []
 
     def rows():
-        for line in chain([head] if numeric_header else [], [first], lines):
+        for line in chain([first], lines):
             if not _plain(line) or (usecols is not None
                                     and line.count(",") != len(header) - 1):
                 raise ValueError("not a plain row")
@@ -207,7 +206,7 @@ def _plain(line: str) -> bool:
     return not any(char in line for char in _UNPLAIN)
 
 
-def _scan(path, handle, numeric, numeric_header: bool, wide: bool):
+def _scan(path, handle, numeric):
     """``_read_table``'s cells through csv and ``float()``, one row at a time."""
     rows = filter(None, csv.reader(handle))
     header = next(rows, None)
@@ -220,26 +219,28 @@ def _scan(path, handle, numeric, numeric_header: bool, wide: bool):
     columns = range(1, len(header)) if numeric is None else numeric(header)
     ids = []
     cells = array("d")
-    numbered = enumerate(chain([header, first], rows), start=1)
-    if not numeric_header:
-        next(numbered)
-    for number, row in numbered:
+    for number, row in enumerate(chain([first], rows), start=2):
         if len(row) != len(header):
             raise ParseError(f"{path}: row {number} has {len(row)} "
                              f"cells, expected {len(header)}")
         ids.append(row[0].strip())
-        try:
-            cells.extend(map(float, [row[j] for j in columns]))
-        except ValueError:
-            for j in columns:
-                try:
-                    float(row[j])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell at row {number}, "
-                        f"column {j + 1}: {row[j]!r}") from None
+        cells.extend(_numbers(path, row, number, columns))
     values = np.frombuffer(cells, dtype=float).reshape(len(ids), len(columns))
+    wide = 0 in columns[:1]
     return header, ids, columns, (values[:, 0], values[:, 1:].T) if wide else values
+
+
+def _numbers(path, row: list[str], number: int, columns) -> list[float]:
+    """``float()`` of the cells ``columns`` of file row ``number``."""
+    try:
+        return [float(row[j]) for j in columns]
+    except ValueError:
+        for j in columns:
+            try:
+                float(row[j])
+            except ValueError:
+                raise ParseError(f"{path}: non-numeric cell at row {number}, "
+                                 f"column {j + 1}: {row[j]!r}") from None
 
 
 def _unique_ids(path, ids) -> None:
@@ -249,28 +250,30 @@ def _unique_ids(path, ids) -> None:
         raise AlignmentError(f"{path}: repeated sample ids {repeated}")
 
 
-def load_spectra(path, transpose: bool = False) -> SpectraSet:
-    """Wide-format CSV: ``wavelength`` column then one column per sample.
-
-    The reader fills the J×T absorbance array directly, chunk by chunk,
-    and ``SpectraSet`` adopts it read-only, so the spectra are held once.
-    ``transpose=True`` accepts the flipped layout (one row per sample,
-    header of wavelengths with a leading ``sample`` column), whose
-    absorbance is a view of the table and is copied.
+def load_spectra(path) -> SpectraSet:
+    """Spectra CSV whose first header cell names its layout: ``wavelength``
+    (any case) heads a wavelength column then one column per sample, any
+    other cell one row per sample under a header of wavelengths.  Either
+    way the reader fills the J×T absorbance array directly, chunk by
+    chunk, and ``SpectraSet`` adopts it read-only: the spectra are held once.
     """
-    if transpose:
-        _, ids, values = _read_table(path, numeric_header=True)
-        ids, grid, matrix = ids[1:], values[0], values[1:]
-    else:
-        def wide(header: list[str]) -> range:
-            if header[0].lower() != "wavelength":
-                raise ParseError(f"{path}: first header cell must be "
-                                 f"'wavelength', got {header[0]!r}")
-            return range(len(header))
+    grid = None
 
-        header, _, (grid, matrix) = _read_table(path, wide, wide=True)
-        ids = header[1:]
-        matrix.flags.writeable = False
+    def layout(header: list[str]) -> range:
+        nonlocal grid
+        if header[0].lower() == "wavelength":
+            return range(len(header))
+        columns = range(1, len(header))
+        grid = np.array(_numbers(path, header, 1, columns))
+        if not np.isfinite(grid).all():
+            raise ParseError(f"{path}: non-finite cell at row 1, column "
+                             f"{np.argmin(np.isfinite(grid)) + 2}")
+        return columns
+
+    header, ids, matrix = _read_table(path, layout)
+    if grid is None:
+        ids, (grid, matrix) = header[1:], matrix
+    matrix.flags.writeable = False
     _unique_ids(path, ids)
     diffs = np.diff(grid)
     if np.any(diffs <= 0):

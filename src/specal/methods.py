@@ -12,6 +12,7 @@ in index order, and :func:`predict.jackknife_spreads` names a failing one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Iterator
 
 import numpy as np
@@ -46,9 +47,10 @@ MULTIVARIATE_METHODS = ("mlr", "pcr", "pls")
 class FitSpec:
     """Method name plus every tuning choice needed to refit from scratch.
 
-    ``sum_to`` defaults to "auto": predictions are closed exactly when the
-    calibration concentrations are (every row summing to one total, such
-    as 1 or 100).  :data:`READ_FIELDS` lists the fields each method reads.
+    ``sum_to`` is "auto" (the default) or a finite number.  With "auto",
+    predictions are closed exactly when the calibration concentrations are
+    (every row summing to one total, such as 1 or 100).
+    :data:`READ_FIELDS` lists the fields each method reads.
     """
 
     method: str = "ols-k"
@@ -58,7 +60,7 @@ class FitSpec:
     reselect_lambda: bool = False
     components: int | None = None
     variance_fraction: float | None = None
-    sum_to: float | str | None = "auto"
+    sum_to: float | str = "auto"
     covariance_per_fold: bool = False
 
     def __post_init__(self) -> None:
@@ -66,6 +68,10 @@ class FitSpec:
         if method not in FUNCTIONAL_METHODS + MULTIVARIATE_METHODS:
             raise InvalidParameterError(f"unknown method '{self.method}'")
         object.__setattr__(self, "method", method)
+        if not (self.sum_to == "auto" or isinstance(self.sum_to, Real)
+                and np.isfinite(self.sum_to)):
+            raise InvalidParameterError(
+                f"sum_to must be 'auto' or a finite number, got {self.sum_to!r}")
         if method in ("pcr", "pls"):  # by default 90% of the spectral variance
             if self.components is None and self.variance_fraction is None:
                 object.__setattr__(self, "variance_fraction", 0.9)
@@ -85,7 +91,7 @@ READ_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
-def resolve_sum_to(sum_to: float | str | None,
+def resolve_sum_to(sum_to: float | str,
                    fitted: CalibrationModel) -> float | None:
     """Resolve an "auto" closure: pin predicted sums to the calibration row
     total exactly when the calibration rows were closed, which leaves the

@@ -66,8 +66,8 @@ def predict_concentrations(model: CalibrationModel, spectra: SpectraSet,
 
     Estimates are unconstrained and may leave [0, 1]; they are reported
     as-is.  With ``sum_to`` given, the component sum of every estimate is
-    pinned to that value, which also restores well-posedness when the
-    analyte curves sum to zero.
+    pinned to that value, which restores well-posedness when the analyte
+    curves sum to zero; a model of closed calibration rows needs it.
     """
     return _blocked_estimates(model, spectra, sum_to)[0]
 
@@ -122,11 +122,12 @@ def _blocked_estimates(model: CalibrationModel, spectra: SpectraSet,
     baseline, a = curves[0], curves[1:].T
     m = a.shape[1]
     if sum_to is None:
+        # Closed rows leave the curves summing to near zero, even at full rank.
         singular = np.linalg.svd(a, compute_uv=False)
-        if not singular[-1] > _RANK_RTOL * singular[0]:
+        if model.closed_calibration or not singular[-1] > _RANK_RTOL * singular[0]:
             raise DegenerateAnalytesError(
-                "fitted analyte curves are collinear on this grid (they sum "
-                "to zero for closed calibration samples); supply sum_to to "
+                "fitted analyte curves sum to zero for closed calibration "
+                "samples, or are collinear on this grid; supply sum_to to "
                 "resolve the unidentified direction"
             )
     elif m > 1:

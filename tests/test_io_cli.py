@@ -75,7 +75,7 @@ class TestSpectraIo:
                 ",".join([sid] + [repr(float(v)) for v in spectra.absorbance[i]])
             )
         path.write_text("\n".join(lines) + "\n")
-        loaded = io.load_spectra(path, transpose=True)
+        loaded = io.load_spectra(path)
         npt.assert_array_equal(loaded.absorbance, spectra.absorbance)
         npt.assert_array_equal(loaded.grid, spectra.grid)
 
@@ -170,7 +170,7 @@ LOADER_TABLES = {
     "wide": ("wavelength,s1,s2\n1.0,0.5,0.1\n2.0,{x},0.2\n3.0,0.4,0.3\n",
              lambda path: io.load_spectra(path).absorbance[0, 1]),
     "transposed": ("sample,1.0,2.0,3.0\np1,0.5,0.1,0.2\np2,{x},0.2,0.3\n",
-                   lambda path: io.load_spectra(path, transpose=True).absorbance[1, 0]),
+                   lambda path: io.load_spectra(path).absorbance[1, 0]),
     "concentrations": ("sample,a,b\ns1,0.5,0.5\ns2,{x},0.75\n",
                        lambda path: io.load_concentrations(path).values[1, 0]),
     "value-table": ("sample,a,flag\np1,0.1,yes\np2,{x},no\n",
@@ -277,10 +277,71 @@ def test_transposed_ids_are_stripped_and_match_concentrations(tmp_path):
     spectra_path.write_text("sample,1.0,2.0,3.0\n p1 ,0.5,0.1,0.2\np2 ,0.3,0.2,0.3\n")
     conc_path = tmp_path / "conc.csv"
     conc_path.write_text("sample,a,b\np2,0.25,0.75\np1,0.5,0.5\n")
-    spectra = io.load_spectra(spectra_path, transpose=True)
+    spectra = io.load_spectra(spectra_path)
     assert spectra.sample_ids == ("p1", "p2")
     conc = io.load_concentrations(conc_path, spectra)
     npt.assert_array_equal(conc.values, [[0.5, 0.5], [0.25, 0.75]])
+
+
+def save_per_sample(spectra, path):
+    """``spectra`` in the per-sample layout: one row per sample under a
+    header of wavelengths, every number in shortest round-trip form."""
+    rows = [["sample", *map(repr, spectra.grid.tolist())]]
+    rows += [[sid, *map(repr, row)] for sid, row in
+             zip(spectra.sample_ids, spectra.absorbance.tolist())]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("method", ["ols-k", "ols-ss", "pls"])
+def test_per_sample_layout_needs_no_flag(dataset, tmp_path, capsys, method):
+    # The first header cell tells the layout, so the same spectra give the
+    # same bytes in either layout.
+    spectra, _, _, spath, cpath = dataset
+    twin = tmp_path / "per_sample.csv"
+    save_per_sample(spectra, twin)
+    fit = "baselines" if method == "pls" else "calibrate"
+    outputs = {}
+    for key, path in (("wide", spath), ("per-sample", twin)):
+        files = [tmp_path / f"{key}{suffix}" for suffix in (".json", "_s.csv", "_p.csv")]
+        cal = ["--spectra", str(path), "--concentrations", str(cpath),
+               "--method", method]
+        assert main([fit, *cal, "--model-out", str(files[0])]) == 0
+        assert main(["jackknife", *cal, "--out", str(files[1])]) == 0
+        assert main(["predict", "--model", str(files[0]), "--spectra", str(path),
+                     "--s-file", str(files[1]), "--out", str(files[2])]) == 0
+        outputs[key] = [file.read_bytes() for file in files], capsys.readouterr()
+    assert outputs["per-sample"] == outputs["wide"]
+
+
+@pytest.mark.parametrize("reader", ["numpy", "scan"])
+@pytest.mark.parametrize("header, message", [
+    ("sample,a,b", "non-numeric cell at row 1, column 2: 'a'"),
+    ("wavelenght,s1,s2", "non-numeric cell at row 1, column 2: 's1'"),
+    ("sample,1.0,inf", "non-finite cell at row 1, column 3"),
+], ids=["names", "misspelt-wavelength", "non-finite"])
+def test_header_of_neither_layout_is_a_parse_error(dataset, tmp_path, capsys,
+                                                   monkeypatch, reader, header,
+                                                   message):
+    *_, cpath = dataset
+    path, out = tmp_path / "spectra.csv", tmp_path / "m.json"
+    path.write_text(header + "\np1,0.5,0.1\np2,0.2,0.3\n")
+    if reader == "scan":
+        monkeypatch.setattr(io, "_read_plain", lambda *args: None)
+    assert main(["calibrate", "--spectra", str(path), "--concentrations",
+                 str(cpath), "--method", "ols-k", "--model-out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error[parse]: {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_library_warning_is_one_stderr_line(dataset, tmp_path, capsys):
+    *_, spath, cpath = dataset
+    negative = tmp_path / "negative.csv"
+    negative.write_text(cpath.read_text().replace("\ns01,", "\ns01,-", 1))
+    assert main(["calibrate", "--spectra", str(spath), "--concentrations",
+                 str(negative), "--method", "ols-k",
+                 "--model-out", str(tmp_path / "m.json")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: negative concentration values present\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -307,8 +368,7 @@ def test_quoted_names_and_ids_are_unquoted(tmp_path):
 @pytest.mark.parametrize("text, load", [
     ("sample,a,b\ns1,0.5,0.5\ns1,0.9,0.1\ns2,0.2,0.8\n", io.load_concentrations),
     ("wavelength,s1,s2,s1\n1.0,0.5,0.1,0.2\n2.0,0.4,0.3,0.1\n", io.load_spectra),
-    ("sample,1.0,2.0\ns1,0.5,0.1\n s1,0.4,0.3\n",
-     lambda path: io.load_spectra(path, transpose=True)),
+    ("sample,1.0,2.0\ns1,0.5,0.1\n s1,0.4,0.3\n", io.load_spectra),
     ("sample,a,b\ns1,0.5,0.5\ns2,0.2,0.8\ns1,0.9,0.1\n", io.load_value_table),
 ], ids=["concentrations", "wide", "transposed", "value-table"])
 def test_repeated_sample_id_is_an_alignment_error(tmp_path, text, load):
@@ -496,15 +556,32 @@ class TestCli:
         # Removed: the data decide whether the sum-to-zero block is used.
         ["calibrate", "--method", "ols-k", "--constraint-weight", "0"],
         ["calibrate", "--method", "gls-k", "--gls-augment", "no"],
+        # Removed: the first header cell tells the spectra layout.
+        ["calibrate", "--method", "ols-k", "--transpose"],
+        ["baselines", "--method", "mlr", "--transpose"],
+        ["jackknife", "--method", "ols-k", "--transpose"],
+        ["predict", "--transpose"],
     ], ids=" ".join)
     def test_flag_the_subcommand_does_not_read_exits_two(self, dataset, tmp_path,
                                                          argv):
         _, _, _, spath, cpath = dataset
+        cal = ["--spectra", str(spath), "--concentrations", str(cpath)]
+        out = tmp_path / "out"
+        if argv[0] == "predict":
+            model, spread = tmp_path / "model.json", tmp_path / "s.csv"
+            assert main(["calibrate", *cal, "--method", "ols-k",
+                         "--model-out", str(model)]) == 0
+            assert main(["jackknife", *cal, "--method", "ols-k",
+                         "--out", str(spread)]) == 0
+            required = ["--model", str(model), "--spectra", str(spath),
+                        "--s-file", str(spread), "--out", str(out)]
+        else:
+            required = [*cal, "--out" if argv[0] == "jackknife" else "--model-out",
+                        str(out)]
         with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--spectra", str(spath), "--concentrations", str(cpath),
-                  "--model-out", str(tmp_path / "m.json")])
+            main([*argv, *required])
         assert excinfo.value.code == 2
-        assert not (tmp_path / "m.json").exists()
+        assert not out.exists()
 
     def test_cli_is_a_thin_shell(self, dataset, tmp_path):
         # Values written by predict must equal the library computation.
@@ -585,6 +662,8 @@ class TestCli:
         ["--lambda-grid", "a:b:c"], ["--lambda-grid", "1:2"],
         ["--lambda-grid", "1:2:3.5"], ["--lambda-grid", "1:inf:5"],
         ["--sum-to", "abc"], ["--sum-to", "nan"], ["--lambda", "nan"],
+        # Closed rows leave the total to the closure, so it cannot be dropped.
+        ["--sum-to", "none"],
     ])
     def test_malformed_number_is_invalid_parameter(self, dataset, tmp_path,
                                                     capsys, flag):
@@ -623,6 +702,7 @@ class TestCli:
 
 @pytest.mark.parametrize("argv", [
     ["predict", "--c", "nan"], ["predict", "--c", "inf"],
+    ["predict", "--sum-to", "none"],
     ["calibrate", "--curve-points", "-1"],
     ["simulate", "--prediction-samples", "0"],
     ["simulate", "--prediction-samples", "-1"],

@@ -11,7 +11,7 @@ from specal.errors import (
     InvalidParameterError,
     ShapeError,
 )
-from specal.methods import FitSpec
+from specal.methods import FitSpec, make_strategy
 from specal.model import (
     ConcentrationMatrix,
     SpectraSet,
@@ -119,6 +119,21 @@ class TestPredictConcentrations:
             predict_concentrations(model, target)
         y_hat = predict_concentrations(model, target, sum_to=1.0)
         npt.assert_allclose(y_hat, conc.values[:1], atol=1e-8)
+
+    def test_closed_penalized_model_needs_a_closure(self):
+        # The soft sum-to-zero block leaves penalized curves of closed rows
+        # of full rank, yet their total is unidentified all the same.
+        spectra, conc, _ = generate_dataset(SimConfig(seed=1, num_samples=20,
+                                                      phi=WEAK_PHI))
+        model = make_strategy(FitSpec(method="ols-ss", lam=330.0)).fit(spectra,
+                                                                      conc)
+        target = SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[:2])
+        with pytest.raises(DegenerateAnalytesError):
+            predict_concentrations(model, target)
+        with pytest.raises(DegenerateAnalytesError):
+            prediction_report(model, target, s=np.full(3, 0.05))
+        npt.assert_allclose(
+            predict_concentrations(model, target, sum_to=1.0).sum(axis=1), 1.0)
 
     def test_grid_refinement_is_continuous(self):
         model, spectra = fitted_model(seed=10)
@@ -327,6 +342,13 @@ class TestJackknife:
         assert np.all(weak_med > 0) and np.all(weak_med < 0.12)
         ratio = strong_med / weak_med
         assert np.all(ratio > 1.5) and np.all(ratio < 6.0)
+
+
+@pytest.mark.parametrize("sum_to", [None, "none", float("nan"), float("inf")])
+def test_spec_takes_auto_or_a_finite_sum(sum_to):
+    with pytest.raises(InvalidParameterError,
+                       match="sum_to must be 'auto' or a finite number"):
+        FitSpec(method="ols-k", sum_to=sum_to)
 
 
 class TestConfidenceIntervals:

@@ -102,7 +102,7 @@ LAYOUTS = {
              lambda path: _spectra_bits(io.load_spectra(path))),
     "transposed": (lambda rows, cols: (["sample", *(str(1000 + j) for j in range(cols))],
                                        [[f"p{i}"] for i in range(rows)]),
-                   lambda path: _spectra_bits(io.load_spectra(path, transpose=True))),
+                   lambda path: _spectra_bits(io.load_spectra(path))),
     "concentrations": (lambda rows, cols: (["sample", *(f"a{j}" for j in range(cols))],
                                            [[f"s{i}"] for i in range(rows)]),
                        lambda path: _concentration_bits(io.load_concentrations(path))),
