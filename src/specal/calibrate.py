@@ -100,6 +100,14 @@ class CovarianceModel:
     def num_analytes(self) -> int:
         return self.sigma2.size
 
+    def steps(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each analyte's AR(1) step into site ``n`` of the increasing
+        ``grid``, the step GLS whitens and the simulator colours with: the
+        decays ``a_n = exp(-phi (t_n - t_(n-1)))``, 0 at the first site, and
+        ``1 - a_n^2`` through ``expm1``, both (T, m)."""
+        rates = np.outer(np.diff(grid, prepend=-np.inf), self.phi)
+        return np.exp(-rates), -np.expm1(-2.0 * rates)
+
 
 def _bands(b: np.ndarray, band: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Lower bands of ``C = B'B`` and of the penalty ``R``, in LAPACK storage.
@@ -596,8 +604,8 @@ def _whitened_blocks(columns, grid: np.ndarray, y: np.ndarray,
     ``L_i`` is the Cholesky factor of sample ``i``'s noise covariance plus
     ``noise`` on the diagonal, on the increasing ``grid``; its columns are
     the ``(T, I or 1, J_p)`` arrays ``columns`` side by side (1: shared).
-    State ``k`` has variance ``c = y_ik^2 sigma2_k`` and decays by ``a =
-    exp(-phi_k (t_n - t_(n-1)))`` into site ``n``.  Per site, the state
+    State ``k`` has variance ``c = y_ik^2 sigma2_k`` and decays by its
+    :meth:`CovarianceModel.steps` ``a`` into site ``n``.  Per site, the state
     covariance ``P`` (m, m, I) goes ``P <- a a' o P + diag(c (1 - a^2))``,
     ``S = 1'P1 + noise``, ``g = P1 / S``, ``P <- P - g (P1)'``, and each
     column's filter states move by ``g`` times its innovation, which over
@@ -608,11 +616,9 @@ def _whitened_blocks(columns, grid: np.ndarray, y: np.ndarray,
     """
     num, m = y.shape
     variances = ((y * y) * cov.sigma2).T                         # (m, I)
-    rates = np.vstack([np.full(m, np.inf), np.outer(np.diff(grid), cov.phi)])
     # The grid's own constants, (T, m) and (T, m, m): no sample axis.
-    decay = np.exp(-rates)
+    decay, kept = cov.steps(grid)
     steps = (decay[:, :, None] * decay[:, None, :])[..., None]      # (T, m, m, 1)
-    kept = -np.expm1(-2.0 * rates)[:, :, None]                      # 1 - a^2
     decay = decay[:, :, None, None]
     buffer = np.empty((_BLOCK_SITES, num, sum(c.shape[2] for c in columns)))
     scale_buffer = np.empty((_BLOCK_SITES, num))
@@ -621,12 +627,12 @@ def _whitened_blocks(columns, grid: np.ndarray, y: np.ndarray,
     state = np.zeros((m, m, num))
     diagonal = state.reshape(m * m, num)[::m + 1]
     filters = np.zeros((m,) + buffer.shape[1:])
-    for start in range(0, len(rates), _BLOCK_SITES):
-        stop = min(start + _BLOCK_SITES, len(rates))
+    for start in range(0, len(kept), _BLOCK_SITES):
+        stop = min(start + _BLOCK_SITES, len(kept))
         block, scales = buffer[:stop - start], scale_buffer[:stop - start]
         np.concatenate([np.broadcast_to(c[start:stop], block.shape[:2] + c.shape[2:])
                         for c in columns], axis=2, out=block)
-        fresh = kept[start:stop] * variances                        # (n, m, I)
+        fresh = kept[start:stop, :, None] * variances               # (n, m, I)
         with np.errstate(divide="ignore", invalid="ignore"):
             for n, site in enumerate(range(start, stop)):
                 state *= steps[site]

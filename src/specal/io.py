@@ -230,8 +230,9 @@ def _scan(path, handle, numeric):
     return header, ids, columns, (values[:, 0], values[:, 1:].T) if wide else values
 
 
-def _numbers(path, row: list[str], number: int, columns) -> list[float]:
-    """``float()`` of the cells ``columns`` of file row ``number``."""
+def _numbers(path, row: list[str], number: int, columns, note: str = "") -> list[float]:
+    """``float()`` of the cells ``columns`` of file row ``number``; a bad
+    cell's error ends with ``note``."""
     try:
         return [float(row[j]) for j in columns]
     except ValueError:
@@ -240,7 +241,7 @@ def _numbers(path, row: list[str], number: int, columns) -> list[float]:
                 float(row[j])
             except ValueError:
                 raise ParseError(f"{path}: non-numeric cell at row {number}, "
-                                 f"column {j + 1}: {row[j]!r}") from None
+                                 f"column {j + 1}: {row[j]!r}{note}") from None
 
 
 def _unique_ids(path, ids) -> None:
@@ -264,7 +265,8 @@ def load_spectra(path) -> SpectraSet:
         if header[0].lower() == "wavelength":
             return range(len(header))
         columns = range(1, len(header))
-        grid = np.array(_numbers(path, header, 1, columns))
+        grid = np.array(_numbers(path, header, 1, columns, " (a wide file "
+                                 "starts with a 'wavelength' header cell)"))
         if not np.isfinite(grid).all():
             raise ParseError(f"{path}: non-finite cell at row 1, column "
                              f"{np.argmin(np.isfinite(grid)) + 2}")
@@ -427,7 +429,7 @@ def load_model(path):
             intercept=field("intercept", _floats),
             coefficients=field("coefficients", _floats),
             components=field("components", operator.index, optional=True),
-            variance_fraction=payload.get("variance_fraction"),
+            variance_fraction=field("variance_fraction", _finite, optional=True),
             analytes=field("analytes", tuple, optional=True),
         )
     raise ParseError(f"{path}: unknown model kind {kind!r}")

@@ -18,16 +18,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dtbtrs
 
 from . import _blas
 from .basis import KnotVector, design_matrix, make_knots
-from .errors import (
-    CovarianceConditioningError,
-    InvalidParameterError,
-    ShapeError,
-    SpecalError,
-)
+from .calibrate import CovarianceModel
+from .errors import InvalidParameterError, ShapeError, SpecalError
 from .methods import STUDY_METHODS, FitSpec, make_strategy
 from .model import ConcentrationMatrix, SpectraSet
 from .predict import jackknife_spreads
@@ -137,32 +133,28 @@ def sample_dirichlet(rng: np.random.Generator, num_samples: int,
 
 
 def gp_cholesky(grid: np.ndarray, sigma2: float, phi: float) -> np.ndarray:
-    """Lower Cholesky factor of the exponential-decay covariance."""
-    if sigma2 <= 0 or phi <= 0:
-        raise InvalidParameterError("sigma2 and phi must be positive")
-    grid = np.asarray(grid, dtype=float)
-    cov = sigma2 * np.exp(-phi * np.abs(grid[:, None] - grid[None, :]))
-    try:
-        return sla.cholesky(cov, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        jittered = cov + 1e-10 * np.eye(grid.size)
-        return sla.cholesky(jittered, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise CovarianceConditioningError(
-            "noise covariance is not positive definite even after jitter"
-        ) from None
+    """Lower Cholesky factor ``L`` of ``sigma2 exp(-phi |t - t'|)`` on the
+    increasing ``grid``, held as the (2, T) lower band of ``L^-1`` in LAPACK
+    storage: with the AR(1) decays ``a`` of ``CovarianceModel.steps``
+    it is bidiagonal, ``d_n = 1 / sqrt(sigma2 (1 - a_n^2))`` on the diagonal
+    and ``-a_(j+1) d_(j+1)`` in subdiagonal entry ``j``."""
+    decay, kept = CovarianceModel(sigma2=[sigma2], phi=[phi]).steps(grid)
+    band = np.zeros((2, len(decay)))
+    band[0] = 1.0 / np.sqrt(sigma2 * kept[:, 0])
+    band[1, :-1] = -decay[1:, 0] * band[0, 1:]
+    return band
 
 
 def _noise(cfg: SimConfig, rows: int, *path: int) -> np.ndarray:
     """``rows`` noise curves on ``cfg.grid``; row ``j`` is the GP Cholesky
-    factor times the normal draws of stream ``(seed, *path, j)``."""
-    chol = gp_cholesky(cfg.grid, cfg.sigma2, cfg.phi)
-    return np.vstack([
-        chol @ _stream(cfg.seed, *path, j).standard_normal(chol.shape[0])
-        for j in range(rows)
-    ])
+    factor times the normal draws of stream ``(seed, *path, j)``, all rows
+    coloured by one triangular band solve with the factor's inverse."""
+    band = gp_cholesky(cfg.grid, cfg.sigma2, cfg.phi)
+    draws = np.vstack([_stream(cfg.seed, *path, j).standard_normal(band.shape[1])
+                       for j in range(rows)])
+    # dtbtrs, not solve_banded (whose gbsv pivots); the diagonal is finite
+    # and nonzero for a SimConfig, so the singularity flag is never set.
+    return dtbtrs(band, draws.T, uplo="L", overwrite_b=1)[0].T
 
 
 def generate_dataset(cfg: SimConfig, noise_stream: int = 0,

@@ -1,13 +1,16 @@
 """Dense reference forms that tests compare the factored solvers against.
 
 The program never builds these: the stacked Kronecker system, a sample's
-full wavelength-by-wavelength noise covariance and tables of basis
-derivatives are what the banded and recursive paths exist to avoid.
+full wavelength-by-wavelength noise covariance and its Cholesky factor,
+and tables of basis derivatives are what the banded and recursive paths
+exist to avoid.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 from specal.basis import _all_values
+from specal.calibrate import CovarianceModel
 from specal.errors import DomainError, ShapeError
 
 
@@ -36,6 +39,12 @@ def dense_covariance(cov, grid, y_row):
     for s2, ph, y in zip(cov.sigma2, cov.phi, y_row):
         out += (y * y) * s2 * np.exp(-ph * dist)
     return out
+
+
+def dense_factor(grid, sigma2, phi):
+    """Dense lower Cholesky factor of ``sigma2 exp(-phi |t - t'|)`` on ``grid``."""
+    cov = CovarianceModel(sigma2=[sigma2], phi=[phi])
+    return sla.cholesky(dense_covariance(cov, grid, [1.0]), lower=True)
 
 
 def derivative_matrix(kv, grid, deriv=2):

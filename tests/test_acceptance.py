@@ -44,6 +44,7 @@ from specal.simulate import (
 
 from oracles import dense_covariance, dense_system, derivative_matrix
 from test_basis import dense_penalty
+from test_simulate import colour
 
 JOBS = min(2, os.cpu_count() or 1)
 
@@ -316,16 +317,16 @@ def test_criterion_8_noise_generator_moments():
     with criterion(8, "noise generator moments", 30.0):
         grid = np.arange(350.0, 751.0, 5.0)
         for phi, expected in ((0.002, np.exp(-0.01)), (0.5, np.exp(-2.5))):
-            chol = gp_cholesky(grid, 4.0, phi)
+            band = gp_cholesky(grid, 4.0, phi)
             rng = np.random.default_rng(17)
-            draws = (chol @ rng.standard_normal((grid.size, 2000))).T
+            draws = colour(band, rng.standard_normal((grid.size, 2000))).T
             x = draws[:, :-1].ravel()
             z = draws[:, 1:].ravel()
             corr = (x * z).mean() / np.sqrt((x * x).mean() * (z * z).mean())
             assert abs(corr - expected) < 0.03, phi
-        chol = gp_cholesky(grid, 4.0, 0.5)
+        band = gp_cholesky(grid, 4.0, 0.5)
         rng = np.random.default_rng(18)
-        draws = (chol @ rng.standard_normal((grid.size, 10_000))).T
+        draws = colour(band, rng.standard_normal((grid.size, 10_000))).T
         variances = draws.var(axis=0)
         assert np.all(np.abs(variances - 4.0) / 4.0 < 0.05)
 

@@ -38,9 +38,14 @@ from specal.model import (
     SpectraSet,
     assemble_design,
 )
-from specal.simulate import STRONG_PHI, WEAK_PHI, gp_cholesky
+from specal.simulate import STRONG_PHI, WEAK_PHI
 
-from oracles import dense_covariance, dense_system, derivative_matrix
+from oracles import (
+    dense_covariance,
+    dense_factor,
+    dense_system,
+    derivative_matrix,
+)
 from test_basis import dense_penalty
 from test_model import make_dataset
 
@@ -515,7 +520,7 @@ class TestLooRefits:
 class TestCovariance:
     def test_recovers_known_parameters(self):
         grid = np.arange(0.0, 405.0, 5.0)
-        chol = gp_cholesky(grid, 4.0, 0.002)
+        chol = dense_factor(grid, 4.0, 0.002)
         sig, phi = [], []
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -535,7 +540,7 @@ class TestCovariance:
 
     def test_single_exponential_matches_covariogram(self):
         grid = np.arange(0.0, 405.0, 5.0)
-        chol = gp_cholesky(grid, 4.0, 0.01)
+        chol = dense_factor(grid, 4.0, 0.01)
         rng = np.random.default_rng(22)
         resid = (chol @ rng.standard_normal((grid.size, 30))).T
         cov = fit_covariance(resid, np.ones((30, 1)), grid)
@@ -600,7 +605,7 @@ class TestCovariance:
         # I = 2 with m = 3 leaves the thin QR with fewer rows than analytes.
         rng = np.random.default_rng(25 + num_samples + num_analytes)
         grid = np.arange(350.0, 751.0, 5.0)
-        chol = gp_cholesky(grid, 4.0, phi)
+        chol = dense_factor(grid, 4.0, phi)
         y = (np.ones((num_samples, 1)) if num_analytes == 1
              else rng.dirichlet(np.ones(num_analytes), num_samples))
         resid = np.stack([

@@ -315,8 +315,10 @@ def test_per_sample_layout_needs_no_flag(dataset, tmp_path, capsys, method):
 
 @pytest.mark.parametrize("reader", ["numpy", "scan"])
 @pytest.mark.parametrize("header, message", [
-    ("sample,a,b", "non-numeric cell at row 1, column 2: 'a'"),
-    ("wavelenght,s1,s2", "non-numeric cell at row 1, column 2: 's1'"),
+    ("sample,a,b", "non-numeric cell at row 1, column 2: 'a' "
+                   "(a wide file starts with a 'wavelength' header cell)"),
+    ("wavelenght,s1,s2", "non-numeric cell at row 1, column 2: 's1' "
+                         "(a wide file starts with a 'wavelength' header cell)"),
     ("sample,1.0,inf", "non-finite cell at row 1, column 3"),
 ], ids=["names", "misspelt-wavelength", "non-finite"])
 def test_header_of_neither_layout_is_a_parse_error(dataset, tmp_path, capsys,
@@ -464,14 +466,22 @@ class TestModelIo:
     def test_malformed_field_is_a_parse_error(self, dataset, tmp_path):
         spectra, conc, truth, _, _ = dataset
         path = tmp_path / "model.json"
-        io.save_model(fit_ols(assemble_design(spectra, conc, truth.basis)), path)
-        payload = json.loads(path.read_text())
-        for key, value in (("knots", ["a", "b"]), ("order", None),
-                           ("lambda", "big"), ("lambda", -1.0),
-                           ("diagnostics", {"rss": 1.0})):
-            path.write_text(json.dumps({**payload, key: value}))
-            with pytest.raises(ParseError, match=f"model field '{key}'"):
-                io.load_model(path)
+        functional = fit_ols(assemble_design(spectra, conc, truth.basis))
+        multivariate = fit_pcr(spectra.absorbance, conc.values, components=3)
+        for model, cases in (
+            (functional, (("knots", ["a", "b"]), ("order", None),
+                          ("lambda", "big"), ("lambda", -1.0),
+                          ("diagnostics", {"rss": 1.0}))),
+            (multivariate, (("variance_fraction", "abc"),
+                            ("variance_fraction", float("nan")),
+                            ("variance_fraction", float("inf")))),
+        ):
+            io.save_model(model, path)
+            payload = json.loads(path.read_text())
+            for key, value in cases:
+                path.write_text(json.dumps({**payload, key: value}))
+                with pytest.raises(ParseError, match=f"model field '{key}'"):
+                    io.load_model(path)
         path.write_text("[1, 2]")
         with pytest.raises(ParseError):
             io.load_model(path)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg.lapack import dtbtrs
 
-from specal.calibrate import fit_ols
+from specal.calibrate import CovarianceModel, _whitened_blocks, fit_ols
 from specal.errors import (
     CollinearConcentrationsError,
     InvalidBasisError,
@@ -22,8 +25,17 @@ from specal.simulate import (
     run_jackknife_study,
     sample_dirichlet,
     true_curves,
+    _noise,
     _stream,
 )
+
+from oracles import dense_factor
+
+
+def colour(band, normals):
+    """The columns of ``normals`` times the factor whose inverse has the
+    lower ``band``: the simulator's sampler."""
+    return dtbtrs(band, normals, uplo="L")[0]
 
 
 class TestDirichlet:
@@ -50,9 +62,9 @@ class TestGpSampler:
                                               (0.5, np.exp(-2.5))])
     def test_lag_five_correlation(self, phi, expected):
         grid = np.arange(350.0, 751.0, 5.0)
-        chol = gp_cholesky(grid, 4.0, phi)
+        band = gp_cholesky(grid, 4.0, phi)
         rng = np.random.default_rng(7)
-        draws = (chol @ rng.standard_normal((grid.size, 2000))).T
+        draws = colour(band, rng.standard_normal((grid.size, 2000))).T
         x = draws[:, :-1].ravel()
         z = draws[:, 1:].ravel()
         corr = (x * z).mean() / np.sqrt((x * x).mean() * (z * z).mean())
@@ -60,21 +72,46 @@ class TestGpSampler:
 
     def test_pointwise_variance(self):
         grid = np.arange(350.0, 751.0, 5.0)
-        chol = gp_cholesky(grid, 4.0, 0.5)
+        band = gp_cholesky(grid, 4.0, 0.5)
         rng = np.random.default_rng(8)
-        draws = (chol @ rng.standard_normal((grid.size, 10_000))).T
+        draws = colour(band, rng.standard_normal((grid.size, 10_000))).T
         variances = draws.var(axis=0)
         assert np.all(np.abs(variances - 4.0) / 4.0 < 0.05)
 
     def test_covariance_convergence(self):
         grid = np.linspace(0.0, 40.0, 21)
-        chol = gp_cholesky(grid, 4.0, 0.1)
+        band = gp_cholesky(grid, 4.0, 0.1)
         rng = np.random.default_rng(9)
-        draws = (chol @ rng.standard_normal((grid.size, 5000))).T
+        draws = colour(band, rng.standard_normal((grid.size, 5000))).T
         empirical = np.cov(draws.T, bias=True)
         truth = 4.0 * np.exp(-0.1 * np.abs(grid[:, None] - grid[None, :]))
         rel = np.linalg.norm(empirical - truth) / np.linalg.norm(truth)
         assert rel < 0.10
+
+    @pytest.mark.parametrize("phi", [WEAK_PHI, STRONG_PHI])
+    @pytest.mark.parametrize("step", [5.0, 0.4], ids=["T81", "T1001"])
+    def test_band_matches_dense_factor(self, step, phi):
+        grid = SimConfig(grid_step=step, phi=phi).grid
+        band = gp_cholesky(grid, 4.0, phi)
+        assert band.shape == (2, grid.size)
+        factor = colour(band, np.eye(grid.size))
+        cov = 4.0 * np.exp(-phi * np.abs(grid[:, None] - grid[None, :]))
+        for got, want in ((factor @ factor.T, cov),
+                          (factor, dense_factor(grid, 4.0, phi))):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12 * 4.0)
+
+    @pytest.mark.parametrize("phi", [WEAK_PHI, STRONG_PHI])
+    def test_whitening_returns_the_draws(self, phi):
+        # GLS's whitening with the true sigma2 and phi undoes the simulator's
+        # colouring: one analyte at y = 1 is the simulator's noise law.
+        cfg = SimConfig(seed=5, num_samples=6, phi=phi)
+        noise = _noise(cfg, 6, 1, 0)
+        draws = np.vstack([_stream(cfg.seed, 1, 0, j).standard_normal(cfg.grid.size)
+                           for j in range(6)])
+        cov = CovarianceModel(sigma2=[cfg.sigma2], phi=[cfg.phi])
+        blocks = [block[:, :, 0].copy() for block, _ in _whitened_blocks(
+            [noise.T[:, :, None]], cfg.grid, np.ones((6, 1)), cov)]
+        npt.assert_allclose(np.vstack(blocks).T, draws, rtol=0, atol=1e-10)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -109,12 +146,23 @@ class TestGenerateDataset:
         spectra, conc, truth = generate_dataset(cfg)
         mean = truth.curve_values[0] + conc.values @ truth.curve_values[1:]
         noise = spectra.absorbance - mean
-        chol = gp_cholesky(cfg.grid, cfg.sigma2, cfg.phi)
-        expected = np.vstack([
-            chol @ _stream(cfg.seed, 1, 0, i).standard_normal(cfg.grid.size)
+        normals = np.column_stack([
+            _stream(cfg.seed, 1, 0, i).standard_normal(cfg.grid.size)
             for i in range(6)
         ])
+        expected = colour(gp_cholesky(cfg.grid, cfg.sigma2, cfg.phi), normals).T
         npt.assert_allclose(noise, expected, atol=1e-10)
+
+    def test_peak_memory_at_a_fine_grid(self):
+        # T = 1001: the dense T-by-T covariance alone would take 7.6 MiB.
+        cfg = SimConfig(num_samples=20, grid_step=0.4)
+        tracemalloc.start()
+        try:
+            generate_dataset(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_residual_variance_matches_noise_level(self):
         cfg = SimConfig(seed=1, num_samples=20, phi=WEAK_PHI)
