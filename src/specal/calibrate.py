@@ -20,12 +20,13 @@ fits, GCV scores, lambda selection and leave-one-out refits (Gram
 downdates) all go through it.
 
 GLS fits and their leave-one-out refits share one whitened assembly,
-``_WhitenedSystem``, which applies each sample's inverse Cholesky factor
-by the innovations (Kalman) recursion of its noise process, with no
-T-by-T matrix, in one pass along the grid that keeps only each sample's
-whitened Gram.  No dense inverse is formed: the solves are Cholesky
-factorizations and symmetric eigendecompositions, and GCV uses only the
-band of each block's inverse.
+``_WhitenedSystem``, built from the same aggregated design (its basis
+design, concentration rows and constraint row), which applies each
+sample's inverse Cholesky factor by the innovations (Kalman) recursion of
+its noise process, with no T-by-T matrix, in one pass along the grid that
+keeps only each sample's whitened Gram.  No dense inverse is formed: the
+solves are Cholesky factorizations and symmetric eigendecompositions, and
+GCV uses only the band of each block's inverse.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import nnls
 
-from .basis import KnotVector, PenaltyMatrix, cached_design_matrix
+from .basis import PenaltyMatrix
 from .errors import (
     CovarianceConditioningError,
     DegenerateCovarianceError,
@@ -46,13 +47,7 @@ from .errors import (
     ShapeError,
     SingularDesignError,
 )
-from .model import (
-    AggregatedDesign,
-    CalibrationModel,
-    ConcentrationMatrix,
-    SpectraSet,
-    closure_total,
-)
+from .model import AggregatedDesign, CalibrationModel, ConcentrationMatrix
 
 PHI_GRID = np.logspace(-4, 1, 50)
 DEFAULT_LAMBDA_GRID = np.logspace(-4, 8, 25)
@@ -89,8 +84,10 @@ class CovarianceModel:
         phi = np.asarray(self.phi, dtype=float).ravel()
         if sigma2.shape != phi.shape:
             raise ShapeError("sigma2 and phi must have one entry per analyte")
-        if np.any(sigma2 <= 0) or np.any(phi <= 0):
-            raise InvalidParameterError("covariance parameters must be positive")
+        if not (np.all((sigma2 > 0) & (sigma2 < np.inf))
+                and np.all((phi > 0) & (phi < np.inf))):
+            raise InvalidParameterError(
+                "covariance parameters must be finite and positive")
         sigma2.flags.writeable = False
         phi.flags.writeable = False
         object.__setattr__(self, "sigma2", sigma2)
@@ -383,14 +380,13 @@ def _diagnostics(coef: np.ndarray, b: np.ndarray, rss: float, trace: float,
     )
 
 
-def _model(kv: KnotVector, coef: np.ndarray, method: str, lam: float,
-           concentrations: ConcentrationMatrix,
+def _model(design: AggregatedDesign, coef: np.ndarray, method: str, lam: float,
            diagnostics: FitDiagnostics | None) -> CalibrationModel:
-    """The fitted model, labelled with the calibration's analytes and closure."""
+    """The fitted model, labelled with the design's analytes and closure."""
     return CalibrationModel(
-        basis=kv, coefficients=coef, method=method, lam=float(lam),
-        analytes=concentrations.analyte_names(), diagnostics=diagnostics,
-        closed_total=closure_total(concentrations.values),
+        basis=design.basis, coefficients=coef, method=method, lam=float(lam),
+        analytes=design.concentrations.analyte_names(), diagnostics=diagnostics,
+        closed_total=design.closed_total,
     )
 
 
@@ -401,7 +397,7 @@ def _factored_fit(design: AggregatedDesign, band: np.ndarray | None, lam: float,
     system = _factored(design, band, lam)
     coef = system.solve(lam=lam)
     diag = _diagnostics(coef, design.b, *system.gcv(lam)[0]) if diagnostics else None
-    return _model(design.basis, coef, method, lam, design.concentrations, diag)
+    return _model(design, coef, method, lam, diag)
 
 
 def fit_ols(design: AggregatedDesign, diagnostics: bool = True) -> CalibrationModel:
@@ -681,35 +677,35 @@ def _whitened_grams(columns, grid: np.ndarray, y: np.ndarray,
 
 
 class _WhitenedSystem:
-    """Whitened GLS normal equations, kept per sample and in total.
+    """Whitened GLS normal equations of a design, kept per sample and in total.
 
     :func:`_whitened_grams` whitens each sample's basis columns and
     spectrum; only their Grams are kept: each sample's K-by-K ``G_i`` and
     K-vector ``h_i``, the totals ``sum_i (r_i r_i') kron G_i`` and
-    ``sum_i r_i kron h_i`` (``r_i = (1, y_i)``) and, for closed rows, the
-    sum-to-zero constraint Gram (identity noise weight) added to the total.
-    Fold downdates subtract one sample's term, the GLS counterpart of
+    ``sum_i r_i kron h_i`` (``r_i = (1, y_i)``, the design's concentration
+    rows) and, for closed rows, the Gram of the design's constraint row
+    (identity noise weight) added to the total.  Fold downdates subtract
+    one sample's term, the GLS counterpart of
     :meth:`_FactoredSystem.downdated`.
     """
 
-    def __init__(self, spectra: SpectraSet, concentrations: ConcentrationMatrix,
-                 kv: KnotVector, cov: CovarianceModel):
-        if concentrations.num_analytes != cov.num_analytes:
+    def __init__(self, design: AggregatedDesign, cov: CovarianceModel):
+        if design.concentrations.num_analytes != cov.num_analytes:
             raise ShapeError("covariance model analyte count does not match Y")
-        b = cached_design_matrix(kv, spectra.grid)
-        y = concentrations.values
-        k = kv.num_basis
+        b, spectra = design.b, design.spectra
+        rows = design.conc_aug[:-1]
+        k = design.num_basis
         full = _whitened_grams((b[:, None, :], spectra.absorbance.T[:, :, None]),
-                               spectra.grid, y, cov)         # (I, K+1, K+1)
+                               spectra.grid, design.concentrations.values,
+                               cov)                          # (I, K+1, K+1)
         self.grams = full[:, :k, :k]
         self.rhs_parts = full[:, :k, k]
-        rows = np.column_stack([np.ones(y.shape[0]), y])
         size = rows.shape[1] * k
         self.gram = np.einsum("ia,ib,ikl->akbl", rows, rows, self.grams,
                               optimize=True).reshape(size, size)
         self.rhs = (rows.T @ self.rhs_parts).ravel()
-        if closure_total(y) is not None:
-            e = np.r_[0.0, np.ones(concentrations.num_analytes)]
+        if design.closed_total is not None:
+            e = design.conc_aug[-1]
             self.gram = self.gram + np.kron(np.outer(e, e), b.T @ b)
         self.b = b
         self.rows = rows
@@ -742,29 +738,27 @@ class _WhitenedSystem:
         return beta.reshape(-1, self.num_basis)
 
 
-def fit_gls(spectra: SpectraSet, concentrations: ConcentrationMatrix,
-            kv: KnotVector, cov: CovarianceModel,
+def fit_gls(design: AggregatedDesign, cov: CovarianceModel,
             diagnostics: bool = True) -> CalibrationModel:
     """Generalized least squares with per-sample covariance blocks.
 
     The sum-to-zero block, with identity noise weight, is appended exactly
-    when the concentration rows are closed (:func:`closure_total`); open
-    rows get the plain estimator.
+    when the design's rows are closed (``design.closed_total``); open rows
+    get the plain estimator.
     """
-    system = _WhitenedSystem(spectra, concentrations, kv, cov)
+    system = _WhitenedSystem(design, cov)
     coef = system.solve()
     diag = None
     if diagnostics:
         fitted = (system.rows @ coef) @ system.b.T
-        rss = float(np.sum((spectra.absorbance - fitted) ** 2))
+        rss = float(np.sum((design.spectra.absorbance - fitted) ** 2))
         diag = _diagnostics(coef, system.b, rss, float(coef.size))
-    return _model(kv, coef, "GLS-K", 0.0, concentrations, diag)
+    return _model(design, coef, "GLS-K", 0.0, diag)
 
 
-def gls_loo_coefficients(spectra: SpectraSet, concentrations: ConcentrationMatrix,
-                         kv: KnotVector, cov: CovarianceModel
+def gls_loo_coefficients(design: AggregatedDesign, cov: CovarianceModel
                          ) -> Iterator[tuple[int, np.ndarray]]:
     """Leave-one-out GLS refits sharing the per-sample whitened blocks."""
-    system = _WhitenedSystem(spectra, concentrations, kv, cov)
-    for i in range(concentrations.num_samples):
+    system = _WhitenedSystem(design, cov)
+    for i in range(design.num_samples):
         yield i, system.solve(*system.downdated(i))

@@ -88,8 +88,8 @@ def _parse_sum_to(text: str) -> float | str:
 def _add_fit_options(parser: argparse.ArgumentParser, methods: tuple[str, ...],
                      folds: bool = False) -> None:
     """``--method`` and the tuning flags of ``methods``; with ``folds``, also
-    the flags only a jackknife reads.  Each flag's dest is its FitSpec field;
-    its default None means "not given"."""
+    ``--sum-to``, which only a jackknife reads.  Each flag's dest is its
+    FitSpec field; its default None means "not given"."""
     parser.add_argument("--method", choices=methods, required=True)
     if set(methods) & set(FUNCTIONAL_METHODS):
         parser.add_argument("--num-basis", type=int, default=None,
@@ -102,14 +102,9 @@ def _add_fit_options(parser: argparse.ArgumentParser, methods: tuple[str, ...],
         parser.add_argument("--components", type=int, default=None)
         parser.add_argument("--variance-fraction", type=float, default=None)
     if folds:
-        parser.add_argument("--reselect-lambda", action="store_true", default=None,
-                            help="reselect the smoothing parameter inside each "
-                                 "jackknife fold")
         parser.add_argument("--sum-to", default=None,
                             help="pin predicted concentration sums ('auto' "
                                  "or a number)")
-        parser.add_argument("--covariance-per-fold", action="store_true", default=None,
-                            help="refit the noise covariance inside each fold")
 
 
 # The fit flags whose text a parser turns into the FitSpec value.
@@ -126,8 +121,8 @@ def _flag(name: str) -> str:
 def _fit_spec(args) -> FitSpec:
     """The fit configuration from the fit flags given; a choice without a
     flag keeps its :class:`FitSpec` default.  A flag the method does not
-    read (:data:`methods.READ_FIELDS`) is refused, and so are the selection
-    flags beside a fixed ``--lambda``."""
+    read (:data:`methods.READ_FIELDS`) is refused, and so is a selection
+    grid beside a fixed ``--lambda``."""
     names = {f.name for f in fields(FitSpec)}
     given = {name: value for name, value in vars(args).items()
              if name in names and value is not None}
@@ -137,12 +132,10 @@ def _fit_spec(args) -> FitSpec:
                 f"{_flag(name)} is not read by method {args.method}")
     spec = {name: _FIT_PARSERS.get(name, lambda text: text)(value)
             for name, value in given.items()}
-    if spec.get("lam") is not None:
-        # A fixed lambda is used as given: no grid or fold reselects it.
-        for name in ("lam_grid", "reselect_lambda"):
-            if name in spec:
-                raise InvalidParameterError(
-                    f"{_flag(name)} is not read with a fixed --lambda")
+    if spec.get("lam") is not None and "lam_grid" in spec:
+        # A fixed lambda is used as given: no grid reselects it.
+        raise InvalidParameterError(
+            f"{_flag('lam_grid')} is not read with a fixed --lambda")
     return FitSpec(**spec)
 
 

@@ -2,11 +2,11 @@
 
 The jackknife harness and the simulation studies treat calibration methods
 as interchangeable fit/predict pairs.  A functional method is resolved
-once (knots, pilot covariance, design, penalty, lambda) into a fit and its
-leave-one-out refits, which downdate the same factored Gram system instead
-of rebuilding the design per fold; a naive refit path remains the reference
-behaviour and the two are interchangeable by construction.  Folds come
-in index order, and :func:`predict.jackknife_spreads` names a failing one.
+once (knots, one aggregated design, pilot covariance, penalty, lambda)
+into a fit and its leave-one-out refits, which downdate the factored Gram
+system of that design instead of rebuilding it per fold; the fit's
+covariance and lambda serve every fold.  Folds come in index order, and
+:func:`predict.jackknife_spreads` names a failing one.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from .calibrate import (
 )
 from .errors import InvalidParameterError
 from .model import (
+    AggregatedDesign,
     CalibrationModel,
     ConcentrationMatrix,
     SpectraSet,
     assemble_design,
-    closure_total,
 )
 from .predict import predict_concentrations
 
@@ -57,11 +57,9 @@ class FitSpec:
     num_basis: int = 14
     lam: float | None = None
     lam_grid: np.ndarray | None = None
-    reselect_lambda: bool = False
     components: int | None = None
     variance_fraction: float | None = None
     sum_to: float | str = "auto"
-    covariance_per_fold: bool = False
 
     def __post_init__(self) -> None:
         method = self.method.lower()
@@ -83,8 +81,8 @@ class FitSpec:
 # reads; the others keep their defaults and change nothing.
 READ_FIELDS: dict[str, tuple[str, ...]] = {
     "ols-k": ("num_basis", "sum_to"),
-    "ols-ss": ("lam", "lam_grid", "reselect_lambda", "sum_to"),
-    "gls-k": ("num_basis", "covariance_per_fold", "sum_to"),
+    "ols-ss": ("lam", "lam_grid", "sum_to"),
+    "gls-k": ("num_basis", "sum_to"),
     "mlr": (),
     "pcr": ("components", "variance_fraction"),
     "pls": ("components", "variance_fraction"),
@@ -101,18 +99,8 @@ def resolve_sum_to(sum_to: float | str,
     return sum_to
 
 
-def _subset(spectra: SpectraSet, concentrations: ConcentrationMatrix,
-            keep: np.ndarray) -> tuple[SpectraSet, ConcentrationMatrix]:
-    sub_spec = SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[keep])
-    sub_conc = ConcentrationMatrix(
-        values=concentrations.values[keep],
-        analytes=concentrations.analytes,
-    )
-    return sub_spec, sub_conc
-
-
 class Strategy:
-    """Fit/predict pair with an overridable leave-one-out fitting path."""
+    """Fit/predict pair of one FitSpec."""
 
     def __init__(self, spec: FitSpec):
         self.spec = spec
@@ -123,21 +111,14 @@ class Strategy:
     def predict_fitted(self, fitted, spectra: SpectraSet) -> np.ndarray:
         raise NotImplementedError
 
-    def jackknife_fits(self, spectra: SpectraSet,
-                       concentrations: ConcentrationMatrix) -> Iterator:
-        """Default reference path: rebuild and refit without each sample."""
-        n = spectra.num_samples
-        for i in range(n):
-            keep = np.arange(n) != i
-            yield i, self.fit(*_subset(spectra, concentrations, keep))
-
 
 class FunctionalStrategy(Strategy):
     """Basis-smoothing, smoothing-spline and GLS calibration methods.
 
     One resolution (:meth:`_calibration`) serves :meth:`fit` and
-    :meth:`jackknife_fits`: the folds use the fit's knots, covariance and
-    lambda, and carry its method label, analytes and closure.
+    :meth:`jackknife_fits`: the folds downdate the fit's design, use its
+    covariance and lambda, and carry its method label, analytes and
+    closure.
     """
 
     def _knots(self, spectra: SpectraSet):
@@ -146,45 +127,33 @@ class FunctionalStrategy(Strategy):
         domain = (float(spectra.grid[0]), float(spectra.grid[-1]))
         return make_knots(domain, self.spec.num_basis)
 
-    def _pilot_covariance(self, spectra: SpectraSet,
-                          concentrations: ConcentrationMatrix,
-                          kv) -> CovarianceModel:
+    def _pilot_covariance(self, design: AggregatedDesign) -> CovarianceModel:
         """Noise covariance fitted to the residuals of a pilot OLS fit."""
-        design = assemble_design(spectra, concentrations, kv)
         pilot = fit_ols(design, diagnostics=False)
-        resid = spectra.absorbance - (
+        resid = design.spectra.absorbance - (
             (design.conc_aug[:-1] @ pilot.coefficients) @ design.b.T
         )
-        return fit_covariance(resid, concentrations, spectra.grid)
+        return fit_covariance(resid, design.concentrations, design.spectra.grid)
 
     def _calibration(self, spectra: SpectraSet,
-                     concentrations: ConcentrationMatrix, folds: bool = False):
-        """``(knots, lambda, fit, leave_one_out, args)`` for this method.
+                     concentrations: ConcentrationMatrix):
+        """``(design, lambda, fit, leave_one_out, args)`` for this method.
 
         ``fit(*args)`` is the calibration and ``leave_one_out(*args)`` its
-        downdated folds.  The functions are the module's own names, read
-        when this runs.  With ``folds``, None when the jackknife takes the
-        reference path (a covariance or lambda per fold).  It switches
-        where the knots, or the design and penalty, have been made, so
-        their errors surface as they do for the fit.
+        downdated folds, both on ``design``.  The functions are the
+        module's own names, read when this runs.
         """
         spec = self.spec
-        kv = self._knots(spectra)
+        design = assemble_design(spectra, concentrations, self._knots(spectra))
         if spec.method == "gls-k":
-            if folds and spec.covariance_per_fold:
-                return None
-            cov = self._pilot_covariance(spectra, concentrations, kv)
-            return kv, 0.0, fit_gls, gls_loo_coefficients, (
-                spectra, concentrations, kv, cov)
-        design = assemble_design(spectra, concentrations, kv)
+            return design, 0.0, fit_gls, gls_loo_coefficients, (
+                design, self._pilot_covariance(design))
         if spec.method == "ols-k":
-            return kv, 0.0, fit_ols, loo_coefficients, (design,)
-        pen = penalty_matrix(kv)
-        if folds and spec.reselect_lambda:
-            return None
+            return design, 0.0, fit_ols, loo_coefficients, (design,)
+        pen = penalty_matrix(design.basis)
         lam = (float(spec.lam) if spec.lam is not None
                else select_lambda(design, pen, spec.lam_grid))
-        return kv, lam, fit_penalized, loo_coefficients, (design, pen, lam)
+        return design, lam, fit_penalized, loo_coefficients, (design, pen, lam)
 
     def fit(self, spectra: SpectraSet,
             concentrations: ConcentrationMatrix) -> CalibrationModel:
@@ -201,13 +170,11 @@ class FunctionalStrategy(Strategy):
                        concentrations: ConcentrationMatrix) -> Iterator:
         """The fit's downdated folds; its resolution runs at once, so a
         full-data failure keeps its own type."""
-        resolved = self._calibration(spectra, concentrations, folds=True)
-        if resolved is None:
-            return super().jackknife_fits(spectra, concentrations)
-        kv, lam, _, leave_one_out, args = resolved
-        labels = dict(basis=kv, method=self.spec.method.upper(), lam=lam,
-                      analytes=concentrations.analyte_names(),
-                      closed_total=closure_total(concentrations.values))
+        design, lam, _, leave_one_out, args = self._calibration(
+            spectra, concentrations)
+        labels = dict(basis=design.basis, method=self.spec.method.upper(),
+                      lam=lam, analytes=concentrations.analyte_names(),
+                      closed_total=design.closed_total)
         return ((i, CalibrationModel(coefficients=coef, **labels))
                 for i, coef in leave_one_out(*args))
 

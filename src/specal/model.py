@@ -154,8 +154,8 @@ class CalibrationModel:
                 f"coefficient columns ({coef.shape[1]}) do not match basis "
                 f"dimension ({self.basis.num_basis})"
             )
-        if self.lam < 0:
-            raise ShapeError("smoothing parameter must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ShapeError("smoothing parameter must be finite and nonnegative")
         object.__setattr__(self, "coefficients", coef)
         if not self.analytes:
             object.__setattr__(
@@ -185,7 +185,9 @@ class AggregatedDesign:
     ``conc_aug`` holds the intercept-plus-concentration rows with the
     appended constraint row, so the full design is its Kronecker product
     with the basis design ``b``.  That product is never formed: fitting
-    code works on the factored pair.
+    code works on the factored pair.  ``closed_total`` is the row total
+    the constraint row was built for (None for open rows), the closure
+    every fit of the design records.
     """
 
     b: np.ndarray
@@ -193,6 +195,7 @@ class AggregatedDesign:
     spectra: SpectraSet
     concentrations: ConcentrationMatrix
     basis: KnotVector
+    closed_total: float | None = None
 
     @property
     def num_samples(self) -> int:
@@ -230,10 +233,11 @@ def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
             f"analyte concentration columns are linearly dependent "
             f"(rank {np.linalg.matrix_rank(y)} < {m})"
         )
+    total = closure_total(y)
     conc_aug = np.zeros((spectra.num_samples + 1, m + 1))
     conc_aug[:-1, 0] = 1.0
     conc_aug[:-1, 1:] = y
-    conc_aug[-1, 1:] = float(closure_total(y) is not None)
+    conc_aug[-1, 1:] = float(total is not None)
     if np.linalg.matrix_rank(conc_aug) < m + 1:
         raise CollinearConcentrationsError(
             "concentration rows (with the constraint row) do not have full "
@@ -246,5 +250,6 @@ def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
         spectra=spectra,
         concentrations=concentrations,
         basis=kv,
+        closed_total=total,
     )
 

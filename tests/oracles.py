@@ -2,8 +2,8 @@
 
 The program never builds these: the stacked Kronecker system, a sample's
 full wavelength-by-wavelength noise covariance and its Cholesky factor,
-and tables of basis derivatives are what the banded and recursive paths
-exist to avoid.
+tables of basis derivatives and leave-one-out fits rebuilt from scratch
+are what the banded, recursive and downdating paths exist to avoid.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import scipy.linalg as sla
 from specal.basis import _all_values
 from specal.calibrate import CovarianceModel
 from specal.errors import DomainError, ShapeError
+from specal.model import ConcentrationMatrix, SpectraSet
 
 
 def dense_system(design):
@@ -54,3 +55,14 @@ def derivative_matrix(kv, grid, deriv=2):
     if grid.size == 0 or np.min(grid) < a or np.max(grid) > b:
         raise DomainError("derivative grid outside basis domain")
     return _all_values(kv.knots, kv.order, grid, deriv=deriv)
+
+
+def naive_jackknife_fits(strategy, spectra, conc):
+    """``(i, fit)`` for each sample ``i`` in index order: the strategy's
+    fit rebuilt from scratch on the data without sample ``i``."""
+    for i in range(spectra.num_samples):
+        keep = np.arange(spectra.num_samples) != i
+        yield i, strategy.fit(
+            SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[keep]),
+            ConcentrationMatrix(values=conc.values[keep], analytes=conc.analytes),
+        )

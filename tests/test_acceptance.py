@@ -154,7 +154,7 @@ def test_criterion_2_estimator_identities():
 
             cov = CovarianceModel(sigma2=np.array([0.5, 2.0]),
                                   phi=np.array([0.3, 1.0]))
-            gls = fit_gls(spectra, conc, kv, cov, diagnostics=False)
+            gls = fit_gls(design, cov, diagnostics=False)
             blocks, rhs_parts = [], []
             for i in range(8):
                 sigma = dense_covariance(cov, spectra.grid, conc.values[i])
@@ -168,7 +168,7 @@ def test_criterion_2_estimator_identities():
                 1e-10 * max(np.abs(white).max(), 1.0)
 
             iso = CovarianceModel(sigma2=np.full(2, 2.7), phi=np.full(2, 1e4))
-            gls_iso = fit_gls(spectra, conc, kv, iso, diagnostics=False)
+            gls_iso = fit_gls(design, iso, diagnostics=False)
             x = np.kron(np.column_stack([np.ones(8), conc.values]), b)
             plain = np.linalg.lstsq(x, spectra.absorbance.ravel(), rcond=None)[0]
             assert np.abs(gls_iso.coefficients.ravel() - plain).max() < \

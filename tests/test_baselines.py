@@ -17,7 +17,7 @@ from specal.errors import (
     InvalidComponentsError,
     InvalidParameterError,
 )
-from specal.methods import STUDY_METHODS, FitSpec, Strategy, make_strategy
+from specal.methods import STUDY_METHODS, FitSpec, make_strategy
 from specal.model import ConcentrationMatrix, SpectraSet
 from specal.predict import jackknife_sd, jackknife_spreads
 from specal.simulate import (
@@ -27,6 +27,8 @@ from specal.simulate import (
     run_jackknife_study,
     WEAK_PHI,
 )
+
+from oracles import naive_jackknife_fits
 
 BASELINES = ("MLR", "PCR-o", "PCR-p", "PLS-o", "PLS-p")
 
@@ -75,11 +77,11 @@ def nipals_pls2(w, y, p, max_iter=500, tol=1e-10):
 
 
 def naive_jackknife_sd(spectra, conc, spec):
-    """Leave-one-out spread from the reference refit path (``fit`` per fold)."""
+    """Leave-one-out spread from fits rebuilt per fold (``fit`` per fold)."""
     strategy = make_strategy(spec)
     y = conc.values
     sq_sum = np.zeros(conc.num_analytes)
-    for i, fitted in Strategy.jackknife_fits(strategy, spectra, conc):
+    for i, fitted in naive_jackknife_fits(strategy, spectra, conc):
         held_out = SpectraSet(grid=spectra.grid,
                               absorbance=spectra.absorbance[i:i + 1])
         sq_sum += (y[i] - strategy.predict_fitted(fitted, held_out)[0]) ** 2

@@ -700,7 +700,7 @@ class TestGls:
         spectra, conc, kv, b, _ = self.make(23)
         for scale in (1.0, 3.7):
             cov = CovarianceModel(sigma2=np.full(2, scale), phi=np.full(2, 1e4))
-            model = fit_gls(spectra, conc, kv, cov)
+            model = fit_gls(assemble_design(spectra, conc, kv), cov)
             x = np.kron(np.column_stack([np.ones(8), conc.values]), b)
             ols = np.linalg.lstsq(x, spectra.absorbance.ravel(), rcond=None)[0]
             npt.assert_allclose(model.coefficients.ravel(), ols,
@@ -709,7 +709,7 @@ class TestGls:
     def test_matches_whitened_lstsq_oracle(self):
         spectra, conc, kv, b, _ = self.make(24)
         cov = CovarianceModel(sigma2=np.array([0.5, 2.0]), phi=np.array([0.3, 1.0]))
-        model = fit_gls(spectra, conc, kv, cov)
+        model = fit_gls(assemble_design(spectra, conc, kv), cov)
         blocks, rhs = [], []
         for i in range(8):
             sigma = dense_covariance(cov, spectra.grid, conc.values[i])
@@ -748,7 +748,8 @@ class TestGls:
             w = coef[0] @ b.T + y @ (coef[1:] @ b.T) + noise
             spectra = SpectraSet(grid=grid, absorbance=w)
             conc = ConcentrationMatrix(values=y)
-            gls_coef = fit_gls(spectra, conc, kv, cov, diagnostics=False).coefficients
+            gls_coef = fit_gls(assemble_design(spectra, conc, kv), cov,
+                               diagnostics=False).coefficients
             ols_coef = np.linalg.lstsq(x, w.ravel(), rcond=None)[0].reshape(3, 6)
             gls_err += np.sum((gls_coef - coef) ** 2)
             ols_err += np.sum((ols_coef - coef) ** 2)
@@ -762,7 +763,7 @@ class TestGls:
         y[3] = 0.0
         conc = ConcentrationMatrix(values=y)
         cov = CovarianceModel(sigma2=np.array([0.5, 2.0]), phi=np.array([0.3, 1.0]))
-        model = fit_gls(spectra, conc, kv, cov)
+        model = fit_gls(assemble_design(spectra, conc, kv), cov)
         jitter = 1e-8 * np.mean(cov.sigma2) * np.eye(spectra.grid.size)
         blocks, rhs = [], []
         for i in range(8):
@@ -783,19 +784,18 @@ class TestGls:
         cov = CovarianceModel(sigma2=np.array([1e307, 1.0]), phi=np.array([0.3, 1.0]))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(CovarianceConditioningError):
-            fit_gls(spectra, conc, kv, cov)
+            fit_gls(assemble_design(spectra, conc, kv), cov)
 
     def test_loo_fast_path_matches_naive(self):
         spectra, conc, kv, _, _ = self.make(26)
         cov = CovarianceModel(sigma2=np.array([0.5, 2.0]), phi=np.array([0.3, 1.0]))
-        fast = dict(gls_loo_coefficients(spectra, conc, kv, cov))
+        fast = dict(gls_loo_coefficients(assemble_design(spectra, conc, kv), cov))
         for i in (0, 4, 7):
             keep = np.arange(8) != i
-            naive = fit_gls(
+            naive = fit_gls(assemble_design(
                 SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[keep]),
-                ConcentrationMatrix(values=conc.values[keep]),
-                kv, cov, diagnostics=False,
-            )
+                ConcentrationMatrix(values=conc.values[keep]), kv,
+            ), cov, diagnostics=False)
             npt.assert_allclose(fast[i], naive.coefficients, atol=1e-9)
 
     def test_closed_rows_fit_with_no_flag(self):
@@ -812,7 +812,7 @@ class TestGls:
         spectra = SpectraSet(grid=grid, absorbance=w)
         conc = ConcentrationMatrix(values=y)
         cov = CovarianceModel(sigma2=np.array([1.0, 1.0]), phi=np.array([0.5, 0.5]))
-        model = fit_gls(spectra, conc, kv, cov)
+        model = fit_gls(assemble_design(spectra, conc, kv), cov)
         npt.assert_allclose(model.coefficients, coef, atol=0.5)
 
     def test_whitening_memory_does_not_grow_with_the_grid(self):
@@ -831,7 +831,7 @@ class TestGls:
                               phi=np.array([0.01, 0.3, 3.0]))
         tracemalloc.start()
         try:
-            _WhitenedSystem(spectra, conc, kv, cov)
+            _WhitenedSystem(assemble_design(spectra, conc, kv), cov)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

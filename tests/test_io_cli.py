@@ -755,8 +755,6 @@ def test_out_of_range_number_exits_before_writing(dataset, tmp_path, capsys, arg
     ("calibrate", "gls-k", ["--lambda-grid", "1:10:3"]),
     ("calibrate", "ols-ss", ["--num-basis", "10"]),
     ("jackknife", "ols-k", ["--lambda", "gcv"]),
-    ("jackknife", "gls-k", ["--reselect-lambda"]),
-    ("jackknife", "ols-ss", ["--covariance-per-fold"]),
     ("jackknife", "pls", ["--sum-to", "1"]),
     ("baselines", "mlr", ["--components", "2"]),
     ("baselines", "mlr", ["--variance-fraction", "0.9"]),
@@ -810,12 +808,11 @@ def test_component_choice_is_checked_before_any_fold(dataset, tmp_path, capsys,
 @pytest.mark.parametrize("command, flag", [
     ("calibrate", ["--lambda-grid", "1:10:3"]),
     ("jackknife", ["--lambda-grid", "1:10:3"]),
-    ("jackknife", ["--reselect-lambda"]),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_selection_flag_beside_a_fixed_lambda_is_refused(dataset, tmp_path, capsys,
                                                          command, flag):
-    # A fixed lambda is used as given, so a grid or a per-fold reselection
-    # would change nothing.
+    # A fixed lambda is used as given, so a selection grid would change
+    # nothing.
     _, _, _, spath, cpath = dataset
     out = tmp_path / "out"
     argv = [command, "--spectra", str(spath), "--concentrations", str(cpath),

@@ -70,6 +70,13 @@ class TestContainers:
         assert SpectraSet(grid=np.arange(3.0), absorbance=w).absorbance is w
         assert ConcentrationMatrix(values=w).values is w
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_bad_smoothing_parameter_is_refused(self, lam):
+        kv = make_knots((0.0, 1.0), 6)
+        with pytest.raises(ShapeError, match="finite and nonnegative"):
+            CalibrationModel(basis=kv, coefficients=np.ones((2, 6)),
+                             method="OLS-SS", lam=lam)
+
     def test_negative_concentrations_warn_but_load(self):
         with pytest.warns(UserWarning) as record:
             conc = ConcentrationMatrix(values=np.array([[0.2, -0.1], [0.4, 0.3]]))
@@ -165,6 +172,15 @@ class TestAssembleDesign:
         assert closure_total(100.0 * shifted) is None
         assert closure_total(rng.uniform(0.1, 2.0, (6, 2))) is None
         assert closure_total(np.zeros((4, 0))) is None
+
+    def test_design_records_the_closure_it_was_built_for(self):
+        rng = np.random.default_rng(4)
+        for closed, total in ((True, 1.0), (False, None)):
+            spectra, conc, kv, _ = make_dataset(rng, closed=closed)
+            design = assemble_design(spectra, conc, kv)
+            assert design.closed_total == total
+            npt.assert_array_equal(design.conc_aug[-1, 1:], float(closed))
+            assert fit_ols(design).closed_total == total
 
     def test_sample_count_mismatch(self):
         rng = np.random.default_rng(4)

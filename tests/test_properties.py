@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from specal import io
 from specal.errors import ParseError
 from specal.methods import FitSpec, make_strategy
-from specal.model import ConcentrationMatrix, SpectraSet
+from specal.model import ConcentrationMatrix, SpectraSet, assemble_design
 from specal.predict import jackknife_sd
 from specal.simulate import STRONG_PHI, SimConfig, generate_dataset
 
@@ -87,9 +87,9 @@ def test_covariance_scales_inversely_with_units(c):
     spectra, conc, _ = CAL
     strategy = make_strategy(SPECS["gls-k"])
     kv = strategy._knots(spectra)
-    cov = strategy._pilot_covariance(spectra, conc, kv)
-    cov_c = strategy._pilot_covariance(
-        spectra, ConcentrationMatrix(values=c * conc.values), kv)
+    cov = strategy._pilot_covariance(assemble_design(spectra, conc, kv))
+    cov_c = strategy._pilot_covariance(assemble_design(
+        spectra, ConcentrationMatrix(values=c * conc.values), kv))
     npt.assert_array_equal(cov_c.phi, cov.phi)
     npt.assert_allclose(cov_c.sigma2, cov.sigma2 / c ** 2, rtol=1e-8)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,13 @@ from specal.errors import (
     InvalidBasisError,
     InvalidParameterError,
 )
-from specal.methods import FitSpec, Strategy, make_strategy
+from specal.methods import (
+    FUNCTIONAL_METHODS,
+    MULTIVARIATE_METHODS,
+    READ_FIELDS,
+    FitSpec,
+    make_strategy,
+)
 from specal.model import ConcentrationMatrix, assemble_design
 from specal.predict import jackknife_sd
 from specal.simulate import (
@@ -29,7 +36,7 @@ from specal.simulate import (
     _stream,
 )
 
-from oracles import dense_factor
+from oracles import dense_factor, naive_jackknife_fits
 
 
 def colour(band, normals):
@@ -114,8 +121,11 @@ class TestGpSampler:
         npt.assert_allclose(np.vstack(blocks).T, draws, rtol=0, atol=1e-10)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            gp_cholesky(np.linspace(0, 1, 5), -1.0, 0.5)
+        # NaN fails every comparison, so it needs its own check.
+        for sigma2, phi in [(-1.0, 0.5), (np.nan, 0.5), (np.inf, 0.5),
+                            (1.0, 0.0), (1.0, np.nan), (1.0, np.inf)]:
+            with pytest.raises(InvalidParameterError):
+                gp_cholesky(np.linspace(0, 1, 5), sigma2, phi)
 
 
 class TestGenerateDataset:
@@ -260,47 +270,19 @@ class TestStrategyFastPaths:
                        lam=5.0 if method == "ols-ss" else None)
         fast = make_strategy(spec)
         fast_fits = dict(fast.jackknife_fits(spectra, conc))
-        slow = make_strategy(spec)
-        naive = dict(Strategy.jackknife_fits(slow, spectra, conc))
+        naive = dict(naive_jackknife_fits(make_strategy(spec), spectra, conc))
         for i in fast_fits:
             npt.assert_allclose(
                 fast_fits[i].coefficients, naive[i].coefficients,
                 atol=1e-8 * max(1.0, np.abs(naive[i].coefficients).max()),
             )
 
-    def test_reselect_lambda_takes_reference_path(self):
-        from specal.predict import jackknife_sd
-
-        cfg = SimConfig(seed=9, num_samples=6, phi=WEAK_PHI,
-                        grid_start=350.0, grid_end=550.0, grid_step=10.0)
-        spectra, conc, _ = generate_dataset(cfg)
-        grid = np.logspace(0, 4, 4)
-        fixed = jackknife_sd(spectra, conc,
-                             FitSpec(method="ols-ss", lam_grid=grid))
-        per_fold = jackknife_sd(
-            spectra, conc,
-            FitSpec(method="ols-ss", lam_grid=grid, reselect_lambda=True),
-        )
-        assert np.all(np.isfinite(per_fold))
-        assert per_fold.shape == fixed.shape
-
-    def test_covariance_per_fold_flag_runs(self):
-        from specal.predict import jackknife_sd
-
-        cfg = SimConfig(seed=9, num_samples=6, phi=STRONG_PHI,
-                        grid_start=350.0, grid_end=550.0, grid_step=10.0)
-        spectra, conc, _ = generate_dataset(cfg)
-        s = jackknife_sd(spectra, conc,
-                         FitSpec(method="gls-k", num_basis=8,
-                                 covariance_per_fold=True))
-        assert np.all(np.isfinite(s)) and s.shape == (3,)
-
     def test_gls_fast_path_uses_shared_covariance(self):
-        # The default GLS jackknife estimates the covariance once on the
+        # The GLS jackknife estimates the covariance once on the
         # full data; with that covariance fixed, the downdated refits must
         # equal from-scratch refits on each fold.
-        from specal.calibrate import fit_covariance, fit_gls, fit_ols
-        from specal.model import ConcentrationMatrix, SpectraSet, assemble_design
+        from specal.calibrate import fit_covariance, fit_gls
+        from specal.model import SpectraSet
         from specal.basis import make_knots
 
         cfg = SimConfig(seed=9, num_samples=8, phi=STRONG_PHI)
@@ -317,11 +299,10 @@ class TestStrategyFastPaths:
         cov = fit_covariance(resid, conc, spectra.grid)
         for i in fast_fits:
             keep = np.arange(8) != i
-            naive = fit_gls(
+            naive = fit_gls(assemble_design(
                 SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[keep]),
-                ConcentrationMatrix(values=conc.values[keep]),
-                kv, cov, diagnostics=False,
-            )
+                ConcentrationMatrix(values=conc.values[keep]), kv,
+            ), cov, diagnostics=False)
             npt.assert_allclose(
                 fast_fits[i].coefficients, naive.coefficients,
                 atol=1e-8 * max(1.0, np.abs(naive.coefficients).max()),
@@ -361,13 +342,13 @@ class TestStrategyFastPaths:
             npt.assert_array_equal(fitted.coefficients, want_folds[i])
 
     @pytest.mark.parametrize("method,evaluations", [
-        ("ols-k", 1), ("ols-ss", 1), ("gls-k", 2),
+        ("ols-k", 1), ("ols-ss", 1), ("gls-k", 1),
     ])
     def test_jackknife_evaluates_basis_once(self, monkeypatch, method,
                                             evaluations):
         # The held-out predictions share the basis evaluation of the design
-        # (or of the GLS system) that the folds hold; GLS-K also evaluates
-        # it once for its pilot OLS fit, which is done before the folds.
+        # that the folds hold; GLS-K's pilot OLS fit and its whitened
+        # system are built from that same design.
         from specal import basis
 
         cfg = SimConfig(seed=10, num_samples=8, phi=STRONG_PHI)
@@ -400,21 +381,17 @@ class TestJackknifeMatchesFit:
     @pytest.mark.parametrize("spec, error", [
         (FitSpec(method="ols-k"), CollinearConcentrationsError),
         (FitSpec(method="ols-ss"), CollinearConcentrationsError),
-        (FitSpec(method="ols-ss", reselect_lambda=True),
-         CollinearConcentrationsError),
         (FitSpec(method="gls-k", num_basis=3), InvalidBasisError),
-        (FitSpec(method="gls-k", num_basis=3, covariance_per_fold=True),
-         InvalidBasisError),
-    ], ids=["ols-k", "ols-ss", "ols-ss-reselect", "gls-k", "gls-k-per-fold"])
+    ], ids=["ols-k", "ols-ss", "gls-k"])
     @pytest.mark.parametrize("run", [
         lambda spectra, conc, spec: list(
             make_strategy(spec).jackknife_fits(spectra, conc)),
         jackknife_sd,
     ], ids=["jackknife_fits", "jackknife_sd"])
     def test_edge_inputs_keep_their_error_type(self, spec, error, run):
-        # The reference paths switch after the checks the fast paths make,
-        # so a bad input fails with its own error, not a fold failure, and
-        # keeps it through the loop that numbers the folds.
+        # The folds are resolved as the fit is, before the first one, so a
+        # bad input fails with its own error, not a fold failure, and keeps
+        # it through the loop that numbers the folds.
         spectra, conc = self._collinear()
         with pytest.raises(error):
             run(spectra, conc, spec)
@@ -431,3 +408,40 @@ class TestJackknifeMatchesFit:
             assert (fitted.method, fitted.lam, fitted.analytes,
                     fitted.closed_total) == (full.method, full.lam,
                                              full.analytes, full.closed_total)
+
+
+# A valid value other than the default for every FitSpec field but
+# ``method``; a field without one fails test_table_covers_every_field.
+FIELD_VALUES = {
+    "num_basis": 10,
+    "lam": 5.0,
+    "lam_grid": np.array([2.0, 7.0]),
+    "components": 4,
+    "variance_fraction": 0.999,
+    "sum_to": 2.0,
+}
+
+
+class TestReadFields:
+    """``READ_FIELDS`` lists exactly the fields that change a jackknife."""
+
+    @pytest.fixture(scope="class")
+    def walkthrough(self):
+        cfg = SimConfig(seed=1, num_samples=8, phi=WEAK_PHI, grid_step=10.0)
+        spectra, conc, _ = generate_dataset(cfg)
+        return spectra, conc
+
+    def test_table_covers_every_field(self):
+        assert set(FIELD_VALUES) == {f.name for f in fields(FitSpec)} - {"method"}
+
+    @pytest.mark.parametrize("method", FUNCTIONAL_METHODS + MULTIVARIATE_METHODS)
+    def test_spread_changes_exactly_with_the_fields_read(self, walkthrough,
+                                                         method):
+        spectra, conc = walkthrough
+        base = jackknife_sd(spectra, conc, FitSpec(method=method))
+        changed = {name for name, value in FIELD_VALUES.items()
+                   if not np.array_equal(
+                       jackknife_sd(spectra, conc,
+                                    FitSpec(method=method, **{name: value})),
+                       base)}
+        assert changed == set(READ_FIELDS[method])
