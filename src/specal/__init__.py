@@ -1,6 +1,7 @@
 """Functional calibration and concentration prediction for absorbance spectra."""
 
 from .basis import (
+    BasisDesign,
     KnotVector,
     PenaltyMatrix,
     design_matrix,
@@ -45,6 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregatedDesign",
+    "BasisDesign",
     "CalibrationModel",
     "ConcentrationMatrix",
     "CovarianceModel",

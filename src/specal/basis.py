@@ -1,8 +1,9 @@
 """Cubic B-spline bases: knot construction, evaluation, curvature penalty.
 
 Evaluation uses the standard stable recurrence (triangular scheme over the
-nonzero functions of the containing knot span).  Derivatives come from the
-knot-difference formula applied to lower-order values.  The curvature
+nonzero functions of the containing knot span), and the design is held as
+its band (:class:`BasisDesign`): each site's ``order`` values and first
+column, from which every product with the design is formed.  The curvature
 penalty is assembled span by span into its lower band, the only form kept:
 a cubic's second derivative is linear on every span, so each span's
 products integrate exactly in closed form from the values at the span ends.
@@ -11,7 +12,7 @@ products integrate exactly in closed form from the values at the span ends.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,28 +165,83 @@ def _inverse_widths(knots: np.ndarray, q: int) -> np.ndarray:
     return np.divide(1.0, width, out=np.zeros_like(width), where=width > 0)
 
 
-def _all_values(knots: np.ndarray, order: int, x: np.ndarray,
-                deriv: int = 0) -> np.ndarray:
-    """Dense (len(x), num_basis) matrix of basis (derivative) values."""
-    if not 0 <= deriv < order:
-        raise UnsupportedOrderError(
-            f"derivative order {deriv} not available for splines of order {order}"
-        )
-    knots_p, pad = _padded(knots, order)
-    span = _span_indices(knots_p, x)
-    base_order = order - deriv
-    triangle = _nonzero_triangle(knots_p, base_order, span, x)
-    dense = np.zeros((x.size, knots_p.size - base_order))
-    cols = span[:, None] - base_order + 1 + np.arange(base_order)[None, :]
-    np.put_along_axis(dense, cols, triangle, axis=1)
-    for q in range(base_order, order):
-        scaled = dense * _inverse_widths(knots_p, q)[None, :]
-        dense = q * (scaled[:, :-1] - scaled[:, 1:])
-    return dense[:, pad:pad + (knots.size - order)]
+@dataclass(frozen=True, eq=False)
+class BasisDesign:
+    """A (T, K) B-spline design held as its band.
+
+    Site ``n`` sees at most ``order`` functions, the consecutive columns
+    ``first[n] .. first[n] + order - 1`` (``columns[n]``), whose values are
+    ``values[n]`` (zero where a column holds no function).  Every product
+    with the design gathers or scatters these (T, order) values by
+    ``columns``, so no (T, K) array is formed except by :meth:`dense`.
+    """
+
+    values: np.ndarray
+    first: np.ndarray
+    num_basis: int
+    columns: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns",
+                           self.first[:, None] + np.arange(self.values.shape[1]))
+
+    @property
+    def num_sites(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        """Half-bandwidth of ``B'B``, at least 1: the widest span of nonzero
+        columns at one site (3 for a cubic basis, 2 when every site is a
+        knot)."""
+        seen = self.values != 0
+        spans = (self.values.shape[1] - 1 - seen[:, ::-1].argmax(axis=1)
+                 - seen.argmax(axis=1))
+        return max(int(spans.max()), 1)
+
+    def gram_band(self, width: int) -> np.ndarray:
+        """Lower band of ``B'B`` to half-bandwidth ``width``, (K, width + 1):
+        ``band[i, q]`` is entry ``(i + q, i)`` (zero past the last row)."""
+        band = np.zeros((self.num_basis, width + 1))
+        order = self.values.shape[1]
+        for q in range(min(width, order - 1) + 1):
+            band[:, q] = np.bincount(
+                self.columns[:, :order - q].ravel(),
+                (self.values[:, :order - q] * self.values[:, q:]).ravel(),
+                minlength=self.num_basis)
+        return band
+
+    def left_multiply(self, x: np.ndarray) -> np.ndarray:
+        """``x @ B`` for ``x`` of shape (..., T): (..., K)."""
+        x = np.asarray(x, dtype=float)
+        rows = x.reshape(-1, self.num_sites, 1)
+        size = len(rows) * self.num_basis
+        index = self.columns if len(rows) == 1 else (
+            np.arange(0, size, self.num_basis)[:, None, None] + self.columns)
+        out = np.bincount(index.ravel(), (rows * self.values).ravel(), minlength=size)
+        return out.reshape(x.shape[:-1] + (self.num_basis,))
+
+    def evaluate(self, coef: np.ndarray) -> np.ndarray:
+        """``coef @ B'``: the curves with coefficients ``coef`` (..., K) at
+        the sites, (..., T)."""
+        coef = np.asarray(coef, dtype=float)
+        return np.einsum("...tj,tj->...t", coef[..., self.columns], self.values)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Dense rows ``start .. stop - 1`` of the design, (stop - start, K)."""
+        out = np.zeros((stop - start, self.num_basis))
+        np.put_along_axis(out, self.columns[start:stop], self.values[start:stop],
+                          axis=1)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The (T, K) design as one array."""
+        return self.rows(0, self.num_sites)
 
 
-def design_matrix(kv: KnotVector, grid: np.ndarray) -> np.ndarray:
-    """Row n holds the basis values at grid site n; rows sum to one."""
+def design_matrix(kv: KnotVector, grid: np.ndarray) -> BasisDesign:
+    """The basis values at each grid site, as a :class:`BasisDesign`; rows
+    sum to one."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidGridError("grid must be a nonempty one-dimensional array")
@@ -196,17 +252,34 @@ def design_matrix(kv: KnotVector, grid: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"grid range [{grid[0]}, {grid[-1]}] outside basis domain [{a}, {b}]"
         )
-    return _all_values(kv.knots, kv.order, grid)
+    order, k = kv.order, kv.num_basis
+    knots_p, pad = _padded(kv.knots, order)
+    span = _span_indices(knots_p, grid)
+    values = _nonzero_triangle(knots_p, order, span, grid)
+    # Span s carries padded functions s - order + 1 .. s.  At the right end
+    # of an unclamped knot vector's domain the span reaches past the last
+    # basis function: shift the window back inside and drop those values.
+    first = span - order + 1 - pad
+    shift = np.clip(first, 0, k - order) - first
+    if np.any(shift):
+        old = np.arange(order) + shift[:, None]
+        inside = (old >= 0) & (old < order)
+        values = np.where(inside, np.take_along_axis(
+            values, np.clip(old, 0, order - 1), axis=1), 0.0)
+        first = first + shift
+    values.flags.writeable = False
+    first.flags.writeable = False
+    return BasisDesign(values, first, k)
 
 
-def cached_design_matrix(kv: KnotVector, grid: np.ndarray) -> np.ndarray:
+def cached_design_matrix(kv: KnotVector, grid: np.ndarray) -> BasisDesign:
     """:func:`design_matrix`, shared through ``kv`` while it is in use.
 
-    ``kv`` keeps the latest grid and a weak reference to its read-only
-    matrix, so callers that hold the matrix (a design, a GLS system)
+    ``kv`` keeps the latest grid and a weak reference to its design, so
+    callers that hold the design (an aggregated design, a GLS system)
     share it with everyone else evaluating the same knots on the same
     grid values, such as the held-out predictions of a jackknife, and the
-    cache never keeps the matrix alive by itself.
+    cache never keeps the design alive by itself.
     """
     grid = np.asarray(grid, dtype=float)
     cached = kv.__dict__.get("_design")
@@ -215,7 +288,6 @@ def cached_design_matrix(kv: KnotVector, grid: np.ndarray) -> np.ndarray:
         b = cached[1]()
     if b is None:
         b = design_matrix(kv, grid)
-        b.flags.writeable = False
         object.__setattr__(kv, "_design", (grid.copy(), weakref.ref(b)))
     return b
 

@@ -4,10 +4,12 @@ All solvers work on the Gram form of the stacked system.  Because the
 design is a Kronecker product of a small concentration block with the
 basis design, the normal equations split, in the eigenvectors of the
 concentration Gram ``M = Q diag(d) Q'``, into blocks ``d_j C + lam R`` of
-basis dimension K.  The basis Gram ``C = B'B`` and the curvature penalty
-``R`` are banded (half-bandwidth ``p = 3`` for cubic splines), ``R``
-arrives as its band (:class:`PenaltyMatrix`), and ``_FactoredSystem``
-keeps only bands and solves each block with a banded Cholesky
+basis dimension K.  The basis design ``B`` arrives as its band
+(:class:`BasisDesign`, four values per grid site), the basis Gram
+``C = B'B`` and the curvature penalty ``R`` are banded (half-bandwidth
+``p = 3`` for cubic splines), ``R`` arrives as its band
+(:class:`PenaltyMatrix`), and ``_FactoredSystem`` keeps only bands and
+solves each block with a banded Cholesky
 factorization in ``O(K p^2)``: ``m + 1`` of them per lambda and per
 leave-one-out fold, after an eigendecomposition of the ``(m+1)``-square
 ``M``.  GCV takes the hat trace from the band of each
@@ -21,7 +23,8 @@ downdates) all go through it.
 
 GLS fits and their leave-one-out refits share one whitened assembly,
 ``_WhitenedSystem``, built from the same aggregated design (its basis
-design, concentration rows and constraint row), which applies each
+design, concentration rows and constraint row), which fills each block
+of sites' basis rows from the band and applies each
 sample's inverse Cholesky factor by the innovations (Kalman) recursion of
 its noise process, with no T-by-T matrix, in one pass along the grid that
 keeps only each sample's whitened Gram.  No dense inverse is formed: the
@@ -38,7 +41,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import nnls
 
-from .basis import PenaltyMatrix
+from .basis import BasisDesign, PenaltyMatrix
 from .errors import (
     CovarianceConditioningError,
     DegenerateCovarianceError,
@@ -106,33 +109,38 @@ class CovarianceModel:
         return np.exp(-rates), -np.expm1(-2.0 * rates)
 
 
-def _bands(b: np.ndarray, band: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _bands(b: BasisDesign, band: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Lower bands of ``C = B'B`` and of the penalty ``R``, in LAPACK storage.
 
     Row ``i`` of each ``(K, p + 1)`` array holds entries ``(i + q, i)`` for
     ``q = 0 .. p`` (zero past the last row), with ``p`` the half-bandwidth
     of the pair, at least 1.  ``C[i, j]`` is nonzero only when some grid
     site sees both functions, so ``p`` for ``C`` is the widest span of
-    nonzero columns in a row of ``B`` (3 for a cubic basis, 2 when every
-    site is a knot), and diagonal ``q`` of ``C`` is the product of ``B``
-    with itself shifted by ``q`` columns, summed over the sites; ``C`` is
-    never formed.  An all-zero row counts as full width.  ``band`` is the
-    penalty's band (:class:`PenaltyMatrix`), padded with zero columns to
-    the pair's width; None stands for zero.
+    nonzero columns at one site (:attr:`BasisDesign.width`: 3 for a cubic
+    basis, 2 when every site is a knot), and ``C``'s band is summed from
+    the design's band; ``C`` is never formed.  ``band`` is the penalty's
+    band (:class:`PenaltyMatrix`), padded with zero columns to the pair's
+    width; None stands for zero.
     """
-    k = b.shape[1]
-    seen = b != 0
-    spans = k - 1 - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1)
-    width = max(int(spans.max()), 1)
+    width = b.width
     if band is not None:
         width = max(width, band.shape[1] - 1)
-    gram = np.zeros((k, width + 1))
-    penalty = np.zeros((k, width + 1))
-    for q in range(width + 1):
-        gram[:k - q, q] = np.einsum("tk,tk->k", b[:, q:], b[:, :k - q])
-        if band is not None and q < band.shape[1]:
-            penalty[:k - q, q] = band[:k - q, q]
+    gram = b.gram_band(width)
+    penalty = np.zeros_like(gram)
+    if band is not None:
+        penalty[:, :band.shape[1]] = band
     return gram, penalty
+
+
+def _symmetric(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band, in :func:`_bands`' storage,
+    is ``band``."""
+    k = band.shape[0]
+    out = np.zeros((k, k))
+    for q in range(band.shape[1]):
+        rows = np.arange(k - q)
+        out[rows + q, rows] = out[rows, rows + q] = band[:k - q, q]
+    return out
 
 
 def _selected_inverse(factors: np.ndarray) -> np.ndarray:
@@ -174,9 +182,10 @@ def _selected_inverse(factors: np.ndarray) -> np.ndarray:
 class _FactoredSystem:
     """Gram-side view of an aggregated design, solved block by banded block.
 
-    Holds the bands of ``C`` and ``R`` (:func:`_bands`), the small
-    concentration Gram ``M`` and the right-hand-side matrix ``F`` (one row
-    per coefficient block).  With ``M = Q diag(d) Q'`` and ``H = Q'F``, the
+    Holds the bands of ``C`` and ``R`` (:func:`_bands`), the design ``B``
+    as its band, the small concentration Gram ``M`` and the right-hand-side
+    matrix ``F = P B`` (one row per coefficient block), formed from the
+    band.  With ``M = Q diag(d) Q'`` and ``H = Q'F``, the
     coefficients are ``Q Theta``, where row ``j`` of ``Theta`` solves
     ``(d_j C + lam R) theta = h_j``, one LAPACK band factorization and
     solve (``dpbtrf``/``dpbtrs``) of ``O(K p^2)``.  A fit or a fold at
@@ -186,7 +195,8 @@ class _FactoredSystem:
     ``d_j C``, so one Cholesky factorization of ``C``, taken on first use
     and kept (:meth:`_gram_cholesky`), serves the fit and every fold; it
     is the one place a basis the grid cannot resolve raises.  Fold
-    downdates replace ``M`` and ``F`` only; the bands never change.
+    downdates replace ``M`` and ``F`` only, ``F`` through one banded
+    product ``w_i B``; the bands never change.
     """
 
     def __init__(self, design: AggregatedDesign, penalty: np.ndarray | None = None):
@@ -199,7 +209,7 @@ class _FactoredSystem:
         self.conc_aug = design.conc_aug
         self.M = design.conc_aug.T @ design.conc_aug
         self.P = design.conc_aug[:-1].T @ self.w             # (m+1, T)
-        self.F = self.P @ design.b                           # (m+1, K)
+        self.F = design.b.left_multiply(self.P)              # (m+1, K)
         self.num_rows = design.num_rows
         self._full = None
         self._full_rss = None
@@ -209,7 +219,7 @@ class _FactoredSystem:
     def downdated(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         a = self.conc_aug[i]
         m = self.M - np.outer(a, a)
-        f = self.F - np.outer(a, self.w[i] @ self.b)
+        f = self.F - np.outer(a, self.b.left_multiply(self.w[i]))
         return m, f
 
     def _eigh(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,14 +328,14 @@ class _FactoredSystem:
             del resid
         proj, unreached = self._full_rss
         if lams.size == 1 and lams[0] == 0.0:
-            factors, traces = None, np.array([float(evals.size * self.b.shape[1])])
+            factors, traces = None, np.array([float(evals.size * self.b.num_basis)])
         else:
             factors = self._factor(evals, lams)
         rss = []
         for index, lam in enumerate(lams):
             theta = self._blocks(evals, h, lam,
                                  None if factors is None else factors[index])
-            rest = proj - np.sqrt(evals)[:, None] * (theta @ self.b.T)
+            rest = proj - np.sqrt(evals)[:, None] * self.b.evaluate(theta)
             rss.append(unreached + float(np.sum(rest ** 2)))
         if factors is not None:
             # <Z, C> over the band: each off-diagonal entry stands for two.
@@ -369,9 +379,9 @@ def _factored(design: AggregatedDesign, band: np.ndarray | None,
     return system
 
 
-def _diagnostics(coef: np.ndarray, b: np.ndarray, rss: float, trace: float,
+def _diagnostics(coef: np.ndarray, b: BasisDesign, rss: float, trace: float,
                  gcv: float | None = None) -> FitDiagnostics:
-    constraint_curve = coef[1:].sum(axis=0) @ b.T
+    constraint_curve = b.evaluate(coef[1:].sum(axis=0))
     return FitDiagnostics(
         rss=rss,
         hat_trace=trace,
@@ -593,13 +603,16 @@ _BLOCK_SITES = 8
 
 
 def _whitened_blocks(columns, grid: np.ndarray, y: np.ndarray,
-                     cov: CovarianceModel, noise: float = 0.0
+                     cov: CovarianceModel, noise: float = 0.0,
+                     basis: BasisDesign | None = None
                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``L_i^-1`` times sample ``i``'s columns, a block of sites at a time.
 
     ``L_i`` is the Cholesky factor of sample ``i``'s noise covariance plus
     ``noise`` on the diagonal, on the increasing ``grid``; its columns are
-    the ``(T, I or 1, J_p)`` arrays ``columns`` side by side (1: shared).
+    the ``basis`` design's, shared by every sample and filled a block of
+    rows at a time from its band (none when None), then the
+    ``(T, I or 1, J_p)`` arrays ``columns`` side by side (1: shared).
     State ``k`` has variance ``c = y_ik^2 sigma2_k`` and decays by its
     :meth:`CovarianceModel.steps` ``a`` into site ``n``.  Per site, the state
     covariance ``P`` (m, m, I) goes ``P <- a a' o P + diag(c (1 - a^2))``,
@@ -616,7 +629,8 @@ def _whitened_blocks(columns, grid: np.ndarray, y: np.ndarray,
     decay, kept = cov.steps(grid)
     steps = (decay[:, :, None] * decay[:, None, :])[..., None]      # (T, m, m, 1)
     decay = decay[:, :, None, None]
-    buffer = np.empty((_BLOCK_SITES, num, sum(c.shape[2] for c in columns)))
+    lead = 0 if basis is None else basis.num_basis
+    buffer = np.empty((_BLOCK_SITES, num, lead + sum(c.shape[2] for c in columns)))
     scale_buffer = np.empty((_BLOCK_SITES, num))
     # Samples run along the last axis of P, so the sums over states add
     # whole rows; the filters hold the (m, I, J) predicted states.
@@ -626,8 +640,10 @@ def _whitened_blocks(columns, grid: np.ndarray, y: np.ndarray,
     for start in range(0, len(kept), _BLOCK_SITES):
         stop = min(start + _BLOCK_SITES, len(kept))
         block, scales = buffer[:stop - start], scale_buffer[:stop - start]
+        if basis is not None:
+            block[:, :, :lead] = basis.rows(start, stop)[:, None, :]
         np.concatenate([np.broadcast_to(c[start:stop], block.shape[:2] + c.shape[2:])
-                        for c in columns], axis=2, out=block)
+                        for c in columns], axis=2, out=block[:, :, lead:])
         fresh = kept[start:stop, :, None] * variances               # (n, m, I)
         with np.errstate(divide="ignore", invalid="ignore"):
             for n, site in enumerate(range(start, stop)):
@@ -648,19 +664,22 @@ def _whitened_blocks(columns, grid: np.ndarray, y: np.ndarray,
 
 
 def _whitened_grams(columns, grid: np.ndarray, y: np.ndarray,
-                    cov: CovarianceModel, noise: float | None = None) -> np.ndarray:
+                    cov: CovarianceModel, noise: float | None = None,
+                    basis: BasisDesign | None = None) -> np.ndarray:
     """Each sample's Gram (I, J, J) of its :func:`_whitened_blocks` columns.
 
     The samples whose ``S`` fails (a blank sample's covariance is zero) are
     whitened again, by themselves, with ``noise = 1e-8 mean(sigma2)``, and
     their Grams replaced; if that fails too, ``CovarianceConditioningError``.
     """
-    grams = np.zeros((len(y),) + (sum(c.shape[2] for c in columns),) * 2)
+    lead = 0 if basis is None else basis.num_basis
+    grams = np.zeros((len(y),) + (lead + sum(c.shape[2] for c in columns),) * 2)
     product = np.empty_like(grams)
     ok = np.ones(len(y), dtype=bool)
     # A failed sample's columns are not finite; its Grams are replaced.
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, fine in _whitened_blocks(columns, grid, y, cov, noise or 0.0):
+        for block, fine in _whitened_blocks(columns, grid, y, cov, noise or 0.0,
+                                            basis):
             ok &= fine
             np.matmul(block.transpose(1, 2, 0), block.transpose(1, 0, 2), out=product)
             grams += product
@@ -672,20 +691,21 @@ def _whitened_grams(columns, grid: np.ndarray, y: np.ndarray,
             )
         own = [c if c.shape[1] == 1 else c[:, ~ok] for c in columns]
         grams[~ok] = _whitened_grams(own, grid, y[~ok], cov,
-                                     1e-8 * float(np.mean(cov.sigma2)))
+                                     1e-8 * float(np.mean(cov.sigma2)), basis)
     return grams
 
 
 class _WhitenedSystem:
     """Whitened GLS normal equations of a design, kept per sample and in total.
 
-    :func:`_whitened_grams` whitens each sample's basis columns and
-    spectrum; only their Grams are kept: each sample's K-by-K ``G_i`` and
-    K-vector ``h_i``, the totals ``sum_i (r_i r_i') kron G_i`` and
-    ``sum_i r_i kron h_i`` (``r_i = (1, y_i)``, the design's concentration
-    rows) and, for closed rows, the Gram of the design's constraint row
-    (identity noise weight) added to the total.  Fold downdates subtract
-    one sample's term, the GLS counterpart of
+    :func:`_whitened_grams` whitens each sample's basis columns, filled
+    from the design's band, and its spectrum; only their Grams are kept:
+    each sample's K-by-K ``G_i`` and K-vector ``h_i``, the totals
+    ``sum_i (r_i r_i') kron G_i`` and ``sum_i r_i kron h_i`` (``r_i = (1,
+    y_i)``, the design's concentration rows) and, for closed rows, the Gram
+    of the design's constraint row (identity noise weight, ``C = B'B`` from
+    its band) added to the total.  Fold downdates subtract one sample's
+    term, the GLS counterpart of
     :meth:`_FactoredSystem.downdated`.
     """
 
@@ -695,9 +715,9 @@ class _WhitenedSystem:
         b, spectra = design.b, design.spectra
         rows = design.conc_aug[:-1]
         k = design.num_basis
-        full = _whitened_grams((b[:, None, :], spectra.absorbance.T[:, :, None]),
-                               spectra.grid, design.concentrations.values,
-                               cov)                          # (I, K+1, K+1)
+        full = _whitened_grams((spectra.absorbance.T[:, :, None],), spectra.grid,
+                               design.concentrations.values, cov,
+                               basis=b)                      # (I, K+1, K+1)
         self.grams = full[:, :k, :k]
         self.rhs_parts = full[:, :k, k]
         size = rows.shape[1] * k
@@ -706,7 +726,8 @@ class _WhitenedSystem:
         self.rhs = (rows.T @ self.rhs_parts).ravel()
         if design.closed_total is not None:
             e = design.conc_aug[-1]
-            self.gram = self.gram + np.kron(np.outer(e, e), b.T @ b)
+            self.gram = self.gram + np.kron(np.outer(e, e),
+                                            _symmetric(b.gram_band(b.width)))
         self.b = b
         self.rows = rows
         self.num_basis = k
@@ -750,7 +771,7 @@ def fit_gls(design: AggregatedDesign, cov: CovarianceModel,
     coef = system.solve()
     diag = None
     if diagnostics:
-        fitted = (system.rows @ coef) @ system.b.T
+        fitted = system.rows @ system.b.evaluate(coef)
         rss = float(np.sum((design.spectra.absorbance - fitted) ** 2))
         diag = _diagnostics(coef, system.b, rss, float(coef.size))
     return _model(design, coef, "GLS-K", 0.0, diag)

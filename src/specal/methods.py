@@ -131,8 +131,7 @@ class FunctionalStrategy(Strategy):
         """Noise covariance fitted to the residuals of a pilot OLS fit."""
         pilot = fit_ols(design, diagnostics=False)
         resid = design.spectra.absorbance - (
-            (design.conc_aug[:-1] @ pilot.coefficients) @ design.b.T
-        )
+            design.conc_aug[:-1] @ design.b.evaluate(pilot.coefficients))
         return fit_covariance(resid, design.concentrations, design.spectra.grid)
 
     def _calibration(self, spectra: SpectraSet,

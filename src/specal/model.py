@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KnotVector, cached_design_matrix
+from .basis import BasisDesign, KnotVector, cached_design_matrix
 from .errors import CollinearConcentrationsError, ShapeError
 
 
@@ -174,8 +174,7 @@ class CalibrationModel:
 
     def curve_values(self, grid: np.ndarray) -> np.ndarray:
         """(m+1, T) matrix of baseline and analyte curves on ``grid``."""
-        b = cached_design_matrix(self.basis, grid)
-        return self.coefficients @ b.T
+        return cached_design_matrix(self.basis, grid).evaluate(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -184,13 +183,14 @@ class AggregatedDesign:
 
     ``conc_aug`` holds the intercept-plus-concentration rows with the
     appended constraint row, so the full design is its Kronecker product
-    with the basis design ``b``.  That product is never formed: fitting
-    code works on the factored pair.  ``closed_total`` is the row total
+    with the basis design ``b``, held as its band (:class:`BasisDesign`).
+    Neither that product nor a dense ``b`` is formed: fitting code works on
+    the factored pair.  ``closed_total`` is the row total
     the constraint row was built for (None for open rows), the closure
     every fit of the design records.
     """
 
-    b: np.ndarray
+    b: BasisDesign
     conc_aug: np.ndarray
     spectra: SpectraSet
     concentrations: ConcentrationMatrix
@@ -203,7 +203,7 @@ class AggregatedDesign:
 
     @property
     def num_basis(self) -> int:
-        return self.b.shape[1]
+        return self.b.num_basis
 
     @property
     def num_rows(self) -> int:

@@ -68,7 +68,7 @@ def true_curves(domain: tuple[float, float]) -> tuple[KnotVector, np.ndarray]:
     """
     kv = make_knots(domain, CURVE_NUM_BASIS)
     dense = np.linspace(domain[0], domain[1], 25 * CURVE_NUM_BASIS)
-    b = design_matrix(kv, dense)
+    b = design_matrix(kv, dense).dense()
     coef = np.zeros((NUM_ANALYTES + 1, CURVE_NUM_BASIS))
     coef[0] = BASELINE_LEVEL  # partition of unity: exact constant
     for ell, (c, w, h) in enumerate(
@@ -168,7 +168,7 @@ def generate_dataset(cfg: SimConfig, noise_stream: int = 0,
     """
     grid = cfg.grid
     kv, coef = true_curves((cfg.grid_start, cfg.grid_end))
-    curve_values = coef @ design_matrix(kv, grid).T
+    curve_values = coef @ design_matrix(kv, grid).dense().T
     m = cfg.num_analytes
     y = np.vstack([
         sample_dirichlet(_stream(cfg.seed, _CONC_STREAM, conc_stream, i),

@@ -2,14 +2,15 @@
 
 The program never builds these: the stacked Kronecker system, a sample's
 full wavelength-by-wavelength noise covariance and its Cholesky factor,
-tables of basis derivatives and leave-one-out fits rebuilt from scratch
+dense tables of basis values and derivatives, and leave-one-out fits
+rebuilt from scratch
 are what the banded, recursive and downdating paths exist to avoid.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-from specal.basis import _all_values
+from specal.basis import _inverse_widths, _nonzero_triangle, _padded, _span_indices
 from specal.calibrate import CovarianceModel
 from specal.errors import DomainError, ShapeError
 from specal.model import ConcentrationMatrix, SpectraSet
@@ -23,7 +24,7 @@ def dense_system(design):
     wavelength-minor, followed by one zero per grid site for the
     constraint block.
     """
-    x_plus = np.kron(design.conc_aug, design.b)
+    x_plus = np.kron(design.conc_aug, design.b.dense())
     w_plus = np.concatenate([design.spectra.absorbance.ravel(order="C"),
                              np.zeros(design.spectra.num_wavelengths)])
     return x_plus, w_plus
@@ -48,13 +49,32 @@ def dense_factor(grid, sigma2, phi):
     return sla.cholesky(dense_covariance(cov, grid, [1.0]), lower=True)
 
 
+def basis_values(knots, order, x, deriv=0):
+    """Dense (len(x), num_basis) table of basis (derivative) values.
+
+    Each site's nonzero values are scattered into a padded dense table,
+    then differenced ``deriv`` times by the knot-difference formula.
+    """
+    knots_p, pad = _padded(knots, order)
+    span = _span_indices(knots_p, x)
+    base_order = order - deriv
+    triangle = _nonzero_triangle(knots_p, base_order, span, x)
+    dense = np.zeros((x.size, knots_p.size - base_order))
+    cols = span[:, None] - base_order + 1 + np.arange(base_order)[None, :]
+    np.put_along_axis(dense, cols, triangle, axis=1)
+    for q in range(base_order, order):
+        scaled = dense * _inverse_widths(knots_p, q)[None, :]
+        dense = q * (scaled[:, :-1] - scaled[:, 1:])
+    return dense[:, pad:pad + (knots.size - order)]
+
+
 def derivative_matrix(kv, grid, deriv=2):
     """(len(grid), K) table of basis derivative values of order ``deriv``."""
     grid = np.asarray(grid, dtype=float)
     a, b = kv.domain
     if grid.size == 0 or np.min(grid) < a or np.max(grid) > b:
         raise DomainError("derivative grid outside basis domain")
-    return _all_values(kv.knots, kv.order, grid, deriv=deriv)
+    return basis_values(kv.knots, kv.order, grid, deriv=deriv)
 
 
 def naive_jackknife_fits(strategy, spectra, conc):

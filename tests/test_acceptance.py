@@ -19,7 +19,6 @@ from specal.basis import (
     design_matrix,
     make_knots,
     penalty_matrix,
-    _all_values,
 )
 from specal.calibrate import (
     CovarianceModel,
@@ -42,7 +41,7 @@ from specal.simulate import (
     sample_dirichlet,
 )
 
-from oracles import dense_covariance, dense_system, derivative_matrix
+from oracles import basis_values, dense_covariance, dense_system, derivative_matrix
 from test_basis import dense_penalty
 from test_simulate import colour
 
@@ -75,7 +74,7 @@ def test_criterion_1_basis_correctness():
         for _ in range(1000):
             kv = random_knot_vector(rng)
             t = rng.uniform(0.0, 10.0)
-            values = design_matrix(kv, [t])[0]
+            values = design_matrix(kv, [t]).dense()[0]
             assert abs(values.sum() - 1.0) < 1e-12
             assert np.all(values >= 0.0)
             for k in np.nonzero(values)[0]:
@@ -107,8 +106,8 @@ def test_criterion_1_basis_correctness():
         npt.assert_allclose(entries, simpson,
                             atol=1e-8 * max(1.0, np.abs(entries).max()))
 
-        cardinal = _all_values(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), 4,
-                               np.array([2.0]))[0, 0]
+        cardinal = basis_values(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), 4,
+                                 np.array([2.0]))[0, 0]
         assert abs(cardinal - 2.0 / 3.0) < 1e-13
 
 
@@ -116,7 +115,7 @@ def _identity_system(seed):
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 10.0, 31)
     kv = make_knots((0.0, 10.0), 6)
-    b = design_matrix(kv, grid)
+    b = design_matrix(kv, grid).dense()
     coef = rng.standard_normal((3, 6))
     theta = np.linspace(0.2, 1.3, 8) + rng.uniform(-0.05, 0.05, 8)
     y = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -182,7 +181,7 @@ def test_criterion_3_prediction_oracle():
         kv = make_knots((0.0, 10.0), 8)
         coef = rng.standard_normal((4, 8))
         y_cal = rng.uniform(0.1, 1.5, (10, 3))
-        b = design_matrix(kv, grid)
+        b = design_matrix(kv, grid).dense()
         w_cal = coef[0] @ b.T + y_cal @ (coef[1:] @ b.T)
         model = fit_ols(assemble_design(
             SpectraSet(grid=grid, absorbance=w_cal),

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import BSpline
 
 from specal.basis import (
     KnotVector,
@@ -11,7 +12,6 @@ from specal.basis import (
     knots_from_grid,
     make_knots,
     penalty_matrix,
-    _all_values,
 )
 from specal.errors import (
     DomainError,
@@ -21,7 +21,7 @@ from specal.errors import (
     UnsupportedOrderError,
 )
 
-from oracles import derivative_matrix
+from oracles import basis_values, derivative_matrix
 
 
 def naive_bspline(knots, order, k, t):
@@ -79,7 +79,7 @@ def dense_gauss_penalty(kv):
     offset = half / np.sqrt(3.0)
     nodes = np.concatenate([mid - offset, mid + offset])
     weights = np.concatenate([half, half])
-    d2 = _all_values(kv.knots, kv.order, nodes, deriv=2)
+    d2 = basis_values(kv.knots, kv.order, nodes, deriv=2)
     entries = (d2 * weights[:, None]).T @ d2
     return 0.5 * (entries + entries.T)
 
@@ -120,7 +120,7 @@ class TestEvalBasis:
     def test_partition_of_unity(self, num_basis, frac, seed):
         kv = random_knots(np.random.default_rng(seed), num_basis)
         t = 10.0 * frac
-        values = design_matrix(kv, [t])[0]
+        values = design_matrix(kv, [t]).dense()[0]
         assert abs(values.sum() - 1.0) < 1e-12
         assert np.all(values >= 0)
         assert np.count_nonzero(values) <= 4
@@ -128,7 +128,7 @@ class TestEvalBasis:
     def test_matches_naive_recursion(self):
         kv = random_knots(np.random.default_rng(5), 9)
         for t in np.linspace(0.01, 9.99, 7):
-            values = design_matrix(kv, [t])[0]
+            values = design_matrix(kv, [t]).dense()[0]
             oracle = [naive_bspline(kv.knots, 4, k, t) for k in range(9)]
             npt.assert_allclose(values, oracle, atol=1e-13)
 
@@ -136,12 +136,12 @@ class TestEvalBasis:
         # Single cubic spline on simple knots 0..4: value 2/3 at the middle.
         knots = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         assert naive_bspline(knots, 4, 0, 2.0) == pytest.approx(2 / 3)
-        value = _all_values(knots, 4, np.array([2.0]))
+        value = basis_values(knots, 4, np.array([2.0]))
         npt.assert_allclose(value, [[2 / 3]], atol=1e-14)
 
     def test_left_endpoint_is_first_function(self):
         kv = make_knots((2.0, 7.0), 9)
-        values = design_matrix(kv, [2.0])[0]
+        values = design_matrix(kv, [2.0]).dense()[0]
         expected = np.zeros(9)
         expected[0] = 1.0
         npt.assert_allclose(values, expected, atol=1e-15)
@@ -149,7 +149,7 @@ class TestEvalBasis:
     def test_local_support(self):
         kv = random_knots(np.random.default_rng(11), 12)
         for t in np.linspace(0.0, 10.0, 23):
-            values = design_matrix(kv, [t])[0]
+            values = design_matrix(kv, [t]).dense()[0]
             for k in range(kv.num_basis):
                 if t < kv.knots[k] or t > kv.knots[k + 4]:
                     assert values[k] == 0.0
@@ -165,7 +165,7 @@ class TestEvalBasis:
 class TestDesignMatrix:
     def test_minimal_basis_endpoints(self):
         kv = make_knots((0.0, 1.0), 4)
-        mat = design_matrix(kv, np.array([0.0, 1.0]))
+        mat = design_matrix(kv, np.array([0.0, 1.0])).dense()
         npt.assert_allclose(mat, [[1, 0, 0, 0], [0, 0, 0, 1]], atol=1e-15)
 
     def test_row_sums(self):
@@ -173,7 +173,7 @@ class TestDesignMatrix:
         kv = random_knots(rng, 10)
         grid = np.sort(rng.uniform(0, 10, 40))
         grid = np.unique(grid)
-        mat = design_matrix(kv, grid)
+        mat = design_matrix(kv, grid).dense()
         npt.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
     def test_full_rank_on_interlacing_grid(self):
@@ -184,7 +184,7 @@ class TestDesignMatrix:
         grid = np.unique(
             np.concatenate([greville_points(kv), np.linspace(0, 10, 25)])
         )
-        mat = design_matrix(kv, grid)
+        mat = design_matrix(kv, grid).dense()
         assert np.linalg.matrix_rank(mat) == kv.num_basis
 
     def test_rejects_unsorted_or_duplicate_grid(self):
@@ -199,20 +199,75 @@ class TestDesignMatrix:
         kv = make_knots((0.0, 10.0), 8)
         grid = np.linspace(0.0, 10.0, 41)
         first = cached_design_matrix(kv, grid)
-        assert not first.flags.writeable
-        npt.assert_array_equal(first, design_matrix(kv, grid))
+        assert not first.values.flags.writeable
+        assert not first.first.flags.writeable
+        npt.assert_array_equal(first.dense(), design_matrix(kv, grid).dense())
         assert cached_design_matrix(kv, grid.copy()) is first
         assert cached_design_matrix(make_knots((0.0, 10.0), 8), grid) is not first
         shifted = 0.9 * grid
         other = cached_design_matrix(kv, shifted)
-        npt.assert_array_equal(other, design_matrix(kv, shifted))
+        npt.assert_array_equal(other.dense(), design_matrix(kv, shifted).dense())
         assert cached_design_matrix(kv, shifted.copy()) is other
         # The knot vector holds its matrix weakly: once the callers drop
         # it, it is freed and the next call evaluates again.
         del other
         assert kv.__dict__["_design"][1]() is None
-        npt.assert_array_equal(cached_design_matrix(kv, shifted),
-                               design_matrix(kv, shifted))
+        npt.assert_array_equal(cached_design_matrix(kv, shifted).dense(),
+                               design_matrix(kv, shifted).dense())
+
+
+def band_cases():
+    """(knots, grid, B'B half-bandwidth) of five bases: every site a knot,
+    14 uniform functions, random knots with a double and a triple interior
+    knot, every site of a non-uniform grid a knot, and unclamped knots,
+    whose last site's span reaches past the last basis function."""
+    rng = np.random.default_rng(14)
+    grid = np.arange(350.0, 751.0, 5.0)
+    interior = np.sort(rng.uniform(0.0, 10.0, 20))
+    interior[7] = interior[8]
+    interior[12:15] = interior[12]
+    repeated = KnotVector(np.concatenate([np.zeros(4), interior, np.full(4, 10.0)]))
+    uneven = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, 60)), [10.0]])
+    return {
+        "every-site": (knots_from_grid(grid), grid, 2),
+        "k14": (make_knots((350.0, 750.0), 14), grid, 3),
+        "repeated-knots": (repeated, np.linspace(0.0, 10.0, 97), 3),
+        "non-uniform": (knots_from_grid(uneven), uneven, 2),
+        "unclamped": (KnotVector(np.arange(12.0)), np.linspace(3.0, 8.0, 33), 3),
+    }
+
+
+def assert_band_close(got, want):
+    npt.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+class TestBandOracle:
+    """The banded design and its products against scipy's dense design."""
+
+    @pytest.mark.parametrize("case", list(band_cases()))
+    def test_products_match_scipy(self, case):
+        kv, grid, width = band_cases()[case]
+        b = design_matrix(kv, grid)
+        want = BSpline.design_matrix(grid, kv.knots, kv.order - 1).toarray()
+        k = kv.num_basis
+        assert b.width == width
+        assert b.values.shape == (grid.size, kv.order)
+        assert_band_close(b.dense(), want)
+        band = b.gram_band(3)
+        gram = want.T @ want
+        for q in range(4):
+            assert_band_close(band[:k - q, q], np.diag(gram, -q))
+            npt.assert_array_equal(band[k - q:, q], 0.0)
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((2, 3, grid.size))
+        assert_band_close(b.left_multiply(x), x @ want)
+        assert_band_close(b.left_multiply(x[0, 0]), x[0, 0] @ want)
+        theta = rng.standard_normal((3, k))
+        assert_band_close(b.evaluate(theta), theta @ want.T)
+        assert_band_close(b.evaluate(theta[0]), theta[0] @ want.T)
+        for start in range(0, grid.size, 8):
+            stop = min(start + 8, grid.size)
+            assert_band_close(b.rows(start, stop), want[start:stop])
 
 
 class TestDerivatives:
@@ -221,7 +276,8 @@ class TestDerivatives:
         grid = np.linspace(0.5, 9.5, 17)
         h = 1e-6
         d1 = derivative_matrix(kv, grid, deriv=1)
-        fd = (_all_values(kv.knots, 4, grid + h) - _all_values(kv.knots, 4, grid - h)) / (2 * h)
+        fd = (basis_values(kv.knots, 4, grid + h)
+              - basis_values(kv.knots, 4, grid - h)) / (2 * h)
         npt.assert_allclose(d1, fd, atol=1e-6)
 
     def test_second_derivative_matches_finite_differences(self):
@@ -230,9 +286,9 @@ class TestDerivatives:
         h = 1e-4
         d2 = derivative_matrix(kv, grid, deriv=2)
         fd = (
-            _all_values(kv.knots, 4, grid + h)
-            - 2 * _all_values(kv.knots, 4, grid)
-            + _all_values(kv.knots, 4, grid - h)
+            basis_values(kv.knots, 4, grid + h)
+            - 2 * basis_values(kv.knots, 4, grid)
+            + basis_values(kv.knots, 4, grid - h)
         ) / h ** 2
         npt.assert_allclose(d2, fd, atol=1e-4)
 

@@ -5,7 +5,13 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import nnls
 
-from specal.basis import design_matrix, make_knots, penalty_matrix
+from specal.basis import (
+    BasisDesign,
+    design_matrix,
+    knots_from_grid,
+    make_knots,
+    penalty_matrix,
+)
 from specal.calibrate import (
     PHI_GRID,
     CovarianceModel,
@@ -54,7 +60,7 @@ def small_design(rng, num_samples=3, num_points=10, num_basis=5, num_analytes=1,
                  noise=0.05):
     grid = np.linspace(0.0, 1.0, num_points)
     kv = make_knots((0.0, 1.0), num_basis)
-    b = design_matrix(kv, grid)
+    b = design_matrix(kv, grid).dense()
     coef = rng.standard_normal((num_analytes + 1, num_basis))
     y = rng.uniform(0.1, 1.5, (num_samples, num_analytes))
     w = coef[0] @ b.T + y @ (coef[1:] @ b.T) + noise * rng.standard_normal(
@@ -81,7 +87,7 @@ class TestFitOls:
         w = rng.standard_normal((1, 12))
         grid = np.linspace(0.0, 1.0, 12)
         design = AggregatedDesign(
-            b=q,
+            b=BasisDesign(q, np.zeros(12, dtype=int), 4),
             conc_aug=np.array([[1.0], [0.0]]),
             spectra=SpectraSet(grid=grid, absorbance=w),
             concentrations=ConcentrationMatrix(values=np.zeros((1, 0))),
@@ -282,7 +288,6 @@ class TestGcv:
         # Smoothing-spline setup with a smooth truth; the coarse-grid
         # selection must land within a factor two of the RSS at the
         # exhaustive fine-grid choice.
-        from specal.basis import knots_from_grid
 
         rng = np.random.default_rng(30)
         grid_t = np.linspace(0.0, 1.0, 25)
@@ -306,7 +311,6 @@ class TestGcv:
     def test_fit_diagnostics_gcv_equals_gcv_score(self):
         # Fits, scores and lambda selection share one GCV evaluation, so the
         # fit's recorded score and gcv_score agree exactly.
-        from specal.basis import knots_from_grid
 
         rng = np.random.default_rng(31)
         designs = [small_design(rng, num_samples=4)]
@@ -404,7 +408,7 @@ class TestBandedSolver:
         design, pen = self.make()
         with mpmath.workdps(50):
             conc = mpmath.matrix(design.conc_aug.tolist())
-            b = mpmath.matrix(design.b.tolist())
+            b = mpmath.matrix(design.b.dense().tolist())
             gram = _mp_kron(mpmath, conc.T * conc, b.T * b)
             penalty = _mp_kron(mpmath, mpmath.eye(conc.cols),
                                mpmath.matrix(dense_penalty(pen).tolist()))
@@ -449,7 +453,6 @@ class TestBandedSolver:
         assert len(calls) == 1
 
     def make(self):
-        from specal.basis import knots_from_grid
 
         rng = np.random.default_rng(40)
         grid_t = 350.0 + 10.0 * np.arange(15)
@@ -465,7 +468,8 @@ class TestBandedSolver:
     def test_matches_dense_penalized_system(self):
         design, pen = self.make()
         x, w = dense_system(design)
-        assert np.linalg.matrix_rank(design.b.T @ design.b) < design.num_basis
+        b = design.b.dense()
+        assert np.linalg.matrix_rank(b.T @ b) < design.num_basis
         for lam in (1e-4, 1.0, 1e8):
             gram = x.T @ x + lam * np.kron(np.eye(3), dense_penalty(pen))
             theta = np.linalg.solve(gram, x.T @ w)
@@ -496,6 +500,32 @@ class TestBandedSolver:
             fit_penalized(design, pen, 0.0)
         with pytest.raises(SingularDesignError):
             dict(loo_coefficients(design, pen, 0.0))
+
+    def test_memory_holds_no_dense_basis_design(self):
+        # The design is held as its band, so lambda selection, the fit and
+        # the folds at T = 1001 (K = 1003) peak below what the dense (T, K)
+        # basis design alone would take, 8 T K bytes (7.66 MiB).
+        import tracemalloc
+
+        rng = np.random.default_rng(33)
+        num_points, num_samples = 1001, 20
+        grid = np.linspace(350.0, 750.0, num_points)
+        spectra = SpectraSet(grid=grid,
+                             absorbance=rng.standard_normal((num_samples, num_points)))
+        conc = ConcentrationMatrix(values=rng.dirichlet(np.ones(3), num_samples))
+        kv = knots_from_grid(grid)
+        pen = penalty_matrix(kv)
+        tracemalloc.start()
+        try:
+            design = assemble_design(spectra, conc, kv)
+            lam = select_lambda(design, pen)
+            fit_penalized(design, pen, lam)
+            folds = sum(1 for _ in loo_coefficients(design, pen, lam))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert folds == num_samples
+        assert peak < 0.6 * num_points * kv.num_basis * 8
 
 
 class TestLooRefits:
@@ -687,7 +717,7 @@ class TestGls:
         rng = np.random.default_rng(seed)
         grid = np.linspace(0.0, 10.0, 31)
         kv = make_knots((0.0, 10.0), 6)
-        b = design_matrix(kv, grid)
+        b = design_matrix(kv, grid).dense()
         coef = rng.standard_normal((3, 6))
         y = equal_norm_rows(num_samples)
         w = coef[0] @ b.T + y @ (coef[1:] @ b.T) + noise * rng.standard_normal(
@@ -728,7 +758,7 @@ class TestGls:
         # which is exactly what the weighting exploits.
         grid = np.linspace(0.0, 10.0, 31)
         kv = make_knots((0.0, 10.0), 6)
-        b = design_matrix(kv, grid)
+        b = design_matrix(kv, grid).dense()
         rng = np.random.default_rng(25)
         coef = rng.standard_normal((3, 6))
         scales = np.linspace(0.5, 2.0, 10)[:, None]
@@ -804,7 +834,7 @@ class TestGls:
         rng = np.random.default_rng(27)
         grid = np.linspace(0.0, 10.0, 31)
         kv = make_knots((0.0, 10.0), 6)
-        b = design_matrix(kv, grid)
+        b = design_matrix(kv, grid).dense()
         coef = rng.standard_normal((3, 6))
         coef[1:] -= coef[1:].mean(axis=0)
         y = rng.dirichlet(np.ones(2), 8)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from specal.basis import design_matrix, make_knots
+from specal.basis import BasisDesign, design_matrix, make_knots
 from specal.calibrate import fit_ols
 from specal.errors import CollinearConcentrationsError, ShapeError
 from specal.model import (
@@ -21,7 +21,7 @@ def make_dataset(rng, num_samples=6, num_basis=8, num_analytes=2,
                  sum_zero=False, closed=False, noise=0.0):
     grid = np.linspace(0.0, 10.0, 41)
     kv = make_knots((0.0, 10.0), num_basis)
-    b = design_matrix(kv, grid)
+    b = design_matrix(kv, grid).dense()
     coef = rng.standard_normal((num_analytes + 1, num_basis))
     if sum_zero:
         coef[1:] -= coef[1:].mean(axis=0)
@@ -92,7 +92,7 @@ class TestAssembleDesign:
                              absorbance=np.array([[1.5, 2.5]]))
         conc = ConcentrationMatrix(values=np.array([[0.5]]))
         design = AggregatedDesign(
-            b=np.eye(2),
+            b=BasisDesign(np.eye(2), np.zeros(2, dtype=int), 2),
             conc_aug=np.array([[1.0, 0.5], [0.0, 1.0]]),
             spectra=spectra,
             concentrations=conc,
@@ -124,7 +124,7 @@ class TestAssembleDesign:
         design = assemble_design(spectra, conc, kv)
         coef = rng.standard_normal((conc.num_analytes + 1, kv.num_basis))
         via_dense = dense_system(design)[0] @ coef.ravel()
-        per_sample = (design.conc_aug @ coef) @ design.b.T
+        per_sample = design.b.evaluate(design.conc_aug @ coef)
         npt.assert_allclose(via_dense, per_sample.ravel(), atol=1e-12)
 
     def test_duplicate_rows_raise_collinear(self):
@@ -198,9 +198,9 @@ class TestAssembleDesign:
         x_plus, w_plus = dense_system(design)
         resid = w_plus - x_plus @ coef.ravel()
         data_part = np.sum(
-            (spectra.absorbance - (design.conc_aug[:-1] @ coef) @ design.b.T) ** 2
+            (spectra.absorbance - design.b.evaluate(design.conc_aug[:-1] @ coef)) ** 2
         )
-        sum_curve = coef[1:].sum(axis=0) @ design.b.T
+        sum_curve = design.b.evaluate(coef[1:].sum(axis=0))
         npt.assert_allclose(np.sum(resid ** 2), data_part + np.sum(sum_curve ** 2),
                             rtol=1e-12)
 
@@ -217,7 +217,7 @@ class TestCurveValues:
         spectra, conc, kv, coef = make_dataset(rng, sum_zero=True)
         model = fit_ols(assemble_design(spectra, conc, kv))
         baseline = model.curve_values(spectra.grid)[0]
-        npt.assert_allclose(baseline, coef[0] @ design_matrix(kv, spectra.grid).T,
+        npt.assert_allclose(baseline, coef[0] @ design_matrix(kv, spectra.grid).dense().T,
                             atol=1e-10)
 
     def test_reproduces_training_spectrum(self):

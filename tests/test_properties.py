@@ -3,8 +3,12 @@
 Reordering the calibration samples changes nothing a functional fit
 reports, and measuring the concentrations in other units (``y -> c y``,
 with the closure total becoming ``c``) scales every prediction and every
-jackknife spread by ``c``.  The CSV loaders read a table to the same bits,
-or fail with the same message, whichever of their two readers takes it.
+jackknife spread by ``c``.  Measuring the absorbance in other units
+(``W -> c W``) scales the fitted curves by ``c`` and leaves predictions
+and spreads alone; so does adding one straight line to every spectrum,
+which the baseline curve absorbs without curvature.  The CSV loaders
+read a table to the same bits, or fail with the same message, whichever
+of their two readers takes it.
 """
 
 import tempfile
@@ -35,15 +39,22 @@ SPECS = {
     "gls-k": FitSpec(method="gls-k", num_basis=10),
     "ols-ss": FitSpec(method="ols-ss", lam=10.0),
 }
+# The absorbance properties also choose lambda by GCV and cover a baseline.
+SYMMETRY_SPECS = {**SPECS, "ols-ss": FitSpec(method="ols-ss"),
+                  "pls": FitSpec(method="pls")}
 # Two-decimal factors keep the closure total exact at 5 significant digits.
 SCALES = st.integers(50, 20000).map(lambda n: n / 100)
 
 
-def predictions_and_spreads(spec, spectra, conc):
+def predictions_and_spreads(spec, spectra, conc, new=NEW):
     strategy = make_strategy(spec)
     fitted = strategy.fit(spectra, conc)
-    return (fitted, strategy.predict_fitted(fitted, NEW),
+    return (fitted, strategy.predict_fitted(fitted, new),
             jackknife_sd(spectra, conc, spec))
+
+
+def transformed(spectra, change):
+    return SpectraSet(grid=spectra.grid, absorbance=change(spectra.absorbance))
 
 
 def reordered(order):
@@ -92,6 +103,44 @@ def test_covariance_scales_inversely_with_units(c):
         spectra, ConcentrationMatrix(values=c * conc.values), kv))
     npt.assert_array_equal(cov_c.phi, cov.phi)
     npt.assert_allclose(cov_c.sigma2, cov.sigma2 / c ** 2, rtol=1e-8)
+
+
+@pytest.mark.parametrize("method", list(SYMMETRY_SPECS))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(c=st.sampled_from([1e-3, 0.01, 0.37, 10.0, 1e3]))
+def test_absorbance_units_scale_only_the_curves(method, c):
+    # GLS-K adds the constraint Gram with unit weight while its whitened
+    # data Gram scales as 1 / c^2, so its rounding grows as c^2 (3.5e-8
+    # relative at c = 1e3); the other methods hold to about 1e-14.
+    rtol = 1e-6 if method == "gls-k" else 1e-8
+    spectra, conc, _ = CAL
+    fitted, want_pred, want_spread = predictions_and_spreads(
+        SYMMETRY_SPECS[method], spectra, conc)
+    fitted_c, pred, spread = predictions_and_spreads(
+        SYMMETRY_SPECS[method], transformed(spectra, lambda w: c * w), conc,
+        transformed(NEW, lambda w: c * w))
+    npt.assert_allclose(pred, want_pred, rtol=rtol)
+    npt.assert_allclose(spread, want_spread, rtol=rtol)
+    if method != "pls":
+        want = c * fitted.curve_values(spectra.grid)
+        npt.assert_allclose(fitted_c.curve_values(spectra.grid), want, rtol=0,
+                            atol=rtol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("method", list(SYMMETRY_SPECS))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(offset=st.integers(-50, 50), slope=st.integers(-50, 50))
+def test_added_line_leaves_predictions(method, offset, slope):
+    spectra, conc, _ = CAL
+    grid = spectra.grid
+    line = 0.1 * (offset + slope * (grid - grid[0]) / (grid[-1] - grid[0]))
+    _, want_pred, want_spread = predictions_and_spreads(
+        SYMMETRY_SPECS[method], spectra, conc)
+    _, pred, spread = predictions_and_spreads(
+        SYMMETRY_SPECS[method], transformed(spectra, lambda w: w + line), conc,
+        transformed(NEW, lambda w: w + line))
+    npt.assert_allclose(pred, want_pred, rtol=1e-8)
+    npt.assert_allclose(spread, want_spread, rtol=1e-8)
 
 
 # Table layouts as (header and rows from a value matrix, loader).  The

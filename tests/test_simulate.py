@@ -293,9 +293,8 @@ class TestStrategyFastPaths:
         kv = make_knots((cfg.grid_start, cfg.grid_end), 10)
         design = assemble_design(spectra, conc, kv)
         pilot = fit_ols(design, diagnostics=False)
-        resid = spectra.absorbance - (
-            (design.conc_aug[:-1] @ pilot.coefficients) @ design.b.T
-        )
+        resid = spectra.absorbance - design.b.evaluate(
+            design.conc_aug[:-1] @ pilot.coefficients)
         cov = fit_covariance(resid, conc, spectra.grid)
         for i in fast_fits:
             keep = np.arange(8) != i

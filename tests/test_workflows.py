@@ -21,7 +21,7 @@ from specal.predict import jackknife_sd, predict_concentrations, sep
 def synthetic_mixture(rng, grid, num_cal, num_pred, num_analytes,
                       noise=0.01, scale=1.0):
     kv = make_knots((grid[0], grid[-1]), 10)
-    b = design_matrix(kv, grid)
+    b = design_matrix(kv, grid).dense()
     coef = np.abs(rng.standard_normal((num_analytes + 1, 10))) * scale
     y_cal = rng.uniform(0.05, 1.0, (num_cal, num_analytes))
     y_pred = rng.uniform(0.05, 1.0, (num_pred, num_analytes))
