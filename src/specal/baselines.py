@@ -5,13 +5,31 @@ treated as unordered wavelength variables.  With more wavelengths than
 samples the MLR solution is the minimum-norm one, so PCR and PLS with a
 full set of components reproduce its training predictions.
 
-Every fit starts from one :class:`Decomposition`: the centered data and
-the thin SVD of the centered spectra.  MLR, PCR and PLS all read their
-coefficients off it, so a leave-one-out fold decomposes its spectra once
-for every baseline.  PLS2 is the kernel algorithm of Dayal & MacGregor
-(1997, J. Chemometrics 11:73-85), run in the principal-axis basis where
-the spectra's cross-product matrix is diagonal; it reaches the fixed
-point of NIPALS without iterating.
+Each rule reads its coefficients off principal coordinates: the singular
+values of the centered spectra and the centered concentrations on their
+left singular vectors.  A full fit takes these from the thin SVD of its
+data (:class:`Decomposition`) and maps its coefficients back to
+wavelengths.  A jackknife takes one SVD of the whole calibration set and
+downdates each fold in its principal coordinates (:func:`downdated_folds`):
+dropping a sample and recentering changes the spectra's cross-product by
+one rank-one term, so a fold's singular values and rotation come from a
+rank-by-rank symmetric eigenproblem (Bunch, Nielsen & Sorensen 1978,
+Numer. Math. 31:31-48), and its held-out sample is predicted there with
+no wavelength-length array.  Solving for squared singular values costs
+relative accuracy in the small ones: each eigenvalue carries an absolute
+error near ``eps s_0^2``.  PCR and PLS, which read the leading
+directions, keep full accuracy.  MLR divides by every singular value, so
+a fold is downdated only while its smallest eigenvalue is above
+``sqrt(eps) s_0^2``, keeping MLR within about ``sqrt(eps)`` relative of
+a refit from scratch.  A fold below that (one that may have lost a
+direction, or keeps one badly conditioned) is taken instead from a thin
+SVD of its rows in principal coordinates, with the rank cutoff of
+``numpy.linalg.lstsq``.
+
+PLS2 is the kernel algorithm of Dayal & MacGregor (1997, J. Chemometrics
+11:73-85), run in the principal-axis basis where the spectra's
+cross-product matrix is diagonal; it reaches the fixed point of NIPALS
+without iterating.
 """
 
 from __future__ import annotations
@@ -70,12 +88,14 @@ class MultivariateModel:
 @dataclass(frozen=True)
 class Decomposition:
     """Calibration means and the thin SVD ``u diag(s) vt`` of the centered
-    spectra.
+    spectra, for a full fit.
 
     ``rank`` counts the singular values above ``s[0] max(shape) eps``, the
     cutoff of ``numpy.linalg.lstsq(rcond=None)``.  ``uy`` holds the
     centered concentrations in the principal basis, ``u'Y`` over those
-    ``rank`` directions.
+    ``rank`` directions.  Jackknife folds do not decompose their own
+    spectra: :func:`downdated_folds` downdates this decomposition of the
+    whole set.
     """
 
     w_mean: np.ndarray
@@ -87,15 +107,18 @@ class Decomposition:
     uy: np.ndarray
 
     def model(self, method: str, principal_coef: np.ndarray,
-              components: int | None = None,
-              scores: np.ndarray | None = None) -> MultivariateModel:
+              rotation: np.ndarray | None = None) -> MultivariateModel:
         """Model whose coefficients are ``principal_coef`` (one row per
-        leading principal direction) mapped back to wavelengths."""
+        leading principal direction) mapped back to wavelengths; a
+        component model's ``rotation`` takes principal coordinates to its
+        scores."""
         coef = self.vt[:principal_coef.shape[0]].T @ principal_coef
-        explained = None
-        if components is not None:
+        components = explained = scores = None
+        if rotation is not None:
+            components = rotation.shape[1]
             var = self.s[:self.rank] ** 2
             explained = float(np.sum(var[:components]) / np.sum(var))
+            scores = (self.u[:, :self.rank] * self.s[:self.rank]) @ rotation
         return MultivariateModel(
             method=method,
             intercept=self.y_mean - self.w_mean @ coef,
@@ -104,6 +127,32 @@ class Decomposition:
             variance_fraction=explained,
             scores=scores,
         )
+
+
+@dataclass(frozen=True)
+class Fold:
+    """The calibration set without one sample, in the principal coordinates
+    of a downdated decomposition.
+
+    ``s`` holds the fold's ``rank`` singular values in decreasing order and
+    ``uy`` its centered concentrations on their directions, as in
+    :class:`Decomposition`; ``held_out`` is the left-out spectrum centered
+    on the fold's mean, in the same coordinates.
+    """
+
+    s: np.ndarray
+    uy: np.ndarray
+    y_mean: np.ndarray
+    held_out: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.s.size
+
+    def predict(self, principal_coef: np.ndarray) -> np.ndarray:
+        """The held-out sample's prediction by coefficients on the fold's
+        leading principal directions."""
+        return self.y_mean + self.held_out[:principal_coef.shape[0]] @ principal_coef
 
 
 def decompose(w: np.ndarray, y: np.ndarray) -> Decomposition:
@@ -125,17 +174,71 @@ def decompose(w: np.ndarray, y: np.ndarray) -> Decomposition:
                          rank=rank, uy=u[:, :rank].T @ (y - y_mean))
 
 
-def fold_decompositions(w: np.ndarray, y: np.ndarray
-                        ) -> Iterator[tuple[int, Decomposition]]:
-    """Decompositions of the data without each sample in turn.
+def downdated_folds(w: np.ndarray, y: np.ndarray) -> Iterator[tuple[int, Fold]]:
+    """The data without each sample in turn, from one SVD of all of it;
+    ``w`` and ``y`` are 2-D float arrays with one row per sample, and at
+    least three rows.
 
-    Built one fold at a time, so only one is alive while the baselines of
-    its fold are refitted.
+    With ``Xc = U S V'`` the centered spectra of ``n`` samples, dropping
+    sample ``i`` and recentering leaves the cross-product ``Xc'Xc - c x_i
+    x_i'``, ``c = n / (n - 1)``; in the principal basis that is ``S^2 - c z
+    z'`` with ``z = S u_i``.  Its eigenvalues are the fold's squared
+    singular values and its eigenvectors ``Q`` rotate the basis onto the
+    fold's, where the fold's ``X'Y`` is ``Q'(S U'Y - c z y_i')`` and its
+    held-out spectrum is ``c Q'z``.  A fold of a set whose spectra span
+    all ``n - 1`` centered directions loses one: its smallest eigenvalue
+    is zero in exact arithmetic, and that pair is dropped.  Any other
+    eigenvalue below ``sqrt(eps) s_0^2`` cannot be told from zero or is
+    too inaccurate for MLR, so that fold's rank and rotation come from
+    the SVD of its centered rows in principal coordinates, ``(U_-i + u_i /
+    (n - 1)) S``, as a refit of the fold would find them.  Folds are made
+    one at a time, so only one is alive while its baselines run.
     """
-    n = w.shape[0]
+    dec = decompose(w, y)
+    n, num_wavelengths = w.shape
+    constant = _constant_fold(w)
+    r = dec.rank
+    lost = r - min(r, n - 2)
+    c = n / (n - 1)
+    s = dec.s[:r]
+    u = dec.u[:, :r]
+    s_sq = s * s
+    floor = np.sqrt(np.finfo(float).eps) * s_sq[0]
+    xy = s[:, None] * dec.uy
+    yc = y - dec.y_mean
     for i in range(n):
-        keep = np.arange(n) != i
-        yield i, decompose(w[keep], y[keep])
+        if i == constant:
+            raise DegenerateSpectraError("spectra are constant across samples")
+        z = s * u[i]
+        cross = np.multiply.outer(-c * z, z)
+        cross.flat[::r + 1] += s_sq
+        lam, q = np.linalg.eigh(cross)  # ascending
+        if lam[lost] > floor:
+            rotation = q[:, lost:][:, ::-1].T
+            root = np.sqrt(lam[lost:][::-1])
+            uy = rotation @ (xy - c * np.multiply.outer(z, yc[i])) / root[:, None]
+        else:
+            # Read off the fold's own rows, as lstsq would: its
+            # cross-product would square the fold's condition number.
+            rows = (np.delete(u, i, axis=0) + u[i] / (n - 1)) * s
+            left, root, rotation = np.linalg.svd(rows, full_matrices=False)
+            rank = int(np.sum(root > root[0] * max(n - 1, num_wavelengths)
+                              * np.finfo(float).eps))
+            root, rotation = root[:rank], rotation[:rank]
+            uy = left[:, :rank].T @ (np.delete(yc, i, axis=0) + yc[i] / (n - 1))
+        yield i, Fold(s=root, uy=uy, y_mean=dec.y_mean - yc[i] / (n - 1),
+                      held_out=c * (rotation @ z))
+
+
+def _constant_fold(w: np.ndarray) -> int | None:
+    """The sample (of at least three) without which the other spectra are
+    all equal, if the spectra are not; at most one sample can be it."""
+    unlike_first = np.flatnonzero(np.any(w != w[0], axis=1))
+    if unlike_first.size == 1:
+        return int(unlike_first[0])
+    if unlike_first.size == len(w) - 1 and np.all(w[2:] == w[1]):
+        return 0
+    return None
 
 
 def check_component_choice(components: int | None,
@@ -154,37 +257,40 @@ def check_component_choice(components: int | None,
         raise InvalidParameterError("variance fraction must lie in (0, 1)")
 
 
-def _component_count(dec: Decomposition, components: int | None,
+def _component_count(pc: Decomposition | Fold, components: int | None,
                      variance_fraction: float | None) -> int:
     check_component_choice(components, variance_fraction)
     if components is not None:
-        if components > dec.rank:
+        if components > pc.rank:
             raise InvalidComponentsError(
-                f"component count {components} outside [1, rank={dec.rank}]"
+                f"component count {components} outside [1, rank={pc.rank}]"
             )
         return components
-    var = dec.s[:dec.rank] ** 2
+    var = pc.s[:pc.rank] ** 2
     cumulative = np.cumsum(var) / var.sum()
     return int(np.searchsorted(cumulative, variance_fraction - 1e-12) + 1)
 
 
-def mlr_from(dec: Decomposition) -> MultivariateModel:
+def mlr_coefficients(pc: Decomposition | Fold) -> np.ndarray:
     """Minimum-norm least squares: regression on every principal direction."""
-    return dec.model("MLR", dec.uy / dec.s[:dec.rank, None])
+    return pc.uy / pc.s[:pc.rank, None]
 
 
-def pcr_from(dec: Decomposition, components: int | None = None,
-             variance_fraction: float | None = None) -> MultivariateModel:
-    """Regression on the top ``p`` principal directions of the spectra."""
-    p = _component_count(dec, components, variance_fraction)
-    s = dec.s[:p]
-    return dec.model("PCR", dec.uy[:p] / s[:, None], components=p,
-                     scores=dec.u[:, :p] * s)
+def pcr_coefficients(pc: Decomposition | Fold, components: int | None = None,
+                     variance_fraction: float | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Regression on the top ``p`` principal directions of the spectra: the
+    coefficients and the rotation from principal coordinates to scores,
+    the first ``p`` of them."""
+    p = _component_count(pc, components, variance_fraction)
+    return pc.uy[:p] / pc.s[:p, None], np.eye(pc.rank, p)
 
 
-def pls_from(dec: Decomposition, components: int | None = None,
-             variance_fraction: float | None = None) -> MultivariateModel:
-    """Kernel PLS2 (Dayal & MacGregor 1997) in the principal-axis basis.
+def pls_coefficients(pc: Decomposition | Fold, components: int | None = None,
+                     variance_fraction: float | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel PLS2 (Dayal & MacGregor 1997) in the principal-axis basis:
+    the coefficients and the rotation from principal to PLS scores.
 
     With ``X = U_r S V_r'`` the cross products are ``X'X = diag(s^2)`` and
     ``X'Y = S U_r'Y`` there.  Each weight ``w`` is the leading left
@@ -194,11 +300,11 @@ def pls_from(dec: Decomposition, components: int | None = None,
     selector counts components exactly as PCR does, so the two methods
     stay comparable when run side by side.
     """
-    p = _component_count(dec, components, variance_fraction)
-    rank = dec.rank
-    s = dec.s[:rank]
+    p = _component_count(pc, components, variance_fraction)
+    rank = pc.rank
+    s = pc.s[:rank]
     s_sq = s * s
-    xy = s[:, None] * dec.uy
+    xy = s[:, None] * pc.uy
     m = xy.shape[1]
     rotation = np.zeros((rank, p))
     loadings = np.zeros((rank, p))
@@ -224,26 +330,27 @@ def pls_from(dec: Decomposition, components: int | None = None,
         rotation[:, a] = r_vec
         loadings[:, a] = p_vec
         y_loadings[:, a] = c_vec
-    scores = (dec.u[:, :rank] * s) @ rotation
-    return dec.model("PLS", rotation @ y_loadings.T, components=p,
-                     scores=scores)
+    return rotation @ y_loadings.T, rotation
 
 
 def fit_mlr(w: np.ndarray, y: np.ndarray) -> MultivariateModel:
     """Multiple linear regression, minimum-norm when rank deficient."""
-    return mlr_from(decompose(w, y))
+    dec = decompose(w, y)
+    return dec.model("MLR", mlr_coefficients(dec))
 
 
 def fit_pcr(w: np.ndarray, y: np.ndarray, components: int | None = None,
             variance_fraction: float | None = None) -> MultivariateModel:
     """Principal components regression on the top directions of the spectra."""
-    return pcr_from(decompose(w, y), components, variance_fraction)
+    dec = decompose(w, y)
+    return dec.model("PCR", *pcr_coefficients(dec, components, variance_fraction))
 
 
 def fit_pls(w: np.ndarray, y: np.ndarray, components: int | None = None,
             variance_fraction: float | None = None) -> MultivariateModel:
-    """Kernel PLS2 on the centered spectra; see :func:`pls_from`."""
-    return pls_from(decompose(w, y), components, variance_fraction)
+    """Kernel PLS2 on the centered spectra; see :func:`pls_coefficients`."""
+    dec = decompose(w, y)
+    return dec.model("PLS", *pls_coefficients(dec, components, variance_fraction))
 
 
 def predict_multivariate(model: MultivariateModel, w_new: np.ndarray) -> np.ndarray:

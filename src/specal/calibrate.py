@@ -703,9 +703,9 @@ class _WhitenedSystem:
     each sample's K-by-K ``G_i`` and K-vector ``h_i``, the totals
     ``sum_i (r_i r_i') kron G_i`` and ``sum_i r_i kron h_i`` (``r_i = (1,
     y_i)``, the design's concentration rows) and, for closed rows, the Gram
-    of the design's constraint row (identity noise weight, ``C = B'B`` from
-    its band) added to the total.  Fold downdates subtract one sample's
-    term, the GLS counterpart of
+    of the design's constraint row (``C = B'B`` from its band, scaled to
+    the trace of the data's) added to the total.  Fold downdates subtract
+    one sample's term, the GLS counterpart of
     :meth:`_FactoredSystem.downdated`.
     """
 
@@ -726,8 +726,12 @@ class _WhitenedSystem:
         self.rhs = (rows.T @ self.rhs_parts).ravel()
         if design.closed_total is not None:
             e = design.conc_aug[-1]
-            self.gram = self.gram + np.kron(np.outer(e, e),
-                                            _symmetric(b.gram_band(b.width)))
+            constraint = np.kron(np.outer(e, e), _symmetric(b.gram_band(b.width)))
+            # Weighted to the whitened Gram, which scales as the inverse
+            # square of the absorbance unit, so that the unit leaves the
+            # rounding alone; any weight gives the same exact solution.
+            self.gram = self.gram + (np.trace(self.gram)
+                                     / np.trace(constraint)) * constraint
         self.b = b
         self.rows = rows
         self.num_basis = k

@@ -182,23 +182,32 @@ class MultivariateStrategy(Strategy):
     """Classical chemometric baselines on the raw wavelength matrix.
 
     A fit reads its coefficients off one decomposition of the centered
-    calibration data (:func:`baselines.decompose`), so the jackknife can
-    refit several baselines from one decomposition of each fold.
+    calibration data (:func:`baselines.decompose`); a jackknife fold reads
+    them off the fold's principal coordinates, downdated from one
+    decomposition of the whole set (:func:`baselines.downdated_folds`),
+    so every baseline of a jackknife shares its folds.
     """
 
     def fit(self, spectra: SpectraSet,
             concentrations: ConcentrationMatrix) -> baselines.MultivariateModel:
-        model = self.fit_decomposition(
-            baselines.decompose(spectra.absorbance, concentrations.values))
+        dec = baselines.decompose(spectra.absorbance, concentrations.values)
+        model = dec.model(self.spec.method.upper(), *self._coefficients(dec))
         return replace(model, analytes=concentrations.analyte_names())
 
-    def fit_decomposition(self, dec: baselines.Decomposition
-                          ) -> baselines.MultivariateModel:
+    def predict_fold(self, fold: baselines.Fold) -> np.ndarray:
+        """The held-out prediction of a jackknife fold."""
+        return fold.predict(self._coefficients(fold)[0])
+
+    def _coefficients(self, pc: baselines.Decomposition | baselines.Fold
+                      ) -> tuple[np.ndarray, ...]:
+        """Principal-basis coefficients, and for PCR and PLS the rotation
+        from principal coordinates to scores."""
         spec = self.spec
         if spec.method == "mlr":
-            return baselines.mlr_from(dec)
-        fitter = baselines.pcr_from if spec.method == "pcr" else baselines.pls_from
-        return fitter(dec, spec.components, spec.variance_fraction)
+            return (baselines.mlr_coefficients(pc),)
+        rule = (baselines.pcr_coefficients if spec.method == "pcr"
+                else baselines.pls_coefficients)
+        return rule(pc, spec.components, spec.variance_fraction)
 
     def predict_fitted(self, fitted: baselines.MultivariateModel,
                        spectra: SpectraSet) -> np.ndarray:

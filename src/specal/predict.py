@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (
-    MultivariateModel,
-    fold_decompositions,
-    predict_multivariate,
-)
+from .baselines import MultivariateModel, downdated_folds, predict_multivariate
 from .errors import (
     DegenerateAnalytesError,
     FoldFailureError,
@@ -196,9 +192,12 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     ``fit_configs[k]``, or the error that stopped that configuration; a
     failing configuration leaves the others running.  Functional methods
     run their own leave-one-out paths one after another.  The multivariate
-    baselines share one pass over the folds, which decomposes each fold's
-    data once for all of them.  Only a failure inside a fold is a
-    FoldFailureError; one of the full-data fit keeps its own type.
+    baselines share one pass over the folds: one SVD of the calibration
+    spectra, downdated to each fold in its principal coordinates
+    (:func:`baselines.downdated_folds`), where every baseline refits and
+    predicts the held-out sample without a wavelength-length array.  Only
+    a failure inside a fold is a FoldFailureError; one of a functional
+    method's full-data fit keeps its own type.
     """
     from .methods import MultivariateStrategy, make_strategy
 
@@ -230,23 +229,20 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
                 add(k, i, fitted, _held_out(spectra, i))
         except SpecalError as exc:
             errors[k] = exc
-    folds = _numbered(fold_decompositions(spectra.absorbance, y)) if shared else ()
+    folds = _numbered(downdated_folds(spectra.absorbance, y)) if shared else ()
     try:
-        for i, dec in folds:
+        for i, fold in folds:
             live = [k for k in shared if errors[k] is None]
             if not live:
                 break
-            held_out = _held_out(spectra, i)
             for k in live:
                 try:
-                    try:
-                        fitted = strategies[k].fit_decomposition(dec)
-                    except SpecalError as exc:
-                        raise FoldFailureError(
-                            f"refit failed on fold {i}: {exc}") from exc
-                    add(k, i, fitted, held_out)
+                    y_hat = strategies[k].predict_fold(fold)
                 except SpecalError as exc:
-                    errors[k] = exc
+                    errors[k] = FoldFailureError(f"refit failed on fold {i}: {exc}")
+                    errors[k].__cause__ = exc
+                else:
+                    sq_sums[k] += (y[i] - y_hat) ** 2
     except SpecalError as exc:
         for k in shared:
             if errors[k] is None:

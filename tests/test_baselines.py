@@ -291,16 +291,60 @@ class TestKernelPlsMatchesNipals:
             fit_pls(w, y, components=2)
 
 
+# The shared pass downdates one SVD of all samples.  PCR and PLS read the
+# leading directions and keep full accuracy.  MLR divides by every singular
+# value: a fold is downdated only while its smallest squared one is above
+# sqrt(eps) s_0^2, so it stays within about sqrt(eps) of a refit (and is
+# decomposed from its own rows below that).
+PCR_PLS_RTOL = 1e-12
+MLR_RTOL = 1e-7
+
+
+def assert_matches_naive_refits(spectra, conc, specs):
+    shared = jackknife_spreads(spectra, conc, specs)
+    for spec, spread in zip(specs, shared):
+        npt.assert_allclose(spread, naive_jackknife_sd(spectra, conc, spec),
+                            rtol=MLR_RTOL if spec.method == "mlr" else PCR_PLS_RTOL)
+
+
 class TestSharedFoldPass:
-    @pytest.mark.parametrize("num_samples", [20, 100], ids=["wide", "tall"])
-    def test_matches_naive_refits(self, num_samples):
-        cfg = SimConfig(seed=21, num_samples=num_samples, phi=STRONG_PHI)
+    # At T = 81: 20 and 82 samples span every centered direction, so each
+    # fold drops one; 83 samples leave each fold square and ill-conditioned
+    # (s_0 / s_min reaches 8.2e6 over the folds of seed 303).
+    @pytest.mark.parametrize("seed, num_samples",
+                             [(21, 20), (21, 82), (21, 83), (303, 83), (21, 100)],
+                             ids=["wide", "wide-edge", "tall-edge",
+                                  "tall-edge-ill", "tall"])
+    def test_matches_naive_refits(self, seed, num_samples):
+        cfg = SimConfig(seed=seed, num_samples=num_samples, phi=STRONG_PHI)
         spectra, conc, _ = generate_dataset(cfg)
-        specs = [STUDY_METHODS[name] for name in BASELINES]
-        shared = jackknife_spreads(spectra, conc, specs)
-        # Both paths run the same fitters on the same fold data.
-        for spec, spread in zip(specs, shared):
-            npt.assert_array_equal(spread, naive_jackknife_sd(spectra, conc, spec))
+        assert_matches_naive_refits(spectra, conc,
+                                    [STUDY_METHODS[name] for name in BASELINES])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fold_losing_a_direction_below_full_span(self, seed):
+        # Twelve spectra at six wavelengths, the first eleven in a plane:
+        # only the fold without sample 11 loses a direction, although the
+        # set spans fewer than n - 1 centered directions.
+        rng = np.random.default_rng(seed)
+        w = 1.0 + rng.standard_normal((12, 2)) @ rng.standard_normal((2, 6))
+        w[11] += rng.standard_normal(6)
+        spectra = SpectraSet(grid=np.arange(6.0), absorbance=w)
+        conc = ConcentrationMatrix(values=rng.uniform(0, 1, (12, 2)))
+        assert_matches_naive_refits(spectra, conc, [
+            FitSpec(method="mlr"), FitSpec(method="pcr", components=2),
+            FitSpec(method="pls", components=2)])
+
+    def test_duplicated_spectrum_in_a_wide_set(self):
+        # With samples 3 and 7 equal, 20 spectra span 18 centered directions
+        # and every fold that keeps both loses one.
+        cfg = SimConfig(seed=21, num_samples=20, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        w = spectra.absorbance.copy()
+        w[7] = w[3]
+        spectra = SpectraSet(grid=spectra.grid, absorbance=w)
+        assert_matches_naive_refits(spectra, conc,
+                                    [STUDY_METHODS[name] for name in BASELINES])
 
     def test_failing_baseline_fails_alone(self):
         # Each fold of 20 samples keeps 19, whose centered spectra have
@@ -328,23 +372,25 @@ class TestSharedFoldPass:
                                jackknife_sd(spectra, conc, methods["MLR"]))
 
 
-def test_shared_pass_builds_each_held_out_spectrum_once(monkeypatch):
-    from specal import predict
-
-    built = []
-
-    def held_out(spectra, i):
-        built.append(i)
-        return build(spectra, i)
-
-    build = predict._held_out
-    monkeypatch.setattr(predict, "_held_out", held_out)
+def test_shared_pass_decomposes_the_spectra_once(monkeypatch):
+    # Every fold is downdated from one SVD of the calibration spectra; no
+    # fold decomposes its own wavelength-length data.
     cfg = SimConfig(seed=23, num_samples=20, phi=STRONG_PHI)
     spectra, conc, _ = generate_dataset(cfg)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     spreads = jackknife_spreads(spectra, conc,
                                 [STUDY_METHODS[name] for name in BASELINES])
     assert not any(isinstance(s, Exception) for s in spreads)
-    assert built == list(range(20))
+    num_wavelengths = spectra.num_wavelengths
+    assert [shape for shape in shapes if num_wavelengths in shape] == [
+        (20, num_wavelengths)]
 
 
 BASELINE_SPECS = [FitSpec(method="mlr"), FitSpec(method="pcr", components=2),

@@ -109,10 +109,7 @@ def test_covariance_scales_inversely_with_units(c):
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(c=st.sampled_from([1e-3, 0.01, 0.37, 10.0, 1e3]))
 def test_absorbance_units_scale_only_the_curves(method, c):
-    # GLS-K adds the constraint Gram with unit weight while its whitened
-    # data Gram scales as 1 / c^2, so its rounding grows as c^2 (3.5e-8
-    # relative at c = 1e3); the other methods hold to about 1e-14.
-    rtol = 1e-6 if method == "gls-k" else 1e-8
+    rtol = 1e-8
     spectra, conc, _ = CAL
     fitted, want_pred, want_spread = predictions_and_spreads(
         SYMMETRY_SPECS[method], spectra, conc)
