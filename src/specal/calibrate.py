@@ -10,9 +10,9 @@ basis dimension K.  The basis design ``B`` arrives as its band
 ``p = 3`` for cubic splines), ``R`` arrives as its band
 (:class:`PenaltyMatrix`), and ``_FactoredSystem`` keeps only bands and
 solves each block with a banded Cholesky
-factorization in ``O(K p^2)``: ``m + 1`` of them per lambda and per
-leave-one-out fold, after an eigendecomposition of the ``(m+1)``-square
-``M``.  GCV takes the hat trace from the band of each
+factorization in ``O(K p^2)``: ``m + 1`` of them per lambda, after an
+eigendecomposition of the ``(m+1)``-square ``M``.  GCV takes the hat
+trace from the band of each
 block's inverse (the Takahashi recursion of ``_selected_inverse``) and
 sums the RSS from residual curves, so scoring the whole lambda grid costs
 ``O(L (m+1) K p^2)`` and forms no K-by-K array.  At ``lam = 0`` every
@@ -20,6 +20,13 @@ block is a multiple of ``C``, whose single Cholesky factorization is also
 the check that the grid resolves the basis.  OLS (``R = 0``), penalized
 fits, GCV scores, lambda selection and leave-one-out refits (Gram
 downdates) all go through it.
+
+Leave-one-out folds run in blocks (:func:`_leave_one_out`), as many folds
+as fit in ``_FOLD_BLOCK_BYTES``.  A block downdates every fold's ``M`` and
+``F`` (or, for GLS, its whitened Gram) at once and takes one stacked
+eigendecomposition (or Cholesky factorization) of them; one LAPACK call
+solves all the banded blocks of its OLS folds.  Each fold keeps its own
+singularity check.
 
 GLS fits and their leave-one-out refits share one whitened assembly,
 ``_WhitenedSystem``, built from the same aggregated design (its basis
@@ -56,6 +63,15 @@ PHI_GRID = np.logspace(-4, 1, 50)
 DEFAULT_LAMBDA_GRID = np.logspace(-4, 8, 25)
 _SINGULAR_BASIS = ("basis block is singular; the grid cannot resolve this many "
                    "basis functions (try a penalty or fewer knots)")
+_RANK_DEFICIENT = "concentration block is rank deficient after augmentation"
+_SINGULAR_WHITENED = ("whitened system is singular: the concentration rows are "
+                      "rank deficient, or the grid cannot resolve the basis")
+# Bytes the fold arrays of one leave-one-out block may take, at each
+# system's ``fold_bytes`` per fold (:func:`_fold_bytes`): with three
+# analytes, 17 OLS-K and 4 GLS-K folds at K = 14, T = 81, and 2 OLS-SS
+# folds at T = 401.  Stacking every fold at once would raise a
+# jackknife's memory peak with the sample count.
+_FOLD_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -143,6 +159,65 @@ def _symmetric(band: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank_deficient(evals: np.ndarray) -> np.ndarray:
+    """Whether each concentration Gram, by its ascending eigenvalues
+    ``evals`` (..., m+1), is singular: its smallest eigenvalue is at most
+    ``1e-12`` of its largest (or of 1)."""
+    return evals[..., 0] <= 1e-12 * np.maximum(evals[..., -1], 1.0)
+
+
+def _one_by_one(solve, count: int) -> tuple[list, SingularDesignError | None]:
+    """``solve(j)`` for ``j = 0 .. count - 1`` up to the first that raises
+    SingularDesignError: the solutions before it, and its error (None if
+    none raises).  Names the failing fold of a block whose stacked
+    factorization failed."""
+    solved = []
+    for j in range(count):
+        try:
+            solved.append(solve(j))
+        except SingularDesignError as exc:
+            return solved, exc
+    return solved, None
+
+
+def _fold_bytes(solve_size: int, curves_size: int) -> int:
+    """Bytes one fold of a block takes: ``solve_size`` doubles in its solve
+    (coefficients and band factors, or a whitened Gram and its factor),
+    and five times its curves' ``curves_size`` for its held-out
+    prediction, which gathers ``order`` basis values per curve and site."""
+    return 8 * (solve_size + 5 * curves_size)
+
+
+def _folds_per_block(fold_bytes: int) -> int:
+    """Folds per leave-one-out block: as many as fit in
+    ``_FOLD_BLOCK_BYTES`` at ``fold_bytes`` each, and at least one."""
+    return max(1, _FOLD_BLOCK_BYTES // fold_bytes)
+
+
+def _leave_one_out(num_folds: int, fold_bytes: int, fold_solve
+                   ) -> Iterator[tuple[int, np.ndarray]]:
+    """Blocks ``(start, coefficients)`` of a leave-one-out pass, in fold order.
+
+    ``fold_solve(folds)`` gives the coefficients (n, m+1, K) of the range
+    ``folds`` up to the first that fails, and that fold's error (None if
+    none fails); a fold whose coefficients are not finite fails too.  The
+    pass yields the folds before the first failure and then raises its
+    error, so the folds yielded so far count up to the failing fold.
+    """
+    size = _folds_per_block(fold_bytes)
+    for start in range(0, num_folds, size):
+        coef, error = fold_solve(range(start, min(start + size, num_folds)))
+        finite = np.isfinite(coef).all(axis=(1, 2))
+        if not finite.all():
+            count = int(finite.argmin())
+            coef, error = coef[:count], ShapeError(
+                "coefficients contain non-finite values")
+        if len(coef):
+            yield start, coef
+        if error is not None:
+            raise error
+
+
 def _selected_inverse(factors: np.ndarray) -> np.ndarray:
     """The band of each ``A_s^-1``, from the band Cholesky factor of ``A_s``.
 
@@ -188,15 +263,15 @@ class _FactoredSystem:
     band.  With ``M = Q diag(d) Q'`` and ``H = Q'F``, the
     coefficients are ``Q Theta``, where row ``j`` of ``Theta`` solves
     ``(d_j C + lam R) theta = h_j``, one LAPACK band factorization and
-    solve (``dpbtrf``/``dpbtrs``) of ``O(K p^2)``.  A fit or a fold at
-    ``lam > 0`` costs the eigendecomposition of an ``(m+1)``-square matrix
-    and ``m + 1`` such factorizations; GCV over ``L`` lambdas factors all
-    ``L (m+1)`` blocks as one stacked array.  At ``lam = 0`` each block is
-    ``d_j C``, so one Cholesky factorization of ``C``, taken on first use
-    and kept (:meth:`_gram_cholesky`), serves the fit and every fold; it
-    is the one place a basis the grid cannot resolve raises.  Fold
-    downdates replace ``M`` and ``F`` only, ``F`` through one banded
-    product ``w_i B``; the bands never change.
+    solve (``dpbtrf``/``dpbtrs``) of ``O(K p^2)``.  A fit at ``lam > 0``
+    costs the eigendecomposition of an ``(m+1)``-square matrix and
+    ``m + 1`` such factorizations; GCV over ``L`` lambdas and a block of
+    ``n`` folds factor all their ``L (m+1)`` or ``n (m+1)`` blocks as one
+    stacked array.  At ``lam = 0`` each block is ``d_j C``, so one
+    Cholesky factorization of ``C``, taken on first use and kept
+    (:meth:`_gram_cholesky`), serves the fit and every fold; it is the one
+    place a basis the grid cannot resolve raises.  Fold downdates replace
+    ``M`` and ``F`` only (:meth:`fold_solve`); the bands never change.
     """
 
     def __init__(self, design: AggregatedDesign, penalty: np.ndarray | None = None):
@@ -211,31 +286,52 @@ class _FactoredSystem:
         self.P = design.conc_aug[:-1].T @ self.w             # (m+1, T)
         self.F = design.b.left_multiply(self.P)              # (m+1, K)
         self.num_rows = design.num_rows
+        self.fold_bytes = _fold_bytes(self.F.size * (self.gram_band.shape[1] + 1),
+                                      self.P.size)
         self._full = None
         self._full_rss = None
         self._gram_factor = None
         self._scores = {}
 
-    def downdated(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        a = self.conc_aug[i]
-        m = self.M - np.outer(a, a)
-        f = self.F - np.outer(a, self.b.left_multiply(self.w[i]))
-        return m, f
-
-    def _eigh(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        evals, q = np.linalg.eigh(m)
-        if evals[0] <= 1e-12 * max(evals[-1], 1.0):
-            raise SingularDesignError(
-                "concentration block is rank deficient after augmentation"
-            )
-        return evals, q
-
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(d, Q, H = Q'F)`` of the full system, computed on first use."""
         if self._full is None:
-            evals, q = self._eigh(self.M)
+            evals, q = np.linalg.eigh(self.M)
+            if _rank_deficient(evals):
+                raise SingularDesignError(_RANK_DEFICIENT)
             self._full = evals, q, q.T @ self.F
         return self._full
+
+    def fold_solve(self, folds: range, lam: float
+                   ) -> tuple[np.ndarray, SingularDesignError | None]:
+        """Coefficients (n, m+1, K) of the leave-one-out ``folds`` up to the
+        first that fails, and that fold's error (None if none fails).
+
+        Fold ``i`` has ``M_i = M - a_i a_i'`` and ``F_i = F - a_i (w_i B)``,
+        ``a_i`` its augmented concentration row: one banded product gives
+        every ``w_i B`` of the block, one stacked ``eigh`` every ``M_i``, and
+        one band solve (:meth:`_blocks`) every fold's blocks.
+        """
+        rows = slice(folds.start, folds.stop)
+        a = self.conc_aug[rows]
+        evals, q = np.linalg.eigh(self.M - a[:, :, None] * a[:, None, :])
+        f = self.F - a[:, :, None] * self.b.left_multiply(self.w[rows])[:, None, :]
+        failed = _rank_deficient(evals)
+        count = int(failed.argmax()) if failed.any() else len(a)
+        error = SingularDesignError(_RANK_DEFICIENT) if count < len(a) else None
+        if not count:
+            return np.empty((0,) + self.F.shape), error
+        evals, q = evals[:count], q[:count]
+        h = np.swapaxes(q, 1, 2) @ f[:count]
+        try:
+            theta = self._blocks(evals, h, lam)
+        except SingularDesignError:
+            # A stacked factorization does not say whose block failed.
+            solved, error = _one_by_one(
+                lambda j: self._blocks(evals[j], h[j], lam), count)
+            theta = np.reshape(solved, (len(solved),) + h.shape[1:])
+            q = q[:len(solved)]
+        return q @ theta, error
 
     def _factor(self, evals: np.ndarray, lams: np.ndarray) -> np.ndarray:
         """Banded Cholesky factors of ``d_j C + lam R``, (L, m+1, K, p+1).
@@ -271,25 +367,24 @@ class _FactoredSystem:
 
     def _blocks(self, evals: np.ndarray, h: np.ndarray, lam: float,
                 factors: np.ndarray | None = None) -> np.ndarray:
-        """``Theta``: row ``j`` solves ``(d_j C + lam R) theta = h_j``;
-        ``factors`` are the blocks' band Cholesky factors when known."""
+        """``Theta``: entry ``j`` (of one system's ``(m+1,)`` or a block of
+        folds' ``(n, m+1)`` eigenvalues) solves ``(d_j C + lam R) theta =
+        h_j``; ``factors`` are the blocks' band Cholesky factors when known.
+        One ``dpbtrs`` serves every block: at ``lam = 0`` on ``C``'s factor
+        with one right-hand side per block, otherwise on the stacked band."""
         if lam == 0.0 or self.penalty is None:
-            theta = sla.lapack.dpbtrs(self._gram_cholesky().T, h.T, lower=1)[0]
-            return theta.T / evals[:, None]
+            rhs = h.reshape(-1, h.shape[-1])
+            theta = sla.lapack.dpbtrs(self._gram_cholesky().T, rhs.T, lower=1)[0]
+            return theta.T.reshape(h.shape) / evals[..., None]
         if factors is None:
-            factors = self._factor(evals, np.array([lam]))[0]
+            factors = self._factor(evals.ravel(), np.array([lam]))[0]
         band = factors.reshape(-1, factors.shape[-1]).T
         return sla.lapack.dpbtrs(band, h.ravel(), lower=1)[0].reshape(h.shape)
 
-    def solve(self, lam: float = 0.0, m: np.ndarray | None = None,
-              f: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, lam: float = 0.0) -> np.ndarray:
         """Coefficients ``Q Theta`` minimizing the (penalized) stacked
-        objective; ``m`` and ``f`` replace ``M`` and ``F`` for a fold."""
-        if m is None:
-            evals, q, h = self._spectrum()
-        else:
-            evals, q = self._eigh(m)
-            h = q.T @ f
+        objective."""
+        evals, q, h = self._spectrum()
         return q @ self._blocks(evals, h, lam)
 
     def gcv(self, lams) -> list[tuple[float, float, float | None]]:
@@ -458,15 +553,16 @@ def select_lambda(design: AggregatedDesign, penalty: PenaltyMatrix,
 
 def loo_coefficients(design: AggregatedDesign, penalty: PenaltyMatrix | None = None,
                      lam: float = 0.0) -> Iterator[tuple[int, np.ndarray]]:
-    """Leave-one-out coefficient refits via Gram downdates.
+    """Leave-one-out coefficient refits via Gram downdates, in blocks.
 
-    Yields ``(sample_index, coefficients)`` exactly matching a refit on the
-    dataset with that sample removed.
+    Yields ``(start, coefficients)``: the (n, m+1, K) coefficients of folds
+    ``start .. start + n - 1``, each matching a refit on the dataset with
+    that sample removed (:func:`_leave_one_out`).  A fold whose refit
+    fails ends the pass with its error once the folds before it are out.
     """
     system = _factored(design, None if penalty is None else penalty.band, lam)
-    for i in range(design.num_samples):
-        m, f = system.downdated(i)
-        yield i, system.solve(lam=lam, m=m, f=f)
+    yield from _leave_one_out(design.num_samples, system.fold_bytes,
+                              lambda folds: system.fold_solve(folds, lam))
 
 
 def _uniform_lags(grid: np.ndarray) -> np.ndarray | None:
@@ -704,9 +800,8 @@ class _WhitenedSystem:
     ``sum_i (r_i r_i') kron G_i`` and ``sum_i r_i kron h_i`` (``r_i = (1,
     y_i)``, the design's concentration rows) and, for closed rows, the Gram
     of the design's constraint row (``C = B'B`` from its band, scaled to
-    the trace of the data's) added to the total.  Fold downdates subtract
-    one sample's term, the GLS counterpart of
-    :meth:`_FactoredSystem.downdated`.
+    the trace of the data's) added to the total.  A fold subtracts its
+    sample's term (:meth:`fold_solve`).
     """
 
     def __init__(self, design: AggregatedDesign, cov: CovarianceModel):
@@ -735,32 +830,62 @@ class _WhitenedSystem:
         self.b = b
         self.rows = rows
         self.num_basis = k
-
-    def downdated(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        r = self.rows[i]
-        return (self.gram - np.kron(np.outer(r, r), self.grams[i]),
-                self.rhs - np.kron(r, self.rhs_parts[i]))
+        self.fold_bytes = _fold_bytes(2 * size * size, rows.shape[1] * b.num_sites)
 
     def solve(self, gram: np.ndarray | None = None,
               rhs: np.ndarray | None = None) -> np.ndarray:
         gram = self.gram if gram is None else gram
         rhs = self.rhs if rhs is None else rhs
-        # Singular when the smallest eigenvalue is at most 1e-12 max(largest,
-        # 1).  From the Cholesky factor, 1/||G^-1||_1 estimates the smallest
-        # and ||G||_1 the largest; a failed factorization is singular too.
         try:
             chol = sla.cho_factor(gram, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             chol = None
-        norm = np.abs(gram).sum(axis=0).max()
-        if (chol is None or sla.lapack.dpocon(chol[0], norm, uplo="L")[0] * norm
-                <= 1e-12 * max(norm, 1.0)):
-            raise SingularDesignError(
-                "whitened system is singular: the concentration rows are rank "
-                "deficient, or the grid cannot resolve the basis"
-            )
+        if chol is None or _whitened_singular(chol[0], "L",
+                                              np.abs(gram).sum(axis=0).max()):
+            raise SingularDesignError(_SINGULAR_WHITENED)
         beta = sla.cho_solve(chol, rhs, check_finite=False)
         return beta.reshape(-1, self.num_basis)
+
+    def fold_solve(self, folds: range
+                   ) -> tuple[np.ndarray, SingularDesignError | None]:
+        """Coefficients (n, m+1, K) of the leave-one-out ``folds`` up to the
+        first that fails, and that fold's error (None if none fails).
+
+        Fold ``i``'s Gram is ``gram - (r_i r_i') kron G_i``, built for the
+        block at once and factored by one stacked Cholesky; each fold then
+        takes :meth:`solve`'s singularity check and its solve on its
+        factor.  When the stacked factorization fails, the folds are solved
+        one at a time to find the first that does.
+        """
+        rows = slice(folds.start, folds.stop)
+        r, n, size = self.rows[rows], len(folds), self.gram.shape[0]
+        grams = ((r[:, :, None] * r[:, None, :])[:, :, None, :, None]
+                 * self.grams[rows, None, :, None, :]).reshape(n, size, size)
+        np.subtract(self.gram, grams, out=grams)
+        rhs = self.rhs - (r[:, :, None] * self.rhs_parts[rows, None, :]).reshape(n, size)
+        shape = (-1, self.rows.shape[1], self.num_basis)
+        norms = np.abs(grams).sum(axis=1).max(axis=1)
+        try:
+            factors = np.linalg.cholesky(grams)
+        except np.linalg.LinAlgError:
+            solved, error = _one_by_one(lambda j: self.solve(grams[j], rhs[j]), n)
+            return np.reshape(solved, shape), error
+        for j in range(n):
+            # factors[j].T is the upper factor, in the Fortran order LAPACK reads.
+            if _whitened_singular(factors[j].T, "U", norms[j]):
+                return rhs[:j].reshape(shape), SingularDesignError(_SINGULAR_WHITENED)
+            rhs[j] = sla.lapack.dpotrs(factors[j].T, rhs[j], lower=0)[0]
+        return rhs.reshape(shape), None
+
+
+def _whitened_singular(factor: np.ndarray, uplo: str, norm: float) -> bool:
+    """Whether a whitened Gram of 1-norm ``norm`` is singular, from its
+    Cholesky ``factor`` (``uplo`` its triangle): its smallest eigenvalue
+    is at most ``1e-12 max(largest, 1)``, with ``1 / ||G^-1||_1``
+    estimated from the factor (``dpocon``) standing for the smallest and
+    ``||G||_1`` for the largest."""
+    rcond = sla.lapack.dpocon(factor, norm, uplo=uplo)[0]
+    return rcond * norm <= 1e-12 * max(norm, 1.0)
 
 
 def fit_gls(design: AggregatedDesign, cov: CovarianceModel,
@@ -783,7 +908,11 @@ def fit_gls(design: AggregatedDesign, cov: CovarianceModel,
 
 def gls_loo_coefficients(design: AggregatedDesign, cov: CovarianceModel
                          ) -> Iterator[tuple[int, np.ndarray]]:
-    """Leave-one-out GLS refits sharing the per-sample whitened blocks."""
+    """Leave-one-out GLS refits sharing the per-sample whitened blocks.
+
+    Yields ``(start, coefficients)`` blocks as :func:`loo_coefficients`
+    does, each fold downdated from the one whitened system.
+    """
     system = _WhitenedSystem(design, cov)
-    for i in range(design.num_samples):
-        yield i, system.solve(*system.downdated(i))
+    yield from _leave_one_out(design.num_samples, system.fold_bytes,
+                              system.fold_solve)

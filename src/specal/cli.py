@@ -192,7 +192,7 @@ def _cmd_predict(args) -> int:
             f"model's {list(model.analytes)}"
         )
     sum_to = (None if isinstance(model, MultivariateModel)
-              else resolve_sum_to(sum_to, model))
+              else resolve_sum_to(sum_to, model.closed_total))
     report = prediction_report(model, spectra, s, c=args.c, sum_to=sum_to)
     io.save_predictions(report, spectra.sample_ids, args.out)
     return 0

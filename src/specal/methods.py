@@ -5,8 +5,10 @@ as interchangeable fit/predict pairs.  A functional method is resolved
 once (knots, one aggregated design, pilot covariance, penalty, lambda)
 into a fit and its leave-one-out refits, which downdate the factored Gram
 system of that design instead of rebuilding it per fold; the fit's
-covariance and lambda serve every fold.  Folds come in index order, and
-:func:`predict.jackknife_spreads` names a failing one.
+covariance and lambda serve every fold.  The folds run in blocks, each
+block's refits and held-out predictions stacked, and yield held-out
+estimates in index order, as the baselines' shared fold pass does; a
+failing fold is named by :func:`predict.held_out_estimates`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .model import (
     SpectraSet,
     assemble_design,
 )
-from .predict import predict_concentrations
+from .predict import held_out_estimates, predict_concentrations
 
 FUNCTIONAL_METHODS = ("ols-k", "ols-ss", "gls-k")
 MULTIVARIATE_METHODS = ("mlr", "pcr", "pls")
@@ -90,12 +92,12 @@ READ_FIELDS: dict[str, tuple[str, ...]] = {
 
 
 def resolve_sum_to(sum_to: float | str,
-                   fitted: CalibrationModel) -> float | None:
+                   closed_total: float | None) -> float | None:
     """Resolve an "auto" closure: pin predicted sums to the calibration row
-    total exactly when the calibration rows were closed, which leaves the
-    analyte curves summing to (near) zero."""
+    total ``closed_total`` exactly when the calibration rows were closed,
+    which leaves the analyte curves summing to (near) zero."""
     if sum_to == "auto":
-        return fitted.closed_total
+        return closed_total
     return sum_to
 
 
@@ -117,8 +119,7 @@ class FunctionalStrategy(Strategy):
 
     One resolution (:meth:`_calibration`) serves :meth:`fit` and
     :meth:`jackknife_fits`: the folds downdate the fit's design, use its
-    covariance and lambda, and carry its method label, analytes and
-    closure.
+    covariance and lambda, and predict with its closure.
     """
 
     def _knots(self, spectra: SpectraSet):
@@ -136,46 +137,46 @@ class FunctionalStrategy(Strategy):
 
     def _calibration(self, spectra: SpectraSet,
                      concentrations: ConcentrationMatrix):
-        """``(design, lambda, fit, leave_one_out, args)`` for this method.
+        """``(design, fit, leave_one_out, args)`` for this method.
 
         ``fit(*args)`` is the calibration and ``leave_one_out(*args)`` its
-        downdated folds, both on ``design``.  The functions are the
-        module's own names, read when this runs.
+        downdated folds in blocks, both on ``design``.  The functions are
+        the module's own names, read when this runs.
         """
         spec = self.spec
         design = assemble_design(spectra, concentrations, self._knots(spectra))
         if spec.method == "gls-k":
-            return design, 0.0, fit_gls, gls_loo_coefficients, (
+            return design, fit_gls, gls_loo_coefficients, (
                 design, self._pilot_covariance(design))
         if spec.method == "ols-k":
-            return design, 0.0, fit_ols, loo_coefficients, (design,)
+            return design, fit_ols, loo_coefficients, (design,)
         pen = penalty_matrix(design.basis)
         lam = (float(spec.lam) if spec.lam is not None
                else select_lambda(design, pen, spec.lam_grid))
-        return design, lam, fit_penalized, loo_coefficients, (design, pen, lam)
+        return design, fit_penalized, loo_coefficients, (design, pen, lam)
 
     def fit(self, spectra: SpectraSet,
             concentrations: ConcentrationMatrix) -> CalibrationModel:
-        _, _, fit, _, args = self._calibration(spectra, concentrations)
+        _, fit, _, args = self._calibration(spectra, concentrations)
         return fit(*args)
 
     def predict_fitted(self, fitted: CalibrationModel,
                        spectra: SpectraSet) -> np.ndarray:
         return predict_concentrations(
-            fitted, spectra, sum_to=resolve_sum_to(self.spec.sum_to, fitted)
-        )
+            fitted, spectra,
+            sum_to=resolve_sum_to(self.spec.sum_to, fitted.closed_total))
 
-    def jackknife_fits(self, spectra: SpectraSet,
-                       concentrations: ConcentrationMatrix) -> Iterator:
-        """The fit's downdated folds; its resolution runs at once, so a
-        full-data failure keeps its own type."""
-        design, lam, _, leave_one_out, args = self._calibration(
-            spectra, concentrations)
-        labels = dict(basis=design.basis, method=self.spec.method.upper(),
-                      lam=lam, analytes=concentrations.analyte_names(),
-                      closed_total=design.closed_total)
-        return ((i, CalibrationModel(coefficients=coef, **labels))
-                for i, coef in leave_one_out(*args))
+    def jackknife_fits(self, spectra: SpectraSet, concentrations: ConcentrationMatrix
+                       ) -> Iterator[tuple[int, np.ndarray]]:
+        """Held-out estimates ``(i, y_i)`` of the fit's downdated folds, in
+        index order (:func:`predict.held_out_estimates`), each predicted as
+        :meth:`predict_fitted` would predict it from that fold's fit.  The
+        resolution runs at once, so a full-data failure keeps its own type.
+        """
+        design, _, leave_one_out, args = self._calibration(spectra, concentrations)
+        return held_out_estimates(
+            leave_one_out(*args), design.b, spectra.absorbance,
+            resolve_sum_to(self.spec.sum_to, design.closed_total))
 
 
 class MultivariateStrategy(Strategy):

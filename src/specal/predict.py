@@ -1,22 +1,26 @@
 """Concentration prediction, jackknife spread estimates, SEP metrics.
 
 Prediction inverts a fitted calibration: each new spectrum is regressed on
-the fitted analyte curves after subtracting the baseline, in one blocked
-loop (:func:`_blocked_estimates`) that every functional prediction runs.
-The optional ``sum_to`` closure resolves the direction that closed
-calibration samples leave unidentified (fitted analyte curves then sum to
-zero pointwise, so the plain normal equations are singular by
-construction).  The jackknife (:func:`jackknife_spreads`) is the one place
-that numbers the leave-one-out folds and names a fold that fails.
+the fitted analyte curves after subtracting the baseline.  A report walks
+the new spectra in row blocks (:func:`_blocked_estimates`); a jackknife
+regresses each held-out spectrum on its own fold's curves, a block of
+folds at a time (:func:`held_out_estimates`).  Both take the closure and
+the rank check from one place (:class:`_Regression`).  The optional
+``sum_to`` closure resolves the direction that closed calibration samples
+leave unidentified (fitted analyte curves then sum to zero pointwise, so
+the plain normal equations are singular by construction).  The fold
+passes number the leave-one-out folds and name the first that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .baselines import MultivariateModel, downdated_folds, predict_multivariate
+from .basis import BasisDesign
 from .errors import (
     DegenerateAnalytesError,
     FoldFailureError,
@@ -102,36 +106,94 @@ def prediction_report(model: CalibrationModel | MultivariateModel,
     )
 
 
+class _Regression:
+    """Least squares of spectra on fitted curves, for one fit or a stack.
+
+    ``curves`` (..., m+1, T) holds each fit's baseline and analyte curves
+    ``a`` on the grid.  Without ``sum_to`` a spectrum ``w`` is estimated
+    as ``argmin |a y - (w - baseline)|``.  With it, the estimate is held
+    to that component sum: ``y = center + v z``, ``center`` being
+    ``sum_to / m`` per analyte, ``v`` an orthonormal basis of the
+    zero-sum subspace and ``z = argmin |(a v) z - (w - baseline -
+    shift)|`` with ``shift = a center``; one analyte is then ``sum_to``
+    with no regression.  ``design`` is the matrix regressed on (``a`` or
+    ``a v``, none for one analyte) and ``svd`` its thin SVD, kept for
+    :meth:`solve` when ``factored`` (a report solves by ``lstsq``).  A fit is
+    ``degenerate`` when its design's smallest singular value is at most
+    ``_RANK_RTOL`` of the largest of ``a``, and, without ``sum_to``, when
+    its calibration rows were ``closed``: its curves then sum to near zero,
+    even at full rank.  Curves that coincide leave ``a v`` as rounding
+    noise of any rank, so ``a v`` is not measured against itself.
+    """
+
+    def __init__(self, curves: np.ndarray, sum_to: float | None, closed: bool,
+                 factored: bool = True):
+        self.sum_to = sum_to
+        self.baseline = curves[..., 0, :]
+        self.curves = np.swapaxes(curves[..., 1:, :], -1, -2)       # (..., T, m)
+        self.design = self.curves
+        self.shift = self.center = self.v = self.svd = None
+        m = self.curves.shape[-1]
+        if sum_to is not None:
+            q, _ = np.linalg.qr(np.ones((m, 1)), mode="complete")
+            self.v = q[:, 1:]
+            self.center = (float(sum_to) / m) * np.ones(m)
+            self.shift, self.design = self.curves @ self.center, self.curves @ self.v
+        self.degenerate = np.full(curves.shape[:-2], sum_to is None and closed)
+        if self.design.shape[-1]:
+            if factored:
+                self.svd = np.linalg.svd(self.design, full_matrices=False)
+                singular = self.svd[1]
+            else:
+                singular = np.linalg.svd(self.design, compute_uv=False)
+            largest = (singular[..., 0] if sum_to is None else
+                       np.linalg.svd(self.curves, compute_uv=False)[..., 0])
+            self.degenerate |= ~(singular[..., -1] > _RANK_RTOL * largest)
+
+    def error(self) -> DegenerateAnalytesError:
+        if self.sum_to is None:
+            return DegenerateAnalytesError(
+                "fitted analyte curves sum to zero for closed calibration "
+                "samples, or are collinear on this grid; supply sum_to to "
+                "resolve the unidentified direction")
+        return DegenerateAnalytesError(
+            f"fitted analyte curves are collinear on this grid once the "
+            f"estimates are held to sum to {self.sum_to:g}: no estimate "
+            f"separates the analytes")
+
+    def solve(self, w: np.ndarray) -> np.ndarray:
+        """Estimates (..., m) of the spectra ``w`` (..., T), one per fit,
+        from the thin SVD: ``z = V diag(1/s) U' (w - baseline - shift)``."""
+        if self.svd is None:
+            return np.full(w.shape[:-1] + (1,), float(self.sum_to))
+        target = w - self.baseline
+        if self.shift is not None:
+            target -= self.shift
+        u, singular, vt = self.svd
+        z = np.swapaxes(u, -1, -2) @ target[..., None]
+        z = (np.swapaxes(vt, -1, -2) @ (z / singular[..., None]))[..., 0]
+        return z if self.v is None else self.center + z @ self.v.T
+
+
 def _blocked_estimates(model: CalibrationModel, spectra: SpectraSet,
                        sum_to: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and residual norms, ``_BLOCK_ROWS`` spectra at a time.
 
-    The analyte curves are evaluated and their rank checked once; each
-    block makes only its own residuals.  The block size is fixed, not an
+    The analyte curves are evaluated and their rank checked once
+    (:class:`_Regression`); each block makes only its own residuals.  The
+    block size is fixed, not an
     even split of the batch: BLAS picks a row's kernel by its position
     modulo the kernel's unroll width, and fixed blocks starting at row 0
     keep each row where one pass over the batch would put it, so the
     estimates do not depend on the blocking (a tail block of a single row
     may take another kernel and move in the last bit).
     """
-    curves = model.curve_values(spectra.grid)
-    baseline, a = curves[0], curves[1:].T
+    fit = _Regression(model.curve_values(spectra.grid), sum_to,
+                      model.closed_calibration, factored=False)
+    if fit.degenerate:
+        raise fit.error()
+    baseline, a = fit.baseline, fit.curves
     m = a.shape[1]
-    if sum_to is None:
-        # Closed rows leave the curves summing to near zero, even at full rank.
-        singular = np.linalg.svd(a, compute_uv=False)
-        if model.closed_calibration or not singular[-1] > _RANK_RTOL * singular[0]:
-            raise DegenerateAnalytesError(
-                "fitted analyte curves sum to zero for closed calibration "
-                "samples, or are collinear on this grid; supply sum_to to "
-                "resolve the unidentified direction"
-            )
-    elif m > 1:
-        # Solve on the zero-sum subspace, then shift to the requested total.
-        q, _ = np.linalg.qr(np.ones((m, 1)), mode="complete")
-        v = q[:, 1:]
-        center = (float(sum_to) / m) * np.ones(m)
-        shift, av = a @ center, a @ v
     w = spectra.absorbance
     y_hat = np.empty((len(w), m))
     residual_norms = np.empty(len(w))
@@ -143,9 +205,11 @@ def _blocked_estimates(model: CalibrationModel, spectra: SpectraSet,
         elif m == 1:
             y = np.full((len(rows), 1), float(sum_to))
         else:
+            # Solve on the zero-sum subspace, then shift to the requested total.
             target = (rows - baseline).T
-            target -= shift[:, None]
-            y = (center[:, None] + v @ np.linalg.lstsq(av, target, rcond=None)[0]).T
+            target -= fit.shift[:, None]
+            y = (fit.center[:, None]
+                 + fit.v @ np.linalg.lstsq(fit.design, target, rcond=None)[0]).T
             del target  # before the residual product, which sets the peak
         y_hat[block] = y
         # In place, the residual needs no block-sized temporary beside the
@@ -155,6 +219,35 @@ def _blocked_estimates(model: CalibrationModel, spectra: SpectraSet,
         fitted -= rows
         residual_norms[block] = np.linalg.norm(fitted, axis=1)
     return y_hat, residual_norms
+
+
+def held_out_estimates(blocks, b: BasisDesign, w: np.ndarray,
+                       sum_to: float | None) -> Iterator[tuple[int, np.ndarray]]:
+    """``(i, y_i)``: the estimate of held-out spectrum ``w[i]`` from the fit
+    of fold ``i``, in fold order.
+
+    ``blocks`` yields ``(start, coefficients)``, the (n, m+1, K) fits of
+    folds ``start ..`` (:func:`calibrate.loo_coefficients`), on the basis
+    design ``b`` of ``w``'s grid.  A block's curves are evaluated at once,
+    (n, m+1, T), and each held-out spectrum regressed on its own fold's
+    curves through one stacked thin SVD (:class:`_Regression`, with the
+    rank check and ``sum_to`` closure of every other prediction; a
+    jackknife resolves ``sum_to`` from its rows, so closed rows always come
+    with one).  The first failing fold is
+    named: one the source could not fit ("refit failed on fold i") or one
+    whose curves cannot be regressed on ("prediction failed on fold i").
+    """
+    for start, coef in _numbered(blocks, len):
+        fit = _Regression(b.evaluate(coef), sum_to, closed=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_hat = fit.solve(w[start:start + len(coef)])
+        count = int(fit.degenerate.argmax()) if fit.degenerate.any() else len(coef)
+        for j in range(count):
+            yield start + j, y_hat[j]
+        if count < len(coef):
+            cause = fit.error()
+            raise FoldFailureError(
+                f"prediction failed on fold {start + count}: {cause}") from cause
 
 
 def confidence_intervals(y_hat: np.ndarray, s: np.ndarray, c: float = 1.96) -> np.ndarray:
@@ -172,14 +265,15 @@ def confidence_intervals(y_hat: np.ndarray, s: np.ndarray, c: float = 1.96) -> n
     return np.stack([y_hat - half, y_hat + half], axis=-1)
 
 
-def _numbered(folds):
+def _numbered(folds, width=lambda fit: 1):
     """Re-yield the ``(i, fit)`` pairs of a fold source, which yields them in
-    index order; an error making fold ``i`` becomes a FoldFailureError."""
+    index order, ``fit`` covering ``width(fit)`` folds from ``i`` (one, or
+    a block); an error making fold ``i`` becomes a FoldFailureError."""
     i = 0
     try:
-        for i, fit in folds:
-            yield i, fit
-            i += 1
+        for start, fit in folds:
+            yield start, fit
+            i = start + width(fit)
     except SpecalError as exc:
         raise FoldFailureError(f"refit failed on fold {i}: {exc}") from exc
 
@@ -191,13 +285,15 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     Entry ``k`` is the spread :func:`jackknife_sd` gives the FitSpec
     ``fit_configs[k]``, or the error that stopped that configuration; a
     failing configuration leaves the others running.  Functional methods
-    run their own leave-one-out paths one after another.  The multivariate
+    run their own leave-one-out passes one after another, each a pass over
+    blocks of folds that yields the held-out estimates
+    (:meth:`methods.FunctionalStrategy.jackknife_fits`).  The multivariate
     baselines share one pass over the folds: one SVD of the calibration
     spectra, downdated to each fold in its principal coordinates
     (:func:`baselines.downdated_folds`), where every baseline refits and
     predicts the held-out sample without a wavelength-length array.  Only
     a failure inside a fold is a FoldFailureError; one of a functional
-    method's full-data fit keeps its own type.
+    method's full-data resolution keeps its own type.
     """
     from .methods import MultivariateStrategy, make_strategy
 
@@ -211,22 +307,14 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     y = concentrations.values
     sq_sums = np.zeros((len(strategies), concentrations.num_analytes))
     errors: list[SpecalError | None] = [None] * len(strategies)
-
-    def add(k: int, i: int, fitted, held_out: SpectraSet) -> None:
-        try:
-            y_hat = strategies[k].predict_fitted(fitted, held_out)
-        except Exception as exc:  # noqa: BLE001 - rewrapped with fold context
-            raise FoldFailureError(f"prediction failed on fold {i}: {exc}") from exc
-        sq_sums[k] += (y[i] - y_hat[0]) ** 2
-
     shared = []
     for k, strategy in enumerate(strategies):
         if isinstance(strategy, MultivariateStrategy):
             shared.append(k)
             continue
         try:
-            for i, fitted in _numbered(strategy.jackknife_fits(spectra, concentrations)):
-                add(k, i, fitted, _held_out(spectra, i))
+            for i, y_hat in strategy.jackknife_fits(spectra, concentrations):
+                sq_sums[k] += (y[i] - y_hat) ** 2
         except SpecalError as exc:
             errors[k] = exc
     folds = _numbered(downdated_folds(spectra.absorbance, y)) if shared else ()
@@ -249,10 +337,6 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
                 errors[k] = exc
     return [np.sqrt(sq_sum / spectra.num_samples) if error is None else error
             for sq_sum, error in zip(sq_sums, errors)]
-
-
-def _held_out(spectra: SpectraSet, i: int) -> SpectraSet:
-    return SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[i:i + 1])
 
 
 def jackknife_sd(spectra: SpectraSet, concentrations: ConcentrationMatrix,

@@ -5,6 +5,7 @@ full wavelength-by-wavelength noise covariance and its Cholesky factor,
 dense tables of basis values and derivatives, and leave-one-out fits
 rebuilt from scratch
 are what the banded, recursive and downdating paths exist to avoid.
+``by_fold`` unpacks a leave-one-out pass's blocks for comparison with them.
 """
 
 import numpy as np
@@ -86,3 +87,9 @@ def naive_jackknife_fits(strategy, spectra, conc):
             SpectraSet(grid=spectra.grid, absorbance=spectra.absorbance[keep]),
             ConcentrationMatrix(values=conc.values[keep], analytes=conc.analytes),
         )
+
+
+def by_fold(blocks):
+    """``{i: coefficients}`` from the ``(start, coefficients)`` blocks of a
+    leave-one-out pass."""
+    return {start + j: coef for start, block in blocks for j, coef in enumerate(block)}

@@ -44,9 +44,11 @@ from specal.model import (
     SpectraSet,
     assemble_design,
 )
-from specal.simulate import STRONG_PHI, WEAK_PHI
+from specal.methods import FitSpec
+from specal.simulate import STRONG_PHI, WEAK_PHI, SimConfig, generate_dataset
 
 from oracles import (
+    by_fold,
     dense_covariance,
     dense_factor,
     dense_system,
@@ -520,7 +522,7 @@ class TestBandedSolver:
             design = assemble_design(spectra, conc, kv)
             lam = select_lambda(design, pen)
             fit_penalized(design, pen, lam)
-            folds = sum(1 for _ in loo_coefficients(design, pen, lam))
+            folds = len(by_fold(loo_coefficients(design, pen, lam)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -535,7 +537,7 @@ class TestLooRefits:
         design = assemble_design(spectra, conc, kv)
         pen = penalty_matrix(kv)
         for lam in (0.0, 1.5):
-            fast = dict(loo_coefficients(design, pen if lam else None, lam))
+            fast = by_fold(loo_coefficients(design, pen if lam else None, lam))
             for i in range(spectra.num_samples):
                 keep = np.arange(spectra.num_samples) != i
                 sub = assemble_design(
@@ -545,6 +547,55 @@ class TestLooRefits:
                 )
                 naive = (fit_penalized(sub, pen, lam) if lam else fit_ols(sub))
                 npt.assert_allclose(fast[i], naive.coefficients, atol=1e-9)
+
+
+class TestFoldBlocks:
+    @pytest.mark.parametrize("method, num_samples, grid_step, bound", [
+        ("gls-k", 100, 5.0, 0.70), ("ols-ss", 40, 1.0, 1.60),
+    ])
+    def test_jackknife_memory_does_not_grow_with_the_folds(
+            self, method, num_samples, grid_step, bound):
+        # Blocks hold _FOLD_BLOCK_BYTES of fold arrays, so a jackknife peaks
+        # in its full-data work: GLS-K's whitening at I = 100, T = 81 (0.65
+        # MiB) and OLS-SS's GCV factor stack at I = 40, T = 401 (1.51 MiB).
+        # Stacking every fold at once takes 5.1 and 5.2 MiB.
+        import tracemalloc
+        from specal.predict import jackknife_sd
+
+        cfg = SimConfig(seed=303, num_samples=num_samples, phi=STRONG_PHI,
+                        grid_step=grid_step)
+        spectra, conc, _ = generate_dataset(cfg)
+        spec = FitSpec(method=method)
+        tracemalloc.start()
+        try:
+            jackknife_sd(spectra, conc, spec)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_fold_failure_ends_the_pass_after_the_folds_before_it(self, monkeypatch):
+        # Fold 4 drops the only row off the line the others lie on; in
+        # blocks of 3 the pass yields folds 0-2, then fold 3, then raises.
+        from specal import calibrate
+
+        rng = np.random.default_rng(40)
+        t = np.linspace(0.1, 0.6, 7)
+        y = np.column_stack([t, 2 * t + 0.1])
+        y[4] = [0.3, 0.3]
+        spectra = SpectraSet(grid=np.linspace(0.0, 1.0, 20),
+                             absorbance=rng.standard_normal((7, 20)))
+        design = assemble_design(spectra, ConcentrationMatrix(values=y),
+                                 make_knots((0.0, 1.0), 4))
+        monkeypatch.setattr(calibrate, "_folds_per_block", lambda fold_bytes: 3)
+        for folds in (loo_coefficients(design),
+                      gls_loo_coefficients(design, CovarianceModel(
+                          sigma2=[0.5, 2.0], phi=[0.3, 1.0]))):
+            seen = []
+            with pytest.raises(SingularDesignError):
+                for start, coef in folds:
+                    seen.append((start, len(coef)))
+            assert seen == [(0, 3), (3, 1)]
 
 
 class TestCovariance:
@@ -819,7 +870,7 @@ class TestGls:
     def test_loo_fast_path_matches_naive(self):
         spectra, conc, kv, _, _ = self.make(26)
         cov = CovarianceModel(sigma2=np.array([0.5, 2.0]), phi=np.array([0.3, 1.0]))
-        fast = dict(gls_loo_coefficients(assemble_design(spectra, conc, kv), cov))
+        fast = by_fold(gls_loo_coefficients(assemble_design(spectra, conc, kv), cov))
         for i in (0, 4, 7):
             keep = np.arange(8) != i
             naive = fit_gls(assemble_design(
@@ -884,6 +935,41 @@ class TestGls:
         else:
             npt.assert_allclose(system.solve(gram, np.ones(4)).ravel(),
                                 np.linalg.solve(gram, np.ones(4)), rtol=1e-6)
+
+
+    @pytest.mark.parametrize("eigenvalues", [
+        [4.0, 1e-9], [4.0, 1e-14], [1e-3, 1e-11], [1e-3, 1e-13], [1e-20, 1e-20],
+        [4.0, 0.0],
+    ])
+    def test_fold_guard_rejects_what_the_fit_guard_rejects(self, eigenvalues):
+        # Folds 0 and 2 are well conditioned and fold 1's downdated Gram has
+        # the given eigenvalues: the stacked pass stops at fold 1 exactly
+        # when solve() refuses that Gram, and otherwise solves every fold
+        # as solve() does.  A zero eigenvalue fails the stacked Cholesky and
+        # takes the fold-by-fold path.
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        targets = [np.diag([3.0, 2.0, 1.5, 1.0]), (q * np.repeat(eigenvalues, 2)) @ q.T,
+                   np.diag([1.0, 2.0, 3.0, 4.0])]
+        system = _WhitenedSystem.__new__(_WhitenedSystem)
+        system.num_basis, system.rows = 4, np.ones((3, 1))
+        system.gram, system.rhs = 10.0 * np.eye(4), np.ones(4)
+        system.grams = np.array([system.gram - t for t in targets])
+        system.rhs_parts = np.zeros((3, 4))
+        grams = [system.gram - g for g in system.grams]
+        try:
+            system.solve(grams[1], np.ones(4))
+        except SingularDesignError:
+            count = 1
+        else:
+            count = 3
+        coef, error = system.fold_solve(range(3))
+        assert len(coef) == count and (error is None) == (count == 3)
+        for j in range(count):
+            # Two Cholesky codes agree to about eps times the condition number.
+            rtol = 1e-14 * np.linalg.cond(grams[j])
+            npt.assert_allclose(coef[j], system.solve(grams[j], np.ones(4)),
+                                rtol=rtol)
 
 
 def dense_whitened(cov, grid, y, cols):

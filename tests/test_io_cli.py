@@ -978,6 +978,18 @@ def test_predict_with_non_finite_model_number_exits_with_parse_error(
         f"error[parse]: {tmp_path / 'm.json'}: model field '{field}': must be finite")
 
 
+def test_predict_with_coinciding_analyte_curves_exits_with_degenerate_analytes(
+        dataset, tmp_path, capsys):
+    # Closed rows: the model's predictions are held to sum to 1, and equal
+    # analyte curves leave nothing to separate the analytes by.
+    def edit(payload):
+        rows = payload["coefficients"]
+        rows[2:] = [rows[1]] * (len(rows) - 2)
+
+    err = predict_with_edited_model(dataset, tmp_path, capsys, edit)
+    assert err.startswith("error[degenerate-analytes]: fitted analyte curves")
+
+
 def test_non_utf8_inputs_exit_with_parse_error(dataset, tmp_path, capsys):
     _, _, _, spath, cpath = dataset
     latin1 = tmp_path / "latin1.csv"

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.optimize import minimize
 
+from specal.basis import cached_design_matrix
 from specal.calibrate import fit_ols
 from specal.errors import (
     DegenerateAnalytesError,
@@ -19,6 +22,7 @@ from specal.model import (
 )
 from specal.predict import (
     confidence_intervals,
+    held_out_estimates,
     jackknife_sd,
     predict_concentrations,
     prediction_report,
@@ -119,6 +123,26 @@ class TestPredictConcentrations:
             predict_concentrations(model, target)
         y_hat = predict_concentrations(model, target, sum_to=1.0)
         npt.assert_allclose(y_hat, conc.values[:1], atol=1e-8)
+
+    def test_curves_coinciding_under_a_closure_raise(self):
+        # Equal analyte curves differ by nothing on the zero-sum subspace,
+        # where a closed prediction solves: no estimate separates them.
+        model, spectra = fitted_model(seed=11)
+        coef = model.coefficients.copy()
+        coef[2:] = coef[1]
+        model = replace(model, coefficients=coef)
+        with pytest.raises(DegenerateAnalytesError, match="held to sum to 1"):
+            predict_concentrations(model, spectra, sum_to=1.0)
+        with pytest.raises(DegenerateAnalytesError):
+            prediction_report(model, spectra, s=np.full(3, 0.05), sum_to=1.0)
+        # Fold 2 of a block of leave-one-out fits has such curves.
+        b = cached_design_matrix(model.basis, spectra.grid)
+        blocks = [(0, np.stack([fitted_model(seed=11)[0].coefficients] * 2)),
+                  (2, coef[None])]
+        with pytest.raises(FoldFailureError,
+                           match="prediction failed on fold 2") as excinfo:
+            list(held_out_estimates(blocks, b, spectra.absorbance, 1.0))
+        assert isinstance(excinfo.value.__cause__, DegenerateAnalytesError)
 
     def test_closed_penalized_model_needs_a_closure(self):
         # The soft sum-to-zero block leaves penalized curves of closed rows
@@ -309,25 +333,57 @@ class TestJackknife:
                 FitSpec(method="ols-k", num_basis=8),
             )
 
+    @pytest.mark.parametrize("per_block, failing", [
+        (None, 2), (None, 5), (1, 5), (3, 5),
+    ], ids=["duplicate-rows", "off-line-row", "off-line-row-blocks-of-1",
+            "off-line-row-blocks-of-3"])
     @pytest.mark.parametrize("tuning", [
         {"method": "ols-k", "num_basis": 4},
         {"method": "ols-ss", "lam": 5.0},
         {"method": "gls-k", "num_basis": 4},
     ], ids=lambda tuning: tuning["method"])
-    def test_fold_failure_is_reported(self, tuning):
-        # Four open samples, two with identical concentration rows: the full
-        # fit has rank 3, and dropping either distinct row (fold 2 or 3)
-        # leaves a rank-deficient fold; folds 0 and 1 succeed.
+    def test_fold_failure_is_reported(self, monkeypatch, tuning, per_block,
+                                      failing):
+        # Duplicate rows: four open samples, two with identical
+        # concentration rows; the full fit has rank 3, and dropping either
+        # distinct row (fold 2 or 3) leaves a rank-deficient fold; folds 0
+        # and 1 succeed.  Off-line row: eight open samples, all but sample
+        # 5 on one line in concentration space, so only fold 5 is rank
+        # deficient; in blocks of 1 or 3 it lies past the first block (in
+        # blocks of 3, last in the second).
+        from specal import calibrate
+
+        if per_block is not None:
+            monkeypatch.setattr(calibrate, "_folds_per_block",
+                                lambda fold_bytes: per_block)
         rng = np.random.default_rng(15)
-        grid = np.linspace(0.0, 1.0, 20)
-        y = np.array([[0.2, 0.3], [0.2, 0.3], [0.6, 0.1], [0.1, 0.5]])
-        w = rng.standard_normal((4, 20))
-        spectra = SpectraSet(grid=grid, absorbance=w)
+        if failing == 2:
+            y = np.array([[0.2, 0.3], [0.2, 0.3], [0.6, 0.1], [0.1, 0.5]])
+        else:
+            t = np.linspace(0.1, 0.6, 8)
+            y = np.column_stack([t, 2 * t + 0.1])
+            y[5] = [0.3, 0.3]
+        spectra = SpectraSet(grid=np.linspace(0.0, 1.0, 20),
+                             absorbance=rng.standard_normal((len(y), 20)))
         conc = ConcentrationMatrix(values=y)
         with pytest.raises(FoldFailureError):
             jackknife_sd(spectra, conc, FitSpec(**tuning))
-        with pytest.raises(FoldFailureError, match="refit failed on fold 2"):
+        with pytest.raises(FoldFailureError,
+                           match=f"refit failed on fold {failing}:"):
             jackknife_sd(spectra, conc, FitSpec(**tuning, sum_to=1.0))
+
+    @pytest.mark.parametrize("spec", [
+        FitSpec(method="ols-k"), FitSpec(method="ols-ss"),
+        FitSpec(method="ols-ss", lam=5.0), FitSpec(method="gls-k"),
+    ], ids=["ols-k", "ols-ss-gcv", "ols-ss-5", "gls-k"])
+    def test_spreads_do_not_depend_on_the_blocks(self, monkeypatch, spec):
+        from specal import calibrate
+
+        cfg = SimConfig(seed=17, num_samples=30, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        want = jackknife_sd(spectra, conc, spec)
+        monkeypatch.setattr(calibrate, "_FOLD_BLOCK_BYTES", 1)
+        npt.assert_allclose(jackknife_sd(spectra, conc, spec), want, rtol=1e-13)
 
     def test_simulation_protocol_bands(self):
         spec = FitSpec(method="ols-k", num_basis=14)

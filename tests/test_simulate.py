@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -18,8 +18,9 @@ from specal.methods import (
     READ_FIELDS,
     FitSpec,
     make_strategy,
+    resolve_sum_to,
 )
-from specal.model import ConcentrationMatrix, assemble_design
+from specal.model import ConcentrationMatrix, SpectraSet, assemble_design
 from specal.predict import jackknife_sd
 from specal.simulate import (
     STRONG_PHI,
@@ -36,7 +37,7 @@ from specal.simulate import (
     _stream,
 )
 
-from oracles import dense_factor, naive_jackknife_fits
+from oracles import by_fold, dense_factor, naive_jackknife_fits
 
 
 def colour(band, normals):
@@ -208,10 +209,14 @@ class TestJackknifeStudy:
         npt.assert_array_equal(stats["iqr"], 0.0)
 
     def test_parallel_matches_serial(self):
+        # The functional methods run their folds in blocks, the baselines
+        # from one SVD; neither depends on the worker count.
         cfg = SimConfig(seed=2, num_samples=10, phi=WEAK_PHI)
-        serial = run_jackknife_study(cfg, ["OLS-K", "MLR"], replicates=4, jobs=1)
-        parallel = run_jackknife_study(cfg, ["OLS-K", "MLR"], replicates=4, jobs=2)
-        for name in ("OLS-K", "MLR"):
+        methods = ["OLS-K", "GLS-K", "OLS-SS", "MLR"]
+        serial = run_jackknife_study(cfg, methods, replicates=4, jobs=1)
+        parallel = run_jackknife_study(cfg, methods, replicates=4, jobs=2)
+        assert serial.failures == parallel.failures == dict.fromkeys(methods, 0)
+        for name in methods:
             npt.assert_array_equal(serial.spreads[name], parallel.spreads[name])
 
     def test_concentrations_fixed_across_replicates(self):
@@ -261,6 +266,12 @@ class TestBiasVarianceStudy:
         assert np.abs(c0.values - c1.values).max() > 1e-6
 
 
+def fold_fits(strategy, spectra, conc):
+    """``{i: coefficients}`` of the strategy's blocked leave-one-out pass."""
+    _, _, leave_one_out, args = strategy._calibration(spectra, conc)
+    return by_fold(leave_one_out(*args))
+
+
 class TestStrategyFastPaths:
     @pytest.mark.parametrize("method", ["ols-k", "ols-ss"])
     def test_jackknife_fast_path_matches_naive_refits(self, method):
@@ -268,12 +279,12 @@ class TestStrategyFastPaths:
         spectra, conc, _ = generate_dataset(cfg)
         spec = FitSpec(method=method, num_basis=10,
                        lam=5.0 if method == "ols-ss" else None)
-        fast = make_strategy(spec)
-        fast_fits = dict(fast.jackknife_fits(spectra, conc))
+        fast_fits = fold_fits(make_strategy(spec), spectra, conc)
         naive = dict(naive_jackknife_fits(make_strategy(spec), spectra, conc))
+        assert sorted(fast_fits) == sorted(naive)
         for i in fast_fits:
             npt.assert_allclose(
-                fast_fits[i].coefficients, naive[i].coefficients,
+                fast_fits[i], naive[i].coefficients,
                 atol=1e-8 * max(1.0, np.abs(naive[i].coefficients).max()),
             )
 
@@ -288,8 +299,8 @@ class TestStrategyFastPaths:
         cfg = SimConfig(seed=9, num_samples=8, phi=STRONG_PHI)
         spectra, conc, _ = generate_dataset(cfg)
         spec = FitSpec(method="gls-k", num_basis=10)
-        fast = make_strategy(spec)
-        fast_fits = dict(fast.jackknife_fits(spectra, conc))
+        fast_fits = fold_fits(make_strategy(spec), spectra, conc)
+        assert sorted(fast_fits) == list(range(8))
         kv = make_knots((cfg.grid_start, cfg.grid_end), 10)
         design = assemble_design(spectra, conc, kv)
         pilot = fit_ols(design, diagnostics=False)
@@ -303,9 +314,48 @@ class TestStrategyFastPaths:
                 ConcentrationMatrix(values=conc.values[keep]), kv,
             ), cov, diagnostics=False)
             npt.assert_allclose(
-                fast_fits[i].coefficients, naive.coefficients,
+                fast_fits[i], naive.coefficients,
                 atol=1e-8 * max(1.0, np.abs(naive.coefficients).max()),
             )
+
+    @pytest.mark.parametrize("spec", [
+        FitSpec(method="ols-k"), FitSpec(method="ols-ss"),
+        FitSpec(method="ols-ss", lam=5.0), FitSpec(method="gls-k"),
+    ], ids=["ols-k", "ols-ss-gcv", "ols-ss-5", "gls-k"])
+    @pytest.mark.parametrize("rows", ["closed", "open"])
+    def test_held_out_predictions_match_naive_refits(self, monkeypatch, spec,
+                                                     rows):
+        # Each fold's held-out estimate from the block pass equals the
+        # strategy's own prediction from a refit without that sample, at the
+        # full fit's lambda and noise covariance.  22 samples leave a short
+        # last block for every method.
+        from specal.methods import FunctionalStrategy
+
+        cfg = SimConfig(seed=12, num_samples=22, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        if rows == "open":
+            scales = np.random.default_rng(12).uniform(0.8, 1.2, (22, 1))
+            conc = ConcentrationMatrix(values=conc.values * scales)
+        strategy = make_strategy(spec)
+        design, _, leave_one_out, args = strategy._calibration(spectra, conc)
+        assert (design.closed_total is None) == (rows == "open")
+        blocks = [len(coef) for _, coef in leave_one_out(*args)]
+        assert 1 < len(blocks) and blocks[-1] < blocks[0]
+        if spec.method == "ols-ss":
+            spec = replace(spec, lam=args[2])
+        if spec.method == "gls-k":
+            monkeypatch.setattr(FunctionalStrategy, "_pilot_covariance",
+                                lambda self, design, cov=args[1]: cov)
+        got = list(strategy.jackknife_fits(spectra, conc))
+        assert [i for i, _ in got] == list(range(22))
+        naive = make_strategy(spec)
+        rtol = 1e-8 if spec.method == "gls-k" else 1e-10
+        for (i, y_hat), (j, fitted) in zip(got, naive_jackknife_fits(naive, spectra,
+                                                                     conc)):
+            held_out = SpectraSet(grid=spectra.grid,
+                                  absorbance=spectra.absorbance[j:j + 1])
+            npt.assert_allclose(y_hat, naive.predict_fitted(fitted, held_out)[0],
+                                rtol=rtol)
 
     def test_gcv_fit_and_folds_factor_once(self, monkeypatch):
         # select_lambda and the fit (or the folds) at the chosen lambda
@@ -319,7 +369,7 @@ class TestStrategyFastPaths:
         pen = penalty_matrix(kv)
         lam = calibrate.select_lambda(assemble_design(spectra, conc, kv), pen)
         want = calibrate.fit_penalized(assemble_design(spectra, conc, kv), pen, lam)
-        want_folds = dict(calibrate.loo_coefficients(
+        want_folds = by_fold(calibrate.loo_coefficients(
             assemble_design(spectra, conc, kv), pen, lam))
 
         calls = []
@@ -335,10 +385,11 @@ class TestStrategyFastPaths:
         assert len(calls) == 1
         npt.assert_array_equal(got.coefficients, want.coefficients)
         assert got.lam == lam
-        folds = dict(strategy.jackknife_fits(spectra, conc))
+        folds = fold_fits(strategy, spectra, conc)
         assert len(calls) == 2
-        for i, fitted in folds.items():
-            npt.assert_array_equal(fitted.coefficients, want_folds[i])
+        assert sorted(folds) == sorted(want_folds)
+        for i, coef in folds.items():
+            npt.assert_array_equal(coef, want_folds[i])
 
     @pytest.mark.parametrize("method,evaluations", [
         ("ols-k", 1), ("ols-ss", 1), ("gls-k", 1),
@@ -396,17 +447,21 @@ class TestJackknifeMatchesFit:
             run(spectra, conc, spec)
 
     @pytest.mark.parametrize("method", ["ols-k", "ols-ss", "gls-k"])
-    def test_fold_models_carry_the_fit_labels(self, method):
+    @pytest.mark.parametrize("sum_to", ["auto", 2.0])
+    def test_folds_predict_with_the_fit_closure(self, method, sum_to):
+        # The folds yield one held-out estimate per sample, in index order,
+        # held to the closure the fit's predictions take: the closed rows'
+        # total, or the spec's sum_to.
         cfg = SimConfig(seed=9, num_samples=8, phi=STRONG_PHI)
         spectra, conc, _ = generate_dataset(cfg)
-        strategy = make_strategy(FitSpec(method=method, num_basis=10))
-        full = strategy.fit(spectra, conc)
-        folds = dict(strategy.jackknife_fits(spectra, conc))
-        assert sorted(folds) == list(range(8))
-        for fitted in folds.values():
-            assert (fitted.method, fitted.lam, fitted.analytes,
-                    fitted.closed_total) == (full.method, full.lam,
-                                             full.analytes, full.closed_total)
+        strategy = make_strategy(FitSpec(method=method, num_basis=10, sum_to=sum_to))
+        total = resolve_sum_to(sum_to, strategy.fit(spectra, conc).closed_total)
+        assert total == (1.0 if sum_to == "auto" else 2.0)
+        folds = list(strategy.jackknife_fits(spectra, conc))
+        assert [i for i, _ in folds] == list(range(8))
+        for _, y_hat in folds:
+            assert y_hat.shape == (3,)
+            npt.assert_allclose(y_hat.sum(), total, rtol=1e-12)
 
 
 # A valid value other than the default for every FitSpec field but
