@@ -565,63 +565,65 @@ def loo_coefficients(design: AggregatedDesign, penalty: PenaltyMatrix | None = N
                               lambda folds: system.fold_solve(folds, lam))
 
 
-def _uniform_lags(grid: np.ndarray) -> np.ndarray | None:
-    """Rounded distance of each site offset when the grid is uniform.
-
-    Entry ``k`` is ``round(t[k] - t[0], 9)``, returned only when it
-    increases with ``k`` and every ``round(t[n+k] - t[n], 9)`` equals it;
-    otherwise None.  Offsets are checked 64 at a time, so no T-by-T
-    array is formed.
-    """
-    block = 64
-    t = grid.size
-    lags = np.round(grid - grid[0], 9)
-    if np.any(np.diff(lags) <= 0):
-        return None
-    # shifted[k, n] = t[n+k]; entries with n + k >= T wrap and are ignored.
-    shifted = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([grid, grid]), t)
-    sites = np.arange(t)
-    for start in range(1, t, block):
-        ks = np.arange(start, min(start + block, t))
-        gaps = np.round(shifted[ks] - grid, 9)
-        if not np.all((gaps == lags[ks, None]) | (sites >= t - ks[:, None])):
-            return None
-    return lags
-
-
 def empirical_covariogram(residuals: np.ndarray, grid: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample average residual products at each distinct site distance.
+    """Per-sample average residual products, binned by site distance.
 
-    Returns ``(lags, covs, counts)`` where ``covs[i, k]`` averages
-    ``e_i(t_n) e_i(t_n')`` over the ``counts[k]`` ordered pairs with
-    ``|t_n - t_n'| == lags[k]`` (distances rounded to 9 decimals).  On a
-    uniform grid offset ``k`` is lag ``k``: its sum is the lagged product
-    ``sum_n e(t_n) e(t_(n+k))``, doubled for ``k > 0``, over ``T`` pairs
-    at ``k = 0`` and ``2 (T - k)`` otherwise.  Any other grid sorts the
-    ``T^2`` rounded distances.
+    Pair ``(n, n')`` falls in bin ``rint(|t_n - t_n'| / h)``, ``h`` the median
+    spacing (Cressie 1993, section 2.4).  Bins past ``rint(span / h) // 2``,
+    half the span's, are dropped: the half-span cut of :func:`fit_covariance`.
+    Returns each occupied bin's mean pair distance, each sample's average
+    product over its pairs and its ordered-pair count.  Grid offsets ``k``
+    are walked in blocks: one whose pairs ``(n, n+k)`` share a bin, as all do
+    on a uniform grid, adds its ``np.correlate`` lagged sum; any other splits
+    its products over their bins with one ``bincount``.
     """
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     grid = np.asarray(grid, dtype=float)
     if residuals.shape[1] != grid.size:
         raise ShapeError("residual columns must match the grid length")
-    lags = _uniform_lags(grid)
-    if lags is not None:
-        t = grid.size
-        counts = np.concatenate([[t], 2.0 * np.arange(t - 1, 0, -1)])
-        sums = np.stack([np.correlate(r, r, "full")[t - 1:] for r in residuals])
-        sums[:, 1:] *= 2.0
-        return lags, sums / counts, counts
-    dist = np.abs(grid[:, None] - grid[None, :])
-    rounded = np.round(dist, 9)
-    lags, inverse = np.unique(rounded.ravel(), return_inverse=True)
-    counts = np.bincount(inverse, minlength=lags.size).astype(float)
-    sums = np.zeros((residuals.shape[0], lags.size))
-    for i, r in enumerate(residuals):
-        sums[i] = np.bincount(inverse, weights=np.outer(r, r).ravel(),
-                              minlength=lags.size)
-    return lags, sums / counts, counts
+    gaps = np.sort(np.diff(grid))
+    if not np.all(gaps > 0):
+        raise ShapeError("grid must be strictly increasing")
+    num, t = residuals.shape
+    h = 0.5 * (gaps[(t - 2) // 2] + gaps[(t - 1) // 2]) if t > 1 else 1.0  # median
+    last = np.rint((grid[-1] - grid[0]) / h) // 2
+    padded = np.concatenate([grid, np.full(t, np.nan)])  # sites[k, n]: t[n+k] or nan
+    sites = np.lib.stride_tricks.as_strided(padded, (t, t), 2 * padded.strides)
+    block = max(1, (1 << 15) // t)              # offsets a block: 256 KiB arrays
+    whole, split, found = [], [], []
+    for start in range(0, t, block):
+        dist = sites[start:start + block] - grid
+        low = np.rint(np.fmin.reduce(dist, axis=1) / h)
+        shared = (low == np.rint(np.fmax.reduce(dist, axis=1) / h)) & (low <= last)
+        whole.append((start + np.flatnonzero(shared), low[shared],
+                      dist.sum(axis=1, where=np.isfinite(dist))[shared]))
+        if (parted := (low <= last) & ~shared).any():
+            split.extend(start + np.flatnonzero(parted))
+            bins = np.rint(dist[parted] / h)
+            found.append(np.unique(bins[bins <= last]))
+        if low[-1] > last:              # distances grow with the offset
+            break
+    offsets, lows, spreads = map(np.concatenate, zip(*whole))
+    labels = np.unique(np.concatenate([lows, *found]))
+    if labels.size < 2:
+        raise InvalidParameterError("no nonzero lag bin within half the grid's span")
+    rows = labels.size * np.arange(num + 2)[:, None]
+
+    def binned(bins, weight, *values):  # weighted rows: pairs, distance, products
+        return np.bincount((rows + np.searchsorted(labels, bins)).ravel(),
+                           (weight * np.vstack(values)).ravel(),
+                           rows.size * labels.size).reshape(num + 2, -1)
+
+    lagged = np.array([np.correlate(r, r, "full")[t - 1:] for r in residuals])
+    stats = binned(lows, np.where(offsets == 0, 1.0, 2.0), t - offsets, spreads,
+                   lagged[:, offsets])
+    for k in split:
+        bins = np.rint((grid[k:] - grid[:t - k]) / h)
+        n = np.flatnonzero(bins <= last)
+        stats += binned(bins[n], 2.0, np.ones(n.size), grid[n + k] - grid[n],
+                        residuals[:, n] * residuals[:, n + k])
+    return stats[1] / stats[0], stats[2:] / stats[0], stats[0]
 
 
 def fit_covariance(residuals: np.ndarray, concentrations,
@@ -629,10 +631,10 @@ def fit_covariance(residuals: np.ndarray, concentrations,
     """Least squares fit of the exponential covariance to lag covariances.
 
     Sample ``i``'s covariogram at lag ``l`` is modelled as
-    ``sum_k y_ik^2 sigma2_k exp(-phi_k l)``.  Lags beyond half the span are
-    dropped and the rest weighted by the square root of their pair count:
-    long-lag covariogram values average few pairs and would otherwise
-    dominate the fit with noise.
+    ``sum_k y_ik^2 sigma2_k exp(-phi_k l)``.  The covariogram stops at half
+    the span (:func:`empirical_covariogram` makes that cut) and its lags are
+    weighted by the square root of their pair count: long-lag values average
+    few pairs and would otherwise dominate the fit with noise.
 
     The decay rates are searched on ``PHI_GRID``, 50 log-spaced values
     from 1e-4 to 10 (one shared value first, then one cyclic per-analyte
@@ -657,8 +659,6 @@ def fit_covariance(residuals: np.ndarray, concentrations,
         raise ShapeError("concentration rows must match residual rows")
     m = y.shape[1]
     lags, covs, counts = empirical_covariogram(residuals, grid)
-    keep = lags <= 0.5 * lags[-1]
-    lags, covs, counts = lags[keep], covs[:, keep], counts[keep]
     weights = np.sqrt(counts)
     target = covs * weights                         # (I, L)
     q, r0 = np.linalg.qr(y ** 2)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,7 +19,6 @@ from specal.calibrate import (
     CovarianceModel,
     _FactoredSystem,
     _selected_inverse,
-    _uniform_lags,
     _whitened_blocks,
     _WhitenedSystem,
     empirical_covariogram,
@@ -598,19 +599,46 @@ class TestFoldBlocks:
             assert seen == [(0, 3), (3, 1)]
 
 
+def wavenumber_grid(num_points, start=350.0, end=750.0):
+    """Sites uniform in wavenumber (1e7 / nm) over ``start``..``end`` nm."""
+    grid = 1e7 / np.linspace(1e7 / start, 1e7 / end, num_points)
+    grid[[0, -1]] = start, end
+    return grid
+
+
 class TestCovariance:
     def test_recovers_known_parameters(self):
-        grid = np.arange(0.0, 405.0, 5.0)
-        chol = dense_factor(grid, 4.0, 0.002)
-        sig, phi = [], []
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            resid = (chol @ rng.standard_normal((grid.size, 20))).T
-            cov = fit_covariance(resid, np.ones((20, 1)), grid)
-            sig.append(cov.sigma2[0])
-            phi.append(cov.phi[0])
-        assert abs(np.median(sig) - 4.0) / 4.0 < 0.15
-        assert abs(np.median(phi) - 0.002) / 0.002 < 0.25
+        check_recovery(np.arange(0.0, 405.0, 5.0))
+
+    def test_recovers_known_parameters_on_a_wavenumber_grid(self):
+        # The same span and site count, sites uniform in wavenumber: the
+        # binned lags recover the parameters as closely.
+        check_recovery(wavenumber_grid(81))
+
+    def test_wavenumber_grid_memory_is_linear_in_the_residuals(self):
+        # Pilot residuals on T = 1001 sites uniform in wavenumber.  The
+        # covariogram walks site offsets, so the fit peaks below 32 doubles
+        # per residual value (4.9 MiB); the distance of every site pair
+        # alone would take 8 T^2 bytes (7.6 MiB).
+        import tracemalloc
+
+        num_points, num_samples = 1001, 20
+        spectra, conc, _ = generate_dataset(
+            SimConfig(seed=3, num_samples=num_samples, grid_step=1.0))
+        grid = wavenumber_grid(num_points)
+        absorbance = np.array([np.interp(grid, spectra.grid, a)
+                               for a in spectra.absorbance])
+        design = assemble_design(SpectraSet(grid=grid, absorbance=absorbance), conc,
+                                 make_knots((350.0, 750.0), 14))
+        pilot = fit_ols(design, diagnostics=False)
+        resid = absorbance - design.conc_aug[:-1] @ design.b.evaluate(pilot.coefficients)
+        tracemalloc.start()
+        try:
+            fit_covariance(resid, conc, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 8 * num_samples * num_points
 
     def test_white_noise_gets_fast_decay(self):
         rng = np.random.default_rng(21)
@@ -626,55 +654,88 @@ class TestCovariance:
         resid = (chol @ rng.standard_normal((grid.size, 30))).T
         cov = fit_covariance(resid, np.ones((30, 1)), grid)
         lags, covs, _ = empirical_covariogram(resid, grid)
-        keep = lags <= 0.5 * lags[-1]
-        fitted = cov.sigma2[0] * np.exp(-cov.phi[0] * lags[keep])
-        empirical = covs[:, keep].mean(axis=0)
+        fitted = cov.sigma2[0] * np.exp(-cov.phi[0] * lags)
+        empirical = covs.mean(axis=0)
         rel = np.linalg.norm(fitted - empirical) / np.linalg.norm(empirical)
         assert rel < 0.3
 
     def test_covariogram_matches_pairwise_oracle(self):
-        # Non-uniform grid with a lag (0.2) shared by two site pairs; every
-        # ordered pair, the zero lag included, is counted once.
+        # Non-uniform grid, h = 0.3 and half the span's bin is 3: bin 1 holds
+        # the distances 0.3, 0.2 and 0.2, and pairs farther than bin 3 are cut.
         rng = np.random.default_rng(23)
         grid = np.array([0.0, 0.3, 0.5, 1.1, 1.3, 2.0])
         resid = rng.standard_normal((3, grid.size))
         lags, covs, counts = empirical_covariogram(resid, grid)
-        pairs, sums = {}, {}
-        for n in range(grid.size):
-            for k in range(grid.size):
-                lag = round(abs(grid[n] - grid[k]), 9)
-                pairs[lag] = pairs.get(lag, 0) + 1
-                sums[lag] = sums.get(lag, 0.0) + resid[:, n] * resid[:, k]
-        expected = sorted(pairs)
-        assert pairs[0.2] == 4
+        expected, oracle_covs, oracle_counts = pairwise_covariogram(resid, grid)
+        npt.assert_array_equal(counts, [6, 6, 6, 8])
+        npt.assert_allclose(expected, [0.0, 0.7 / 3, 0.6, 0.875], rtol=1e-15)
         npt.assert_allclose(lags, expected, rtol=0, atol=1e-12)
-        npt.assert_array_equal(counts, [pairs[lag] for lag in expected])
-        npt.assert_allclose(
-            covs, np.column_stack([sums[lag] / pairs[lag] for lag in expected]),
-            rtol=1e-12, atol=1e-15,
-        )
+        npt.assert_array_equal(counts, oracle_counts)
+        npt.assert_allclose(covs, oracle_covs, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("grid", [
         np.arange(350, 751, 1.0),
         np.arange(350, 750, 0.4),
         np.linspace(350, 750, 301),
-    ], ids=["step1", "step0.4", "linspace"])
+        wavenumber_grid(201),
+    ], ids=["step1", "step0.4", "linspace", "wavenumber"])
     def test_uniform_covariogram_matches_pairwise_oracle(self, grid):
+        # Lags are mean pair distances: on integer steps they are the
+        # offsets' exact distances; otherwise two summation orders agree to
+        # an ulp or two.
         rng = np.random.default_rng(24)
         resid = rng.standard_normal((2, grid.size))
-        assert _uniform_lags(grid) is not None      # the lagged-product path
         lags, covs, counts = empirical_covariogram(resid, grid)
         expected, oracle_covs, oracle_counts = pairwise_covariogram(resid, grid)
-        npt.assert_array_equal(lags, expected)
+        if np.all(grid == np.rint(grid)):
+            npt.assert_array_equal(lags, np.arange(lags.size) * (grid[1] - grid[0]))
+        npt.assert_allclose(lags, expected, rtol=1e-15, atol=0)
         npt.assert_array_equal(counts, oracle_counts)
         npt.assert_allclose(covs, oracle_covs, rtol=1e-12,
                             atol=1e-15 * np.abs(oracle_covs).max())
 
-    def test_jittered_grid_is_not_uniform(self):
+    @pytest.mark.parametrize("grid", [
+        np.sort(np.random.default_rng(29).uniform(0.0, 100.0, 150)),
+        np.concatenate([np.arange(350, 450, 0.5), np.arange(700, 750.1, 0.5)]),
+        np.array([0.0, 1e-9, 2e-9, 1.0]),
+    ], ids=["random", "two-clusters", "bins-far-beyond-the-sites"])
+    def test_irregular_covariogram_matches_pairwise_oracle(self, grid):
+        # Offsets whose pairs straddle bins, several offsets in one bin, and
+        # a grid whose half-span bin index (5e8) far exceeds its pair count.
+        resid = np.random.default_rng(30).standard_normal((3, grid.size))
+        lags, covs, counts = empirical_covariogram(resid, grid)
+        expected, oracle_covs, oracle_counts = pairwise_covariogram(resid, grid)
+        npt.assert_allclose(lags, expected, rtol=0, atol=1e-12)
+        npt.assert_array_equal(counts, oracle_counts)
+        npt.assert_allclose(covs, oracle_covs, rtol=1e-12,
+                            atol=1e-15 * np.abs(oracle_covs).max())
+
+    def test_jittered_grid_bins_like_its_twin(self):
         grid = np.arange(350, 751, 1.0)
-        grid[200] += 1e-6
-        assert _uniform_lags(grid) is None
-        assert _uniform_lags(grid[::-1]) is None
+        jittered = grid.copy()
+        jittered[200] += 1e-6
+        resid = np.random.default_rng(26).standard_normal((2, grid.size))
+        lags, _, counts = empirical_covariogram(resid, grid)
+        jittered_lags, _, jittered_counts = empirical_covariogram(resid, jittered)
+        npt.assert_array_equal(jittered_counts, counts)
+        npt.assert_allclose(jittered_lags, lags, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("grid", [
+        np.arange(350.0, 751.0, 5.0)[::-1],
+        np.array([350.0, 355.0, 355.0, 360.0, 365.0]),
+    ], ids=["reversed", "repeated-site"])
+    def test_grid_not_increasing_raises(self, grid):
+        resid = np.random.default_rng(27).standard_normal((4, grid.size))
+        with pytest.raises(ShapeError, match="grid must be strictly increasing"):
+            fit_covariance(resid, np.ones((4, 1)), grid)
+
+    @pytest.mark.parametrize("grid", [
+        np.array([350.0]), np.array([350.0, 750.0]), np.array([350.0, 351.0, 750.0]),
+    ], ids=["one-site", "two-sites", "one-close-pair"])
+    def test_grid_without_a_lag_within_half_the_span_raises(self, grid):
+        resid = np.random.default_rng(28).standard_normal((4, grid.size))
+        with pytest.raises(InvalidParameterError, match="no nonzero lag bin"):
+            fit_covariance(resid, np.ones((4, 1)), grid)
 
     @pytest.mark.parametrize("num_samples,num_analytes,phi", [
         (20, 1, WEAK_PHI), (20, 1, STRONG_PHI),
@@ -684,21 +745,11 @@ class TestCovariance:
     def test_reduced_fit_matches_stacked_nnls(self, num_samples, num_analytes,
                                               phi):
         # I = 2 with m = 3 leaves the thin QR with fewer rows than analytes.
-        rng = np.random.default_rng(25 + num_samples + num_analytes)
-        grid = np.arange(350.0, 751.0, 5.0)
-        chol = dense_factor(grid, 4.0, phi)
-        y = (np.ones((num_samples, 1)) if num_analytes == 1
-             else rng.dirichlet(np.ones(num_analytes), num_samples))
-        resid = np.stack([
-            sum(y[i, k] * (chol @ rng.standard_normal(grid.size))
-                for k in range(num_analytes))
-            for i in range(num_samples)
-        ])
-        cov = fit_covariance(resid, y, grid)
-        sigma2, phi_fit = stacked_covariance_fit(resid, y, grid)
-        npt.assert_array_equal(cov.phi, phi_fit)
-        npt.assert_allclose(cov.sigma2, np.maximum(sigma2, 1e-12), rtol=1e-10)
-        assert cov.clipped == bool(np.any(sigma2 < 1e-12))
+        check_reduced_fit(num_samples, num_analytes, phi, np.arange(350.0, 751.0, 5.0))
+
+    @pytest.mark.parametrize("phi", [WEAK_PHI, STRONG_PHI])
+    def test_reduced_fit_matches_stacked_nnls_on_a_wavenumber_grid(self, phi):
+        check_reduced_fit(30, 3, phi, wavenumber_grid(81))
 
     def test_zero_residuals_degenerate(self):
         with pytest.raises(DegenerateCovarianceError):
@@ -706,21 +757,65 @@ class TestCovariance:
                            np.linspace(0, 1, 11))
 
 
+def check_recovery(grid):
+    """Median fitted (sigma2, phi) of 20 draws at (4, 0.002) within 15% and 25%."""
+    chol = dense_factor(grid, 4.0, 0.002)
+    sig, phi = [], []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        resid = (chol @ rng.standard_normal((grid.size, 20))).T
+        cov = fit_covariance(resid, np.ones((20, 1)), grid)
+        sig.append(cov.sigma2[0])
+        phi.append(cov.phi[0])
+    assert abs(np.median(sig) - 4.0) / 4.0 < 0.15
+    assert abs(np.median(phi) - 0.002) / 0.002 < 0.25
+
+
+def check_reduced_fit(num_samples, num_analytes, phi, grid):
+    """``fit_covariance`` picks what the full stacked NNLS search picks."""
+    rng = np.random.default_rng(25 + num_samples + num_analytes)
+    chol = dense_factor(grid, 4.0, phi)
+    y = (np.ones((num_samples, 1)) if num_analytes == 1
+         else rng.dirichlet(np.ones(num_analytes), num_samples))
+    resid = np.stack([
+        sum(y[i, k] * (chol @ rng.standard_normal(grid.size))
+            for k in range(num_analytes))
+        for i in range(num_samples)
+    ])
+    cov = fit_covariance(resid, y, grid)
+    sigma2, phi_fit = stacked_covariance_fit(resid, y, grid)
+    npt.assert_array_equal(cov.phi, phi_fit)
+    npt.assert_allclose(cov.sigma2, np.maximum(sigma2, 1e-12), rtol=1e-10)
+    assert cov.clipped == bool(np.any(sigma2 < 1e-12))
+
+
 def pairwise_covariogram(resid, grid):
-    """Covariogram by the double loop over every ordered site pair."""
-    pairs, sums = {}, {}
+    """Binned covariogram by the double loop over every ordered site pair.
+
+    Pair ``(n, n')`` falls in bin ``rint(|t_n - t_n'| / h)``, ``h`` the
+    median spacing, and bins past half the span's bin are cut.  Each bin
+    gives its mean pair distance (an exactly rounded sum), each sample's
+    average product and its count of ordered pairs.
+    """
+    h = np.median(np.diff(grid))
+    last = np.rint((grid[-1] - grid[0]) / h) // 2
+    pairs, dists, sums = {}, {}, {}
     for n in range(grid.size):
-        row_lags = np.round(np.abs(grid[n] - grid), 9).tolist()
+        row = np.abs(grid[n] - grid)
         products = (resid[:, n, None] * resid).T.tolist()
-        for lag, product in zip(row_lags, products):
-            pairs[lag] = pairs.get(lag, 0) + 1
-            acc = sums.setdefault(lag, [0.0] * len(product))
+        for b, dist, product in zip(np.rint(row / h).tolist(), row.tolist(), products):
+            if b > last:
+                continue
+            pairs[b] = pairs.get(b, 0) + 1
+            dists.setdefault(b, []).append(dist)
+            acc = sums.setdefault(b, [0.0] * len(product))
             for i, value in enumerate(product):
                 acc[i] += value
-    lags = sorted(pairs)
-    counts = np.array([pairs[lag] for lag in lags], dtype=float)
-    covs = np.array([sums[lag] for lag in lags]).T / counts
-    return np.array(lags), covs, counts
+    bins = sorted(pairs)
+    counts = np.array([pairs[b] for b in bins], dtype=float)
+    lags = np.array([math.fsum(dists[b]) for b in bins]) / counts
+    covs = np.array([sums[b] for b in bins]).T / counts
+    return lags, covs, counts
 
 
 def stacked_covariance_fit(resid, y, grid, phi_grid=PHI_GRID):
@@ -730,8 +825,6 @@ def stacked_covariance_fit(resid, y, grid, phi_grid=PHI_GRID):
     the same shared-then-cyclic search with the strict ``<`` rule.
     """
     lags, covs, counts = pairwise_covariogram(resid, grid)
-    keep = lags <= 0.5 * lags[-1]
-    lags, covs, counts = lags[keep], covs[:, keep], counts[keep]
     row_weights = np.tile(np.sqrt(counts), covs.shape[0])
     target = covs.ravel() * row_weights
     y_sq = y ** 2
