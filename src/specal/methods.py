@@ -182,30 +182,26 @@ class FunctionalStrategy(Strategy):
 class MultivariateStrategy(Strategy):
     """Classical chemometric baselines on the raw wavelength matrix.
 
-    A fit reads its coefficients off one decomposition of the centered
-    calibration data (:func:`baselines.decompose`); a jackknife fold reads
-    them off the fold's principal coordinates, downdated from one
-    decomposition of the whole set (:func:`baselines.downdated_folds`),
-    so every baseline of a jackknife shares its folds.
+    One rule (:meth:`coefficients`) serves a fit and the folds of a
+    jackknife: a fit applies it to one decomposition of the centered
+    calibration data (:func:`baselines.decompose`), a jackknife to blocks
+    of folds downdated from one decomposition of the whole set
+    (:func:`baselines.downdated_folds`), so every baseline of a jackknife
+    shares its folds.
     """
 
     def fit(self, spectra: SpectraSet,
             concentrations: ConcentrationMatrix) -> baselines.MultivariateModel:
         dec = baselines.decompose(spectra.absorbance, concentrations.values)
-        model = dec.model(self.spec.method.upper(), *self._coefficients(dec))
+        model = dec.model(self.spec.method.upper(), self.coefficients(dec.system))
         return replace(model, analytes=concentrations.analyte_names())
 
-    def predict_fold(self, fold: baselines.Fold) -> np.ndarray:
-        """The held-out prediction of a jackknife fold."""
-        return fold.predict(self._coefficients(fold)[0])
-
-    def _coefficients(self, pc: baselines.Decomposition | baselines.Fold
-                      ) -> tuple[np.ndarray, ...]:
-        """Principal-basis coefficients, and for PCR and PLS the rotation
-        from principal coordinates to scores."""
+    def coefficients(self, pc: baselines.Systems) -> tuple[np.ndarray, ...]:
+        """Principal-basis coefficients of every system in the stack, and
+        for PCR and PLS the rotation from principal coordinates to scores."""
         spec = self.spec
         if spec.method == "mlr":
-            return (baselines.mlr_coefficients(pc),)
+            return baselines.mlr_coefficients(pc)
         rule = (baselines.pcr_coefficients if spec.method == "pcr"
                 else baselines.pls_coefficients)
         return rule(pc, spec.components, spec.variance_fraction)

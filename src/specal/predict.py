@@ -288,12 +288,15 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
     run their own leave-one-out passes one after another, each a pass over
     blocks of folds that yields the held-out estimates
     (:meth:`methods.FunctionalStrategy.jackknife_fits`).  The multivariate
-    baselines share one pass over the folds: one SVD of the calibration
-    spectra, downdated to each fold in its principal coordinates
-    (:func:`baselines.downdated_folds`), where every baseline refits and
-    predicts the held-out sample without a wavelength-length array.  Only
-    a failure inside a fold is a FoldFailureError; one of a functional
-    method's full-data resolution keeps its own type.
+    baselines share one pass over blocks of folds: one SVD of the
+    calibration spectra, downdated to each fold in its principal
+    coordinates (:func:`baselines.downdated_folds`), where every baseline
+    refits and predicts a block's held-out samples together
+    (:meth:`methods.MultivariateStrategy.coefficients`) without a
+    wavelength-length array.  Squared errors add up in fold order, so the
+    spreads do not depend on the blocking.  Only a failure inside a fold
+    is a FoldFailureError, naming the first failing fold; one of a
+    functional method's full-data resolution keeps its own type.
     """
     from .methods import MultivariateStrategy, make_strategy
 
@@ -317,20 +320,33 @@ def jackknife_spreads(spectra: SpectraSet, concentrations: ConcentrationMatrix,
                 sq_sums[k] += (y[i] - y_hat) ** 2
         except SpecalError as exc:
             errors[k] = exc
-    folds = _numbered(downdated_folds(spectra.absorbance, y)) if shared else ()
+    blocks = (_numbered(downdated_folds(spectra.absorbance, y,
+                                        [strategies[k].spec for k in shared]),
+                        lambda block: block.size)
+              if shared else ())
     try:
-        for i, fold in folds:
-            live = [k for k in shared if errors[k] is None]
-            if not live:
+        for start, block in blocks:
+            if all(errors[k] is not None for k in shared):
                 break
-            for k in live:
-                try:
-                    y_hat = strategies[k].predict_fold(fold)
-                except SpecalError as exc:
+            for rule, k in enumerate(shared):
+                if errors[k] is not None:
+                    continue
+                y_hat = np.empty((block.size, concentrations.num_analytes))
+                failures = []
+                for part in block.parts(rule):
+                    try:
+                        fitted = strategies[k].coefficients(part)
+                    except SpecalError as exc:
+                        failures.append((int(part.folds[getattr(exc, "system", 0)]), exc))
+                    else:
+                        y_hat[part.folds - start] = part.predict(fitted[0])
+                if failures:
+                    i, exc = min(failures, key=lambda failure: failure[0])
                     errors[k] = FoldFailureError(f"refit failed on fold {i}: {exc}")
                     errors[k].__cause__ = exc
-                else:
-                    sq_sums[k] += (y[i] - y_hat) ** 2
+                    continue
+                for sq in (y[start:start + block.size] - y_hat) ** 2:  # in fold order
+                    sq_sums[k] += sq
     except SpecalError as exc:
         for k in shared:
             if errors[k] is None:

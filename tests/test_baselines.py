@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specal import baselines, calibrate
 from specal.baselines import (
     fit_mlr,
     fit_pcr,
@@ -16,6 +19,7 @@ from specal.errors import (
     GridMismatchError,
     InvalidComponentsError,
     InvalidParameterError,
+    SpecalError,
 )
 from specal.methods import STUDY_METHODS, FitSpec, make_strategy
 from specal.model import ConcentrationMatrix, SpectraSet
@@ -372,25 +376,138 @@ class TestSharedFoldPass:
                                jackknife_sd(spectra, conc, methods["MLR"]))
 
 
-def test_shared_pass_decomposes_the_spectra_once(monkeypatch):
-    # Every fold is downdated from one SVD of the calibration spectra; no
-    # fold decomposes its own wavelength-length data.
-    cfg = SimConfig(seed=23, num_samples=20, phi=STRONG_PHI)
+def centered_set(rng, singular_values, num_samples, num_wavelengths, num_analytes=2):
+    """Spectra whose centered matrix is ``U diag(singular_values) V'`` with
+    the given values, ``U`` orthonormal and orthogonal to the ones vector,
+    and random concentrations."""
+    k = len(singular_values)
+    left = rng.standard_normal((num_samples, k))
+    left, _ = np.linalg.qr(left - left.mean(axis=0))
+    right, _ = np.linalg.qr(rng.standard_normal((num_wavelengths, k)))
+    w = 1.0 + (left * singular_values) @ right.T
+    return (SpectraSet(grid=np.arange(float(num_wavelengths)), absorbance=w),
+            ConcentrationMatrix(values=rng.uniform(0, 1, (num_samples, num_analytes))))
+
+
+class TestDeflation:
+    """Folds the secular equation cannot serve fall back to their own rows,
+    and still match refits from scratch.  A fold falls back only for the
+    rules that read its roots, so each baseline gives the same bits alone
+    as in the shared pass."""
+
+    @staticmethod
+    def check(spectra, conc):
+        specs = [STUDY_METHODS[name] for name in BASELINES]
+        assert_matches_naive_refits(spectra, conc, specs)
+        for spec, spread in zip(specs, jackknife_spreads(spectra, conc, specs)):
+            npt.assert_array_equal(spread, jackknife_sd(spectra, conc, spec))
+
+    @pytest.fixture
+    def own_rows(self, monkeypatch):
+        folds = []
+        own_rows = baselines._own_rows
+
+        def recording(u, s, yc, y_mean, i, num_wavelengths):
+            folds.append(int(i))
+            return own_rows(u, s, yc, y_mean, i, num_wavelengths)
+
+        monkeypatch.setattr(baselines, "_own_rows", recording)
+        return folds
+
+    def test_sample_at_the_mean_of_the_others(self, own_rows):
+        # Sample 4 is the mean of the others, so its centered spectrum, and
+        # its rank-one term z, vanish.
+        spectra, conc = random_calibration(31, 25, 12, 2)
+        w = spectra.absorbance.copy()
+        w[4] = np.delete(w, 4, axis=0).mean(axis=0)
+        spectra = SpectraSet(grid=spectra.grid, absorbance=w)
+        self.check(spectra, conc)
+        assert 4 in own_rows
+
+    def test_two_equal_leading_singular_values(self, own_rows):
+        spectra, conc = centered_set(np.random.default_rng(32),
+                                     [5.0, 5.0, 3.0, 2.0, 1.5, 1.0, 0.5], 30, 10)
+        self.check(spectra, conc)
+        assert set(own_rows) == set(range(30))
+
+    def test_sample_without_a_score_on_a_leading_direction(self, own_rows):
+        # Sample 7 has no component along the leading principal direction.
+        rng = np.random.default_rng(33)
+        left = rng.standard_normal((26, 6))
+        left[7, 0] = 0.0
+        left[:, 0] -= np.where(np.arange(26) == 7, 0.0, left[:, 0].sum() / 25)
+        left = np.column_stack([left[:, :1], left[:, 1:] - left[:, 1:].mean(axis=0)])
+        left, _ = np.linalg.qr(left)
+        right, _ = np.linalg.qr(rng.standard_normal((9, 6)))
+        w = 2.0 + (left * [6.0, 4.0, 3.0, 2.0, 1.0, 0.5]) @ right.T
+        spectra = SpectraSet(grid=np.arange(9.0), absorbance=w)
+        conc = ConcentrationMatrix(values=rng.uniform(0, 1, (26, 3)))
+        assert abs(np.linalg.svd(w - w.mean(axis=0))[0][7, 0]) < 1e-14
+        self.check(spectra, conc)
+        assert set(own_rows) == {7}
+
+
+@pytest.mark.parametrize("seed, num_samples", [(23, 20), (21, 100)],
+                         ids=["wide", "tall"])
+def test_shared_pass_decomposes_the_spectra_once(monkeypatch, seed, num_samples):
+    # Every fold is downdated from one SVD of the calibration spectra: no
+    # fold decomposes its own wavelength-length data, and none takes an
+    # eigendecomposition.  The only other SVDs are the stacked PLS2 weights,
+    # each block's (rank x analytes) X'Y.
+    cfg = SimConfig(seed=seed, num_samples=num_samples, phi=STRONG_PHI)
     spectra, conc, _ = generate_dataset(cfg)
-    shapes = []
-    svd = np.linalg.svd
+    calls = []
 
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def recording(name):
+        decompose = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return decompose(a, *args, **kwargs)
+        return call
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
     spreads = jackknife_spreads(spectra, conc,
                                 [STUDY_METHODS[name] for name in BASELINES])
     assert not any(isinstance(s, Exception) for s in spreads)
-    num_wavelengths = spectra.num_wavelengths
-    assert [shape for shape in shapes if num_wavelengths in shape] == [
-        (20, num_wavelengths)]
+    rank = min(num_samples - 1, spectra.num_wavelengths)
+    assert calls[0] == ("svd", (num_samples, spectra.num_wavelengths))
+    assert {(name, shape[1:]) for name, shape in calls[1:]} == {
+        ("svd", (rank, conc.num_analytes))}
+
+
+class TestBlocks:
+    SPECS = [STUDY_METHODS[name] for name in BASELINES]
+
+    # Tall-edge folds fall back to their own rows, 43 of them, among the
+    # downdated ones in each block.
+    @pytest.mark.parametrize("seed, num_samples", [(21, 20), (21, 83), (21, 100)],
+                             ids=["wide", "tall-edge", "tall"])
+    def test_spreads_do_not_depend_on_the_block_budget(self, monkeypatch, seed,
+                                                       num_samples):
+        cfg = SimConfig(seed=seed, num_samples=num_samples, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        want = jackknife_spreads(spectra, conc, self.SPECS)
+        for budget in (1, 1 << 40):  # one fold per block, every fold in one
+            monkeypatch.setattr(calibrate, "_FOLD_BLOCK_BYTES", budget)
+            for spread, expected in zip(jackknife_spreads(spectra, conc, self.SPECS),
+                                        want):
+                npt.assert_array_equal(spread, expected)
+
+    def test_peak_stays_within_the_block_budget(self, monkeypatch):
+        # At I = 500, T = 81 the pass peaks at about 0.7 MiB, in the SVD of
+        # the spectra; stacking every fold at once takes about 14 MiB.
+        cfg = SimConfig(seed=21, num_samples=500, phi=STRONG_PHI)
+        spectra, conc, _ = generate_dataset(cfg)
+        tracemalloc.start()
+        try:
+            spreads = jackknife_spreads(spectra, conc, self.SPECS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(s, Exception) for s in spreads)
+        assert peak < 1.5 * 2 ** 20, peak
 
 
 BASELINE_SPECS = [FitSpec(method="mlr"), FitSpec(method="pcr", components=2),
@@ -441,6 +558,29 @@ class TestBaselineProperties:
         base = jackknife_spreads(spectra, conc, BASELINE_SPECS)
         for want, got in zip(base, jackknife_spreads(spectra, scaled, BASELINE_SPECS)):
             npt.assert_allclose(got, scale * want, rtol=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(4, 30), st.integers(3, 30),
+       st.integers(1, 3), st.booleans())
+def test_shared_pass_matches_naive_refits(seed, num_samples, num_wavelengths,
+                                          num_analytes, square):
+    # With num_wavelengths = num_samples - 1 the set spans every centered
+    # direction and each fold loses one.
+    if square:
+        num_wavelengths = min(num_samples - 1, 30)
+    spectra, conc = random_calibration(seed, num_samples, num_wavelengths,
+                                       num_analytes)
+    specs = [STUDY_METHODS[name] for name in BASELINES]
+    for spec, spread in zip(specs, jackknife_spreads(spectra, conc, specs)):
+        try:
+            want = naive_jackknife_sd(spectra, conc, spec)
+        except SpecalError as exc:
+            assert isinstance(spread, FoldFailureError)
+            assert type(spread.__cause__) is type(exc)
+            continue
+        npt.assert_allclose(spread, want,
+                            rtol=MLR_RTOL if spec.method == "mlr" else PCR_PLS_RTOL)
 
 
 def test_constant_fold_fails_every_baseline():
