@@ -52,7 +52,7 @@ from .errors import (
     InvalidParameterError,
     InvalidComponentsError,
     ShapeError,
-    SpecalError,
+    failing,
 )
 
 _EPS = np.finfo(float).eps
@@ -204,11 +204,11 @@ class Decomposition:
     spectra, for a full fit.
 
     ``rank`` counts the singular values above ``s[0] max(shape) eps``, the
-    cutoff of ``numpy.linalg.lstsq(rcond=None)``.  ``uy`` holds the
-    centered concentrations in the principal basis, ``u'Y`` over those
-    ``rank`` directions.  Jackknife folds do not decompose their own
-    spectra: :func:`downdated_folds` downdates this decomposition of the
-    whole set.
+    cutoff of ``numpy.linalg.lstsq(rcond=None)``, up to ``n - 1``, the most
+    ``n`` centered rows span.  ``uy`` holds the centered concentrations in
+    the principal basis, ``u'Y`` over those ``rank`` directions.  Jackknife
+    folds do not decompose their own spectra: :func:`downdated_folds`
+    downdates this decomposition of the whole set.
     """
 
     w_mean: np.ndarray
@@ -262,7 +262,7 @@ def decompose(w: np.ndarray, y: np.ndarray) -> Decomposition:
     if not np.any(wc):
         raise DegenerateSpectraError("spectra are constant across samples")
     u, s, vt = np.linalg.svd(wc, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(wc.shape) * _EPS))
+    rank = min(int(np.sum(s > s[0] * max(wc.shape) * _EPS)), len(wc) - 1)
     return Decomposition(w_mean=w_mean, y_mean=y_mean, u=u, s=s, vt=vt,
                          rank=rank, uy=u[:, :rank].T @ (y - y_mean))
 
@@ -477,12 +477,6 @@ def check_component_choice(components: int | None,
         raise InvalidParameterError("variance fraction must lie in (0, 1)")
 
 
-def _failing(system: int, error: SpecalError) -> SpecalError:
-    """``error`` marked with the first stack row it fails (see Systems)."""
-    error.system = system
-    return error
-
-
 def _component_counts(pc: Systems, components: int | None,
                       variance_fraction: float | None) -> np.ndarray:
     """Each system's component count: the fixed count, or the fewest
@@ -490,7 +484,7 @@ def _component_counts(pc: Systems, components: int | None,
     check_component_choice(components, variance_fraction)
     if components is not None:
         if components > pc.rank:
-            raise _failing(0, InvalidComponentsError(
+            raise failing(0, InvalidComponentsError(
                 f"component count {components} outside [1, rank={pc.rank}]"
             ))
         return np.full(len(pc.uy), components)
@@ -612,7 +606,7 @@ def pls_coefficients(pc: Systems, components: int | None = None,
     failed = vanished < num
     if failed.any():
         first = int(np.argmax(failed))
-        raise _failing(first, ConvergenceError(
+        raise failing(first, ConvergenceError(
             f"PLS weight vector vanished on component {vanished[first] + 1}"))
 
     def product(rows, p):

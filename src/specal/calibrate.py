@@ -22,11 +22,11 @@ fits, GCV scores, lambda selection and leave-one-out refits (Gram
 downdates) all go through it.
 
 Leave-one-out folds run in blocks (:func:`_leave_one_out`), as many folds
-as fit in ``_FOLD_BLOCK_BYTES``.  A block downdates every fold's ``M`` and
-``F`` (or, for GLS, its whitened Gram) at once and takes one stacked
-eigendecomposition (or Cholesky factorization) of them; one LAPACK call
-solves all the banded blocks of its OLS folds.  Each fold keeps its own
-singularity check.
+as fit in ``_FOLD_BLOCK_BYTES``, each solved by its fit's routine.  A
+block downdates every fold's ``M`` and ``F`` (or, for GLS, its whitened
+Gram) at once; one stacked eigendecomposition and one band factorization
+and solve serve all its OLS folds, and a GLS fold takes the fit's Cholesky
+solve and singularity check.  A block stops at its first failing fold.
 
 GLS fits and their leave-one-out refits share one whitened assembly,
 ``_WhitenedSystem``, built from the same aggregated design (its basis
@@ -56,6 +56,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
     SingularDesignError,
+    failing,
 )
 from .model import AggregatedDesign, CalibrationModel, ConcentrationMatrix
 
@@ -68,7 +69,7 @@ _SINGULAR_WHITENED = ("whitened system is singular: the concentration rows are "
                       "rank deficient, or the grid cannot resolve the basis")
 # Bytes the fold arrays of one leave-one-out block may take, at each
 # system's ``fold_bytes`` per fold (:func:`_fold_bytes`): with three
-# analytes, 17 OLS-K and 4 GLS-K folds at K = 14, T = 81, and 2 OLS-SS
+# analytes, 17 OLS-K and 6 GLS-K folds at K = 14, T = 81, and 2 OLS-SS
 # folds at T = 401.  Stacking every fold at once would raise a
 # jackknife's memory peak with the sample count.
 _FOLD_BLOCK_BYTES = 1 << 18
@@ -166,24 +167,10 @@ def _rank_deficient(evals: np.ndarray) -> np.ndarray:
     return evals[..., 0] <= 1e-12 * np.maximum(evals[..., -1], 1.0)
 
 
-def _one_by_one(solve, count: int) -> tuple[list, SingularDesignError | None]:
-    """``solve(j)`` for ``j = 0 .. count - 1`` up to the first that raises
-    SingularDesignError: the solutions before it, and its error (None if
-    none raises).  Names the failing fold of a block whose stacked
-    factorization failed."""
-    solved = []
-    for j in range(count):
-        try:
-            solved.append(solve(j))
-        except SingularDesignError as exc:
-            return solved, exc
-    return solved, None
-
-
 def _fold_bytes(solve_size: int, curves_size: int) -> int:
     """Bytes one fold of a block takes: ``solve_size`` doubles in its solve
-    (coefficients and band factors, or a whitened Gram and its factor),
-    and five times its curves' ``curves_size`` for its held-out
+    (coefficients and band factors, or a whitened Gram, factored one fold
+    at a time), and five times its curves' ``curves_size`` for its held-out
     prediction, which gathers ``order`` basis values per curve and site."""
     return 8 * (solve_size + 5 * curves_size)
 
@@ -319,19 +306,15 @@ class _FactoredSystem:
         failed = _rank_deficient(evals)
         count = int(failed.argmax()) if failed.any() else len(a)
         error = SingularDesignError(_RANK_DEFICIENT) if count < len(a) else None
-        if not count:
-            return np.empty((0,) + self.F.shape), error
-        evals, q = evals[:count], q[:count]
-        h = np.swapaxes(q, 1, 2) @ f[:count]
-        try:
-            theta = self._blocks(evals, h, lam)
-        except SingularDesignError:
-            # A stacked factorization does not say whose block failed.
-            solved, error = _one_by_one(
-                lambda j: self._blocks(evals[j], h[j], lam), count)
-            theta = np.reshape(solved, (len(solved),) + h.shape[1:])
-            q = q[:len(solved)]
-        return q @ theta, error
+        h = np.swapaxes(q[:count], 1, 2) @ f[:count]
+        while count:
+            try:
+                return q[:count] @ self._blocks(evals[:count], h[:count], lam), error
+            except SingularDesignError as exc:
+                # The folds before the first failing block's (none when C's
+                # factor fails, at lam = 0) solve as they would alone.
+                count, error = getattr(exc, "system", 0) // evals.shape[1], exc
+        return np.empty((0,) + self.F.shape), error
 
     def _factor(self, evals: np.ndarray, lams: np.ndarray) -> np.ndarray:
         """Banded Cholesky factors of ``d_j C + lam R``, (L, m+1, K, p+1).
@@ -339,14 +322,17 @@ class _FactoredSystem:
         Each block's band ends in zeros, so the stack is the band of one
         block-diagonal matrix: one LAPACK call factors it in place, the
         transposed stack being the Fortran-ordered band LAPACK expects, and
-        each block comes out as it would alone.
+        each block comes out as it would alone.  A failure names the first
+        block that is not positive definite (``error.system``).
         """
         factors = np.empty((lams.size, evals.size) + self.gram_band.shape)
         np.multiply(lams[:, None, None, None], self.penalty_band, out=factors)
         factors += evals[:, None, None] * self.gram_band
         band = factors.reshape(-1, self.gram_band.shape[1]).T
-        if sla.lapack.dpbtrf(band, lower=1, overwrite_ab=1)[1]:
-            raise SingularDesignError(_SINGULAR_BASIS)
+        info = sla.lapack.dpbtrf(band, lower=1, overwrite_ab=1)[1]
+        if info:
+            raise failing((info - 1) // self.gram_band.shape[0],
+                          SingularDesignError(_SINGULAR_BASIS))
         return factors
 
     def _gram_cholesky(self) -> np.ndarray:
@@ -830,20 +816,22 @@ class _WhitenedSystem:
         self.b = b
         self.rows = rows
         self.num_basis = k
-        self.fold_bytes = _fold_bytes(2 * size * size, rows.shape[1] * b.num_sites)
+        self.fold_bytes = _fold_bytes(size * size, rows.shape[1] * b.num_sites)
 
     def solve(self, gram: np.ndarray | None = None,
               rhs: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients (m+1, K) of ``gram beta = rhs`` (by default the full
+        system) by Cholesky, ``gram`` left as it is.  It is singular when
+        that fails or its smallest eigenvalue, taken as ``1 / ||G^-1||_1``
+        (``dpocon``), is at most ``1e-12 max(||G||_1, 1)``."""
         gram = self.gram if gram is None else gram
         rhs = self.rhs if rhs is None else rhs
-        try:
-            chol = sla.cho_factor(gram, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            chol = None
-        if chol is None or _whitened_singular(chol[0], "L",
-                                              np.abs(gram).sum(axis=0).max()):
+        factor, info = sla.lapack.dpotrf(gram, lower=1, clean=0)
+        norm = np.abs(gram).sum(axis=0).max()
+        if info or (sla.lapack.dpocon(factor, norm, uplo="L")[0] * norm
+                    <= 1e-12 * max(norm, 1.0)):
             raise SingularDesignError(_SINGULAR_WHITENED)
-        beta = sla.cho_solve(chol, rhs, check_finite=False)
+        beta = sla.lapack.dpotrs(factor, rhs, lower=1)[0]
         return beta.reshape(-1, self.num_basis)
 
     def fold_solve(self, folds: range
@@ -852,10 +840,7 @@ class _WhitenedSystem:
         first that fails, and that fold's error (None if none fails).
 
         Fold ``i``'s Gram is ``gram - (r_i r_i') kron G_i``, built for the
-        block at once and factored by one stacked Cholesky; each fold then
-        takes :meth:`solve`'s singularity check and its solve on its
-        factor.  When the stacked factorization fails, the folds are solved
-        one at a time to find the first that does.
+        block at once; each fold is then solved by :meth:`solve`.
         """
         rows = slice(folds.start, folds.stop)
         r, n, size = self.rows[rows], len(folds), self.gram.shape[0]
@@ -863,29 +848,13 @@ class _WhitenedSystem:
                  * self.grams[rows, None, :, None, :]).reshape(n, size, size)
         np.subtract(self.gram, grams, out=grams)
         rhs = self.rhs - (r[:, :, None] * self.rhs_parts[rows, None, :]).reshape(n, size)
-        shape = (-1, self.rows.shape[1], self.num_basis)
-        norms = np.abs(grams).sum(axis=1).max(axis=1)
-        try:
-            factors = np.linalg.cholesky(grams)
-        except np.linalg.LinAlgError:
-            solved, error = _one_by_one(lambda j: self.solve(grams[j], rhs[j]), n)
-            return np.reshape(solved, shape), error
+        coef = np.empty((n, self.rows.shape[1], self.num_basis))
         for j in range(n):
-            # factors[j].T is the upper factor, in the Fortran order LAPACK reads.
-            if _whitened_singular(factors[j].T, "U", norms[j]):
-                return rhs[:j].reshape(shape), SingularDesignError(_SINGULAR_WHITENED)
-            rhs[j] = sla.lapack.dpotrs(factors[j].T, rhs[j], lower=0)[0]
-        return rhs.reshape(shape), None
-
-
-def _whitened_singular(factor: np.ndarray, uplo: str, norm: float) -> bool:
-    """Whether a whitened Gram of 1-norm ``norm`` is singular, from its
-    Cholesky ``factor`` (``uplo`` its triangle): its smallest eigenvalue
-    is at most ``1e-12 max(largest, 1)``, with ``1 / ||G^-1||_1``
-    estimated from the factor (``dpocon``) standing for the smallest and
-    ``||G||_1`` for the largest."""
-    rcond = sla.lapack.dpocon(factor, norm, uplo=uplo)[0]
-    return rcond * norm <= 1e-12 * max(norm, 1.0)
+            try:
+                coef[j] = self.solve(grams[j], rhs[j])
+            except SingularDesignError as exc:
+                return coef[:j], exc
+        return coef, None
 
 
 def fit_gls(design: AggregatedDesign, cov: CovarianceModel,

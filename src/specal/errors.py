@@ -99,3 +99,10 @@ class OutputError(SpecalError):
     """An output file or directory that cannot be created or written."""
 
     category = "output"
+
+
+def failing(system: int, error: SpecalError) -> SpecalError:
+    """``error`` marked with the first row of a stack of systems that it
+    fails, as ``error.system``: the fold a stacked solve names."""
+    error.system = system
+    return error

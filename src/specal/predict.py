@@ -4,8 +4,9 @@ Prediction inverts a fitted calibration: each new spectrum is regressed on
 the fitted analyte curves after subtracting the baseline.  A report walks
 the new spectra in row blocks (:func:`_blocked_estimates`); a jackknife
 regresses each held-out spectrum on its own fold's curves, a block of
-folds at a time (:func:`held_out_estimates`).  Both take the closure and
-the rank check from one place (:class:`_Regression`).  The optional
+folds at a time (:func:`held_out_estimates`).  Both take the closure, the
+rank check and the solve, a thin SVD of the curves, from one place
+(:class:`_Regression`).  The optional
 ``sum_to`` closure resolves the direction that closed calibration samples
 leave unidentified (fitted analyte curves then sum to zero pointwise, so
 the plain normal equations are singular by construction).  The fold
@@ -117,8 +118,8 @@ class _Regression:
     zero-sum subspace and ``z = argmin |(a v) z - (w - baseline -
     shift)|`` with ``shift = a center``; one analyte is then ``sum_to``
     with no regression.  ``design`` is the matrix regressed on (``a`` or
-    ``a v``, none for one analyte) and ``svd`` its thin SVD, kept for
-    :meth:`solve` when ``factored`` (a report solves by ``lstsq``).  A fit is
+    ``a v``, none for one analyte) and ``svd`` its thin SVD, the one solve
+    (:meth:`solve`) of a report and of the jackknife folds.  A fit is
     ``degenerate`` when its design's smallest singular value is at most
     ``_RANK_RTOL`` of the largest of ``a``, and, without ``sum_to``, when
     its calibration rows were ``closed``: its curves then sum to near zero,
@@ -126,8 +127,7 @@ class _Regression:
     noise of any rank, so ``a v`` is not measured against itself.
     """
 
-    def __init__(self, curves: np.ndarray, sum_to: float | None, closed: bool,
-                 factored: bool = True):
+    def __init__(self, curves: np.ndarray, sum_to: float | None, closed: bool):
         self.sum_to = sum_to
         self.baseline = curves[..., 0, :]
         self.curves = np.swapaxes(curves[..., 1:, :], -1, -2)       # (..., T, m)
@@ -141,11 +141,8 @@ class _Regression:
             self.shift, self.design = self.curves @ self.center, self.curves @ self.v
         self.degenerate = np.full(curves.shape[:-2], sum_to is None and closed)
         if self.design.shape[-1]:
-            if factored:
-                self.svd = np.linalg.svd(self.design, full_matrices=False)
-                singular = self.svd[1]
-            else:
-                singular = np.linalg.svd(self.design, compute_uv=False)
+            self.svd = np.linalg.svd(self.design, full_matrices=False)
+            singular = self.svd[1]
             largest = (singular[..., 0] if sum_to is None else
                        np.linalg.svd(self.curves, compute_uv=False)[..., 0])
             self.degenerate |= ~(singular[..., -1] > _RANK_RTOL * largest)
@@ -179,45 +176,34 @@ def _blocked_estimates(model: CalibrationModel, spectra: SpectraSet,
                        sum_to: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and residual norms, ``_BLOCK_ROWS`` spectra at a time.
 
-    The analyte curves are evaluated and their rank checked once
-    (:class:`_Regression`); each block makes only its own residuals.  The
-    block size is fixed, not an
+    The analyte curves are evaluated, factored and their rank checked once
+    (:class:`_Regression`); each block is solved as the jackknife folds
+    are and makes only its own residuals.  The block size is fixed, not an
     even split of the batch: BLAS picks a row's kernel by its position
     modulo the kernel's unroll width, and fixed blocks starting at row 0
     keep each row where one pass over the batch would put it, so the
-    estimates do not depend on the blocking (a tail block of a single row
-    may take another kernel and move in the last bit).
+    residual norms do not depend on the blocking (a tail block of a single
+    row may take another kernel and move in the last bit).
     """
     fit = _Regression(model.curve_values(spectra.grid), sum_to,
-                      model.closed_calibration, factored=False)
+                      model.closed_calibration)
     if fit.degenerate:
         raise fit.error()
     baseline, a = fit.baseline, fit.curves
-    m = a.shape[1]
     w = spectra.absorbance
-    y_hat = np.empty((len(w), m))
+    y_hat = np.empty((len(w), a.shape[1]))
     residual_norms = np.empty(len(w))
     for start in range(0, len(w), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         rows = w[block]
-        if sum_to is None:
-            y = np.linalg.lstsq(a, (rows - baseline).T, rcond=None)[0].T
-        elif m == 1:
-            y = np.full((len(rows), 1), float(sum_to))
-        else:
-            # Solve on the zero-sum subspace, then shift to the requested total.
-            target = (rows - baseline).T
-            target -= fit.shift[:, None]
-            y = (fit.center[:, None]
-                 + fit.v @ np.linalg.lstsq(fit.design, target, rcond=None)[0]).T
-            del target  # before the residual product, which sets the peak
-        y_hat[block] = y
-        # In place, the residual needs no block-sized temporary beside the
-        # fit: with the spectra held once this loop sets the predict peak.
+        y = y_hat[block] = fit.solve(rows)
+        # In place, the residual is one block-sized array and its norm one
+        # more: with the spectra held once, this loop sets the predict peak.
         fitted = y @ a.T
         fitted += baseline
         fitted -= rows
         residual_norms[block] = np.linalg.norm(fitted, axis=1)
+        del fitted  # before the next block's solve makes its own target
     return y_hat, residual_norms
 
 

@@ -195,6 +195,22 @@ def test_criterion_3_prediction_oracle():
         npt.assert_allclose(predict_concentrations(model, exact), y_star,
                             atol=1e-10)
 
+        # The thin-SVD solve against LAPACK's least squares on a batch, also
+        # held to a component sum (y = 1/3 + v z, v spanning the zero sums).
+        batch_rng = np.random.default_rng(100)
+        w = (curves[0] + batch_rng.uniform(0, 1, (300, 3)) @ curves[1:]
+             + 0.4 * batch_rng.standard_normal((300, grid.size)))
+        batch = SpectraSet(grid=grid, absorbance=w)
+        a, resid = curves[1:].T, (w - curves[0]).T
+        v = np.linalg.qr(np.ones((3, 1)), mode="complete")[0][:, 1:]
+        for sum_to, oracle in (
+                (None, np.linalg.lstsq(a, resid, rcond=None)[0].T),
+                (1.0, 1 / 3 + (v @ np.linalg.lstsq(
+                    a @ v, resid - (a @ np.full(3, 1 / 3))[:, None],
+                    rcond=None)[0]).T)):
+            npt.assert_allclose(predict_concentrations(model, batch, sum_to),
+                                oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+
         for _ in range(20):
             w = (curves[0] + rng.uniform(0, 1, 3) @ curves[1:]
                  + 0.4 * rng.standard_normal(grid.size))

@@ -175,6 +175,23 @@ class TestPcr:
         with pytest.raises(InvalidParameterError):
             fit_pcr(w, y, components=2, variance_fraction=0.5)
 
+    @pytest.mark.parametrize("seed", [133, 274])
+    def test_centering_rounding_is_not_rank(self, seed):
+        # Three samples with singular values e^(-8k) on an offset: after
+        # centering the third is rounding (6-8e-16, above the cutoff
+        # s_0 max(shape) eps), yet three centered rows span at most two
+        # directions.
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((23, 3)))[0]
+        w = (u * np.exp(-8.0 * np.arange(3))) @ v.T + rng.uniform(0.5, 1.5, 23)
+        y = rng.standard_normal((3, 1))
+        assert baselines.decompose(w, y).rank == 2
+        for fit in (fit_pcr, fit_pls):
+            with pytest.raises(InvalidComponentsError, match="rank=2"):
+                fit(w, y, components=3)
+        npt.assert_allclose(predict_multivariate(fit_mlr(w, y), w), y, atol=1e-8)
+
     def test_orthonormal_loadings(self):
         rng = np.random.default_rng(8)
         w, y, _ = linear_data(rng, 15, 9, noise=0.3)

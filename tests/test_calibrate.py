@@ -598,6 +598,38 @@ class TestFoldBlocks:
                     seen.append((start, len(coef)))
             assert seen == [(0, 3), (3, 1)]
 
+    def test_band_failure_in_a_middle_fold_names_it(self, monkeypatch):
+        # At lam > 0 fold 2 of a block of 5 gets a non-positive-definite
+        # band block: the failed factorization names it, and the pass
+        # yields folds 0-1 as the unbroken pass does, then raises.
+        from specal import calibrate
+        from specal.predict import _numbered
+        from specal.errors import FoldFailureError
+
+        rng = np.random.default_rng(41)
+        spectra, conc, kv, _ = make_dataset(rng, num_samples=8, noise=0.1)
+        design, pen = assemble_design(spectra, conc, kv), penalty_matrix(kv)
+        monkeypatch.setattr(calibrate, "_folds_per_block", lambda fold_bytes: 5)
+        want = by_fold(loo_coefficients(design, pen, 1.5))
+        factor = _FactoredSystem._factor
+
+        def broken(self, evals, lams):
+            if evals.size == 5 * 3:                 # a block of folds, m + 1 = 3
+                evals = evals.copy()
+                evals[2 * 3 + 1] = -1e3 * evals.max()
+            return factor(self, evals, lams)
+
+        monkeypatch.setattr(_FactoredSystem, "_factor", broken)
+        seen = []
+        with pytest.raises(FoldFailureError, match="refit failed on fold 2"):
+            for start, coef in _numbered(loo_coefficients(design, pen, 1.5), len):
+                seen.append(start)
+                npt.assert_array_equal(coef, [want[0], want[1]])
+        assert seen == [0]
+        coef, error = design._factored.fold_solve(range(5), 1.5)
+        assert len(coef) == 2 and error.system == 2 * 3 + 1
+        assert isinstance(error, SingularDesignError)
+
 
 def wavenumber_grid(num_points, start=350.0, end=750.0):
     """Sites uniform in wavenumber (1e7 / nm) over ``start``..``end`` nm."""
@@ -1036,10 +1068,9 @@ class TestGls:
     ])
     def test_fold_guard_rejects_what_the_fit_guard_rejects(self, eigenvalues):
         # Folds 0 and 2 are well conditioned and fold 1's downdated Gram has
-        # the given eigenvalues: the stacked pass stops at fold 1 exactly
+        # the given eigenvalues: the block's pass stops at fold 1 exactly
         # when solve() refuses that Gram, and otherwise solves every fold
-        # as solve() does.  A zero eigenvalue fails the stacked Cholesky and
-        # takes the fold-by-fold path.
+        # as solve() does, bit for bit.  The Grams are left as they were.
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         targets = [np.diag([3.0, 2.0, 1.5, 1.0]), (q * np.repeat(eigenvalues, 2)) @ q.T,
@@ -1049,7 +1080,9 @@ class TestGls:
         system.gram, system.rhs = 10.0 * np.eye(4), np.ones(4)
         system.grams = np.array([system.gram - t for t in targets])
         system.rhs_parts = np.zeros((3, 4))
-        grams = [system.gram - g for g in system.grams]
+        # Fortran order, which LAPACK could overwrite without a copy.
+        grams = [np.asfortranarray(system.gram - g) for g in system.grams]
+        kept = [g.copy() for g in grams]
         try:
             system.solve(grams[1], np.ones(4))
         except SingularDesignError:
@@ -1059,10 +1092,9 @@ class TestGls:
         coef, error = system.fold_solve(range(3))
         assert len(coef) == count and (error is None) == (count == 3)
         for j in range(count):
-            # Two Cholesky codes agree to about eps times the condition number.
-            rtol = 1e-14 * np.linalg.cond(grams[j])
-            npt.assert_allclose(coef[j], system.solve(grams[j], np.ones(4)),
-                                rtol=rtol)
+            npt.assert_array_equal(coef[j], system.solve(grams[j], np.ones(4)))
+        for gram, copy in zip(grams, kept):
+            npt.assert_array_equal(gram, copy)
 
 
 def dense_whitened(cov, grid, y, cols):

@@ -210,20 +210,24 @@ class TestPredictConcentrations:
 
 def single_pass_report(model, spectra, s, c=1.96, sum_to=None):
     """The report as one pass over the whole batch: the reference for the
-    row-blocked :func:`prediction_report`."""
+    row-blocked :func:`prediction_report`.  Each spectrum is solved from the
+    thin SVD of the curves regressed on, one spectrum per product, as a
+    jackknife fold's held-out spectrum is (test_criterion_3_prediction_oracle
+    checks that solve against ``lstsq``)."""
     curves = model.curve_values(spectra.grid)
     baseline, a = curves[0], curves[1:].T
     m = a.shape[1]
-    resid = spectra.absorbance - baseline[None, :]
-    if sum_to is None:
-        y_hat = np.linalg.lstsq(a, resid.T, rcond=None)[0].T
-    else:
+    target = spectra.absorbance - baseline[None, :]
+    design, v, center = a, None, None
+    if sum_to is not None:
         q, _ = np.linalg.qr(np.ones((m, 1)), mode="complete")
         v = q[:, 1:]
         center = (float(sum_to) / m) * np.ones(m)
-        target = resid.T - (a @ center)[:, None]
-        u_hat = np.linalg.lstsq(a @ v, target, rcond=None)[0]
-        y_hat = (center[:, None] + v @ u_hat).T
+        target -= a @ center
+        design = a @ v
+    u, singular, vt = np.linalg.svd(design, full_matrices=False)
+    z = (vt.T @ ((u.T @ target[:, :, None]) / singular[:, None]))[:, :, 0]
+    y_hat = z if v is None else center + z @ v.T
     fitted = baseline[None, :] + y_hat @ a.T
     return (y_hat, confidence_intervals(y_hat, s, c),
             np.linalg.norm(spectra.absorbance - fitted, axis=1))
@@ -242,10 +246,11 @@ class TestBlockedReport:
                                                 (257, 1e-12), (513, 1e-12)])
     @pytest.mark.parametrize("sum_to", [None, 1.0])
     def test_equal_to_single_pass(self, num_rows, rtol, sum_to):
-        # Blocks of 256 rows keep every row at the kernel position one pass
-        # over the batch gives it, so the estimates do not move by a bit;
-        # a tail block of one row may take another kernel (tolerance
-        # relative to the largest entry).
+        # Each spectrum is solved on its own, and blocks of 256 rows keep
+        # every row at the kernel position one pass over the batch gives
+        # its residual product, so nothing moves by a bit; a tail block of
+        # one row may take another kernel (tolerance relative to the
+        # largest entry).
         model, _ = fitted_model(seed=20)
         target = batch(model, np.linspace(0.0, 10.0, 401), num_rows, 21)
         report = prediction_report(model, target, self.S, sum_to=sum_to)
