@@ -11,7 +11,6 @@ products integrate exactly in closed form from the values at the span ends.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,16 +188,6 @@ class BasisDesign:
     def num_sites(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def width(self) -> int:
-        """Half-bandwidth of ``B'B``, at least 1: the widest span of nonzero
-        columns at one site (3 for a cubic basis, 2 when every site is a
-        knot)."""
-        seen = self.values != 0
-        spans = (self.values.shape[1] - 1 - seen[:, ::-1].argmax(axis=1)
-                 - seen.argmax(axis=1))
-        return max(int(spans.max()), 1)
-
     def gram_band(self, width: int) -> np.ndarray:
         """Lower band of ``B'B`` to half-bandwidth ``width``, (K, width + 1):
         ``band[i, q]`` is entry ``(i + q, i)`` (zero past the last row)."""
@@ -270,26 +259,6 @@ def design_matrix(kv: KnotVector, grid: np.ndarray) -> BasisDesign:
     values.flags.writeable = False
     first.flags.writeable = False
     return BasisDesign(values, first, k)
-
-
-def cached_design_matrix(kv: KnotVector, grid: np.ndarray) -> BasisDesign:
-    """:func:`design_matrix`, shared through ``kv`` while it is in use.
-
-    ``kv`` keeps the latest grid and a weak reference to its design, so
-    callers that hold the design (an aggregated design, a GLS system)
-    share it with everyone else evaluating the same knots on the same
-    grid values, such as the held-out predictions of a jackknife, and the
-    cache never keeps the design alive by itself.
-    """
-    grid = np.asarray(grid, dtype=float)
-    cached = kv.__dict__.get("_design")
-    b = None
-    if cached is not None and np.array_equal(cached[0], grid):
-        b = cached[1]()
-    if b is None:
-        b = design_matrix(kv, grid)
-        object.__setattr__(kv, "_design", (grid.copy(), weakref.ref(b)))
-    return b
 
 
 def penalty_matrix(kv: KnotVector) -> PenaltyMatrix:

@@ -132,14 +132,13 @@ def _bands(b: BasisDesign, band: np.ndarray | None) -> tuple[np.ndarray, np.ndar
     Row ``i`` of each ``(K, p + 1)`` array holds entries ``(i + q, i)`` for
     ``q = 0 .. p`` (zero past the last row), with ``p`` the half-bandwidth
     of the pair, at least 1.  ``C[i, j]`` is nonzero only when some grid
-    site sees both functions, so ``p`` for ``C`` is the widest span of
-    nonzero columns at one site (:attr:`BasisDesign.width`: 3 for a cubic
-    basis, 2 when every site is a knot), and ``C``'s band is summed from
-    the design's band; ``C`` is never formed.  ``band`` is the penalty's
-    band (:class:`PenaltyMatrix`), padded with zero columns to the pair's
-    width; None stands for zero.
+    site sees both functions, and a site sees ``order`` consecutive ones,
+    so ``p`` for ``C`` is ``order - 1`` (3 for a cubic basis); ``C``'s band
+    is summed from the design's band and is never formed.  ``band`` is the
+    penalty's band (:class:`PenaltyMatrix`), padded with zero columns to
+    the pair's width; None stands for zero.
     """
-    width = b.width
+    width = max(b.values.shape[1] - 1, 1)
     if band is not None:
         width = max(width, band.shape[1] - 1)
     gram = b.gram_band(width)
@@ -807,7 +806,7 @@ class _WhitenedSystem:
         self.rhs = (rows.T @ self.rhs_parts).ravel()
         if design.closed_total is not None:
             e = design.conc_aug[-1]
-            constraint = np.kron(np.outer(e, e), _symmetric(b.gram_band(b.width)))
+            constraint = np.kron(np.outer(e, e), _symmetric(_bands(b, None)[0]))
             # Weighted to the whitened Gram, which scales as the inverse
             # square of the absorbance unit, so that the unit leaves the
             # rounding alone; any weight gives the same exact solution.

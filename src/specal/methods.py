@@ -182,18 +182,23 @@ class FunctionalStrategy(Strategy):
 class MultivariateStrategy(Strategy):
     """Classical chemometric baselines on the raw wavelength matrix.
 
-    One rule (:meth:`coefficients`) serves a fit and the folds of a
-    jackknife: a fit applies it to one decomposition of the centered
-    calibration data (:func:`baselines.decompose`), a jackknife to blocks
-    of folds downdated from one decomposition of the whole set
+    A fit is the method's public fit (:func:`baselines.fit_mlr`,
+    :func:`baselines.fit_pcr`, :func:`baselines.fit_pls`), which applies
+    its rule to one decomposition of the centered calibration data.  A
+    jackknife applies the same rule (:meth:`coefficients`) to blocks of
+    folds downdated from one decomposition of the whole set
     (:func:`baselines.downdated_folds`), so every baseline of a jackknife
     shares its folds.
     """
 
     def fit(self, spectra: SpectraSet,
             concentrations: ConcentrationMatrix) -> baselines.MultivariateModel:
-        dec = baselines.decompose(spectra.absorbance, concentrations.values)
-        model = dec.model(self.spec.method.upper(), self.coefficients(dec.system))
+        spec, w, y = self.spec, spectra.absorbance, concentrations.values
+        if spec.method == "mlr":
+            model = baselines.fit_mlr(w, y)
+        else:
+            fit = baselines.fit_pcr if spec.method == "pcr" else baselines.fit_pls
+            model = fit(w, y, spec.components, spec.variance_fraction)
         return replace(model, analytes=concentrations.analyte_names())
 
     def coefficients(self, pc: baselines.Systems) -> tuple[np.ndarray, ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisDesign, KnotVector, cached_design_matrix
+from .basis import BasisDesign, KnotVector, design_matrix
 from .errors import CollinearConcentrationsError, ShapeError
 
 
@@ -174,7 +174,7 @@ class CalibrationModel:
 
     def curve_values(self, grid: np.ndarray) -> np.ndarray:
         """(m+1, T) matrix of baseline and analyte curves on ``grid``."""
-        return cached_design_matrix(self.basis, grid).evaluate(self.coefficients)
+        return design_matrix(self.basis, grid).evaluate(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def assemble_design(spectra: SpectraSet, concentrations: ConcentrationMatrix,
         )
     y = concentrations.values
     m = concentrations.num_analytes
-    b = cached_design_matrix(kv, spectra.grid)
+    b = design_matrix(kv, spectra.grid)
     if np.linalg.matrix_rank(y) < m:
         raise CollinearConcentrationsError(
             f"analyte concentration columns are linearly dependent "

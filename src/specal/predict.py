@@ -197,12 +197,13 @@ def _blocked_estimates(model: CalibrationModel, spectra: SpectraSet,
         block = slice(start, start + _BLOCK_ROWS)
         rows = w[block]
         y = y_hat[block] = fit.solve(rows)
-        # In place, the residual is one block-sized array and its norm one
-        # more: with the spectra held once, this loop sets the predict peak.
+        # In place, the residual and its squares are one block-sized array:
+        # with the spectra held once, this loop sets the predict peak.
         fitted = y @ a.T
         fitted += baseline
         fitted -= rows
-        residual_norms[block] = np.linalg.norm(fitted, axis=1)
+        np.square(fitted, out=fitted)
+        residual_norms[block] = np.sqrt(fitted.sum(axis=1))
         del fitted  # before the next block's solve makes its own target
     return y_hat, residual_norms
 
@@ -251,10 +252,10 @@ def confidence_intervals(y_hat: np.ndarray, s: np.ndarray, c: float = 1.96) -> n
     return np.stack([y_hat - half, y_hat + half], axis=-1)
 
 
-def _numbered(folds, width=lambda fit: 1):
+def _numbered(folds, width):
     """Re-yield the ``(i, fit)`` pairs of a fold source, which yields them in
-    index order, ``fit`` covering ``width(fit)`` folds from ``i`` (one, or
-    a block); an error making fold ``i`` becomes a FoldFailureError."""
+    index order, ``fit`` covering ``width(fit)`` folds from ``i`` (a
+    block); an error making fold ``i`` becomes a FoldFailureError."""
     i = 0
     try:
         for start, fit in folds:

@@ -7,19 +7,21 @@ from scipy.interpolate import BSpline
 from specal.basis import (
     KnotVector,
     PenaltyMatrix,
-    cached_design_matrix,
     design_matrix,
     knots_from_grid,
     make_knots,
     penalty_matrix,
 )
+from specal.calibrate import fit_ols
 from specal.errors import (
     DomainError,
     InvalidBasisError,
     InvalidDomainError,
     InvalidGridError,
+    SingularDesignError,
     UnsupportedOrderError,
 )
+from specal.model import ConcentrationMatrix, SpectraSet, assemble_design
 
 from oracles import basis_values, derivative_matrix
 
@@ -195,32 +197,11 @@ class TestDesignMatrix:
             design_matrix(kv, np.array([0.2, 0.2, 0.8]))
 
 
-    def test_cached_matrix_keyed_by_grid_values(self):
-        kv = make_knots((0.0, 10.0), 8)
-        grid = np.linspace(0.0, 10.0, 41)
-        first = cached_design_matrix(kv, grid)
-        assert not first.values.flags.writeable
-        assert not first.first.flags.writeable
-        npt.assert_array_equal(first.dense(), design_matrix(kv, grid).dense())
-        assert cached_design_matrix(kv, grid.copy()) is first
-        assert cached_design_matrix(make_knots((0.0, 10.0), 8), grid) is not first
-        shifted = 0.9 * grid
-        other = cached_design_matrix(kv, shifted)
-        npt.assert_array_equal(other.dense(), design_matrix(kv, shifted).dense())
-        assert cached_design_matrix(kv, shifted.copy()) is other
-        # The knot vector holds its matrix weakly: once the callers drop
-        # it, it is freed and the next call evaluates again.
-        del other
-        assert kv.__dict__["_design"][1]() is None
-        npt.assert_array_equal(cached_design_matrix(kv, shifted).dense(),
-                               design_matrix(kv, shifted).dense())
-
-
 def band_cases():
-    """(knots, grid, B'B half-bandwidth) of five bases: every site a knot,
-    14 uniform functions, random knots with a double and a triple interior
-    knot, every site of a non-uniform grid a knot, and unclamped knots,
-    whose last site's span reaches past the last basis function."""
+    """(knots, grid) of five bases: every site a knot, 14 uniform
+    functions, random knots with a double and a triple interior knot,
+    every site of a non-uniform grid a knot, and unclamped knots, whose
+    last site's span reaches past the last basis function."""
     rng = np.random.default_rng(14)
     grid = np.arange(350.0, 751.0, 5.0)
     interior = np.sort(rng.uniform(0.0, 10.0, 20))
@@ -229,11 +210,11 @@ def band_cases():
     repeated = KnotVector(np.concatenate([np.zeros(4), interior, np.full(4, 10.0)]))
     uneven = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, 60)), [10.0]])
     return {
-        "every-site": (knots_from_grid(grid), grid, 2),
-        "k14": (make_knots((350.0, 750.0), 14), grid, 3),
-        "repeated-knots": (repeated, np.linspace(0.0, 10.0, 97), 3),
-        "non-uniform": (knots_from_grid(uneven), uneven, 2),
-        "unclamped": (KnotVector(np.arange(12.0)), np.linspace(3.0, 8.0, 33), 3),
+        "every-site": (knots_from_grid(grid), grid),
+        "k14": (make_knots((350.0, 750.0), 14), grid),
+        "repeated-knots": (repeated, np.linspace(0.0, 10.0, 97)),
+        "non-uniform": (knots_from_grid(uneven), uneven),
+        "unclamped": (KnotVector(np.arange(12.0)), np.linspace(3.0, 8.0, 33)),
     }
 
 
@@ -246,11 +227,10 @@ class TestBandOracle:
 
     @pytest.mark.parametrize("case", list(band_cases()))
     def test_products_match_scipy(self, case):
-        kv, grid, width = band_cases()[case]
+        kv, grid = band_cases()[case]
         b = design_matrix(kv, grid)
         want = BSpline.design_matrix(grid, kv.knots, kv.order - 1).toarray()
         k = kv.num_basis
-        assert b.width == width
         assert b.values.shape == (grid.size, kv.order)
         assert_band_close(b.dense(), want)
         band = b.gram_band(3)
@@ -268,6 +248,20 @@ class TestBandOracle:
         for start in range(0, grid.size, 8):
             stop = min(start + 8, grid.size)
             assert_band_close(b.rows(start, stop), want[start:stop])
+
+    @pytest.mark.parametrize("case", ["every-site", "non-uniform"])
+    def test_every_site_a_knot_cannot_be_fitted(self, case):
+        # A site off the knots sees ``order`` functions, so B'B's band is
+        # ``order - 1`` wide unless every site is a knot.  Then T sites
+        # carry T + 2 cubics, B'B is singular and no fit reaches a solve.
+        kv, grid = band_cases()[case]
+        assert np.all(np.isin(grid, kv.knots))
+        assert kv.num_basis > grid.size
+        rng = np.random.default_rng(16)
+        spectra = SpectraSet(grid=grid, absorbance=rng.standard_normal((6, grid.size)))
+        conc = ConcentrationMatrix(values=rng.uniform(0.1, 1.0, (6, 2)))
+        with pytest.raises(SingularDesignError):
+            fit_ols(assemble_design(spectra, conc, kv))
 
 
 class TestDerivatives:

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.optimize import minimize
 
-from specal.basis import cached_design_matrix
+from specal.basis import design_matrix
 from specal.calibrate import fit_ols
 from specal.errors import (
     DegenerateAnalytesError,
@@ -136,7 +136,7 @@ class TestPredictConcentrations:
         with pytest.raises(DegenerateAnalytesError):
             prediction_report(model, spectra, s=np.full(3, 0.05), sum_to=1.0)
         # Fold 2 of a block of leave-one-out fits has such curves.
-        b = cached_design_matrix(model.basis, spectra.grid)
+        b = design_matrix(model.basis, spectra.grid)
         blocks = [(0, np.stack([fitted_model(seed=11)[0].coefficients] * 2)),
                   (2, coef[None])]
         with pytest.raises(FoldFailureError,
@@ -182,7 +182,7 @@ class TestPredictConcentrations:
     def test_report_evaluates_basis_once(self, monkeypatch, sum_to):
         # The estimates and the residual norms share one evaluation of the
         # analyte curves, and the report equals its parts bit for bit.
-        from specal import basis
+        from specal import model as model_layer
 
         model, spectra = fitted_model(seed=12)
         target = new_spectra(model, spectra.grid,
@@ -194,13 +194,13 @@ class TestPredictConcentrations:
         norms = np.linalg.norm(target.absorbance - fitted, axis=1)
         del curves
         calls = []
-        original = basis.design_matrix
+        original = model_layer.design_matrix
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(basis, "design_matrix", counting)
+        monkeypatch.setattr(model_layer, "design_matrix", counting)
         report = prediction_report(model, target, s=np.full(3, 0.05),
                                    sum_to=sum_to)
         assert len(calls) == 1

@@ -1,7 +1,8 @@
 """Invariances of the functional estimators under relabelling and units.
 
 Reordering the calibration samples changes nothing a functional fit
-reports, and measuring the concentrations in other units (``y -> c y``,
+reports, and reordering the analyte columns reorders what every fit
+reports.  Measuring the concentrations in other units (``y -> c y``,
 with the closure total becoming ``c``) scales every prediction and every
 jackknife spread by ``c``.  Measuring the absorbance in other units
 (``W -> c W``) scales the fitted curves by ``c`` and leaves predictions
@@ -23,10 +24,10 @@ from hypothesis.extra.numpy import arrays
 
 from specal import io
 from specal.errors import ParseError
-from specal.methods import FitSpec, make_strategy
+from specal.methods import FUNCTIONAL_METHODS, FitSpec, make_strategy
 from specal.model import ConcentrationMatrix, SpectraSet, assemble_design
 from specal.predict import jackknife_sd
-from specal.simulate import STRONG_PHI, SimConfig, generate_dataset
+from specal.simulate import STRONG_PHI, WEAK_PHI, SimConfig, generate_dataset
 
 NUM_SAMPLES = 10
 # Every basis-smoothing fit below uses the same coarse grid (T = 41).
@@ -42,6 +43,12 @@ SPECS = {
 # The absorbance properties also choose lambda by GCV and cover a baseline.
 SYMMETRY_SPECS = {**SPECS, "ols-ss": FitSpec(method="ols-ss"),
                   "pls": FitSpec(method="pls")}
+# A second calibration set, of weak-scenario data, for the analyte order.
+WEAK = generate_dataset(SimConfig(seed=33, num_samples=12, grid_step=10.0,
+                                  phi=WEAK_PHI))
+ANALYTE_ORDER_SPECS = {"ols-k": SPECS["ols-k"], "ols-ss": FitSpec(method="ols-ss"),
+                       "mlr": FitSpec(method="mlr"), "pcr": FitSpec(method="pcr"),
+                       "pls": FitSpec(method="pls")}
 # Two-decimal factors keep the closure total exact at 5 significant digits.
 SCALES = st.integers(50, 20000).map(lambda n: n / 100)
 
@@ -72,6 +79,38 @@ def test_row_order_does_not_matter(method, order):
                                               *reordered(list(order)))
     npt.assert_allclose(pred, want_pred, rtol=1e-8)
     npt.assert_allclose(spread, want_spread, rtol=1e-8)
+
+
+def assert_analyte_order_permutes_outputs(spec, data, order):
+    """The fit's analyte coefficients, the predictions of ``NEW`` and the
+    spreads, with the analyte columns taken in ``order``, are the ones in
+    the original order, permuted."""
+    spectra, conc, _ = data
+
+    def outputs(columns):
+        fitted, pred, spread = predictions_and_spreads(
+            spec, spectra, ConcentrationMatrix(values=conc.values[:, columns]))
+        coef = (fitted.coefficients[1:] if spec.method in FUNCTIONAL_METHODS
+                else fitted.coefficients.T)
+        return coef, pred.T, spread
+
+    for got, want in zip(outputs(order), outputs(list(range(len(order))))):
+        npt.assert_allclose(got, want[order], rtol=1e-10)
+
+
+@pytest.mark.parametrize("method", list(ANALYTE_ORDER_SPECS))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.sampled_from([CAL, WEAK]), order=st.permutations(range(3)))
+def test_analyte_order_permutes_outputs(method, data, order):
+    assert_analyte_order_permutes_outputs(ANALYTE_ORDER_SPECS[method], data,
+                                          list(order))
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="fit_covariance sweeps the analytes' decay rates in "
+                          "column order (ROADMAP item 1)")
+def test_gls_analyte_order_permutes_outputs():
+    assert_analyte_order_permutes_outputs(SPECS["gls-k"], CAL, [1, 0, 2])
 
 
 @pytest.mark.parametrize("method", ["ols-k", "gls-k"])

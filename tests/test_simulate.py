@@ -399,19 +399,19 @@ class TestStrategyFastPaths:
         # The held-out predictions share the basis evaluation of the design
         # that the folds hold; GLS-K's pilot OLS fit and its whitened
         # system are built from that same design.
-        from specal import basis
+        from specal import model as model_layer
 
         cfg = SimConfig(seed=10, num_samples=8, phi=STRONG_PHI)
         spectra, conc, _ = generate_dataset(cfg)
         want = jackknife_sd(spectra, conc, FitSpec(method=method))
         calls = []
-        original = basis.design_matrix
+        original = model_layer.design_matrix
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(basis, "design_matrix", counting)
+        monkeypatch.setattr(model_layer, "design_matrix", counting)
         got = jackknife_sd(spectra, conc, FitSpec(method=method))
         assert len(calls) == evaluations
         npt.assert_array_equal(got, want)
